@@ -368,7 +368,7 @@ def cmd_search(args) -> int:
             if not np.isfinite(value):
                 status = "infeasible"
         except Exception as exc:
-            status = f"failed: {type(exc).__name__}"
+            status = f"failed: {type(exc).__name__}: {exc}"
         rows.append([trial] + [float(combo[n]) for n in names] + [float(value), status])
         if value < best_value:
             best_value, best_combo = value, combo

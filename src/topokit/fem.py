@@ -5,6 +5,16 @@ mechanisms (springs at input/output degrees of freedom). All three share the
 same assembly path; they differ in the element matrix, the number of degrees
 of freedom per node, and the adjoint used for sensitivities.
 
+Every solve is direct. A domain's :class:`SolvePlan` is built once and
+cached: a nested-dissection elimination order of the free DOFs (recursive
+bisection of the node grid, separators last; George 1973), the CSC pattern
+of the reduced matrix in that order, and the slot of every element-matrix
+entry and spring in it. An evaluation then only scatters ``E_e * k0`` into
+the data array, factors with SuperLU in that order with diagonal pivots
+(the reduced matrix is symmetric positive definite), and permutes the
+right-hand side and the solution. Each solution is residual-checked and
+refined once before it is accepted.
+
 Grid conventions: node (ix, iy) has index ``iy * (nx + 1) + ix`` and element
 (ix, iy) has index ``iy * nx + ix``; elastic DOFs are ``(2n, 2n + 1)`` for
 node n. Element-local nodes are ordered (x, y), (x+1, y), (x+1, y+1),
@@ -78,6 +88,7 @@ class GridDomain:
         self.fixed_dofs = np.asarray(self.fixed_dofs, dtype=int).ravel()
         self.load = np.asarray(self.load, dtype=float).ravel()
         self.passive_solid = np.asarray(self.passive_solid, dtype=int).ravel()
+        self.springs = tuple((int(dof), float(stiffness)) for dof, stiffness in self.springs)
         if self.load.size != self.n_dofs:
             raise ValueError(f"load vector has {self.load.size} entries, expected {self.n_dofs}")
         if self.output_vector is not None:
@@ -198,46 +209,147 @@ def element_dof_matrix(nx: int, ny: int, dofs_per_node: int) -> np.ndarray:
     return edof
 
 
+#: Node blocks with at most this many nodes end the dissection and keep their
+#: natural (row-major) order.
+DISSECTION_LEAF_NODES = 16
+
+
+def _dissection_node_order(nodes_x: int, nodes_y: int) -> np.ndarray:
+    """Nested-dissection order of a ``nodes_y`` by ``nodes_x`` node grid.
+
+    Each block is cut by its middle node line across the longer side. No
+    bilinear element touches nodes on both sides of that line, so the two
+    halves are ordered first (recursively) and the separator line last.
+    """
+    parts: list[np.ndarray] = []
+
+    def visit(block: np.ndarray) -> None:
+        rows, cols = block.shape
+        if rows * cols <= DISSECTION_LEAF_NODES:
+            parts.append(block.ravel())
+        elif cols >= rows:
+            mid = cols // 2
+            visit(block[:, :mid])
+            visit(block[:, mid + 1 :])
+            parts.append(block[:, mid])
+        else:
+            mid = rows // 2
+            visit(block[:mid])
+            visit(block[mid + 1 :])
+            parts.append(block[mid])
+
+    visit(np.arange(nodes_x * nodes_y).reshape(nodes_y, nodes_x))
+    return np.concatenate(parts)
+
+
+@dataclass(frozen=True)
+class SolvePlan:
+    """Structure of a domain's reduced system, shared by all its solves.
+
+    ``order`` lists the free DOFs in elimination order: row and column i of
+    the reduced matrix belong to DOF ``order[i]``. ``indptr``/``indices`` are
+    that matrix's CSC pattern. ``slots`` gives, for every element-matrix
+    entry in (element, row, column) order, its position in the CSC data
+    array, or ``nnz`` when the entry lies in a fixed row or column.
+    ``spring_slots`` are the diagonal positions of the springs on free DOFs.
+    """
+
+    order: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    spring_slots: np.ndarray
+    spring_values: np.ndarray
+
+
+def solve_plan(domain: GridDomain) -> SolvePlan:
+    """The cached plan for the domain's grid, fixed DOFs and springs."""
+    return _cached_plan(
+        domain.nx, domain.ny, domain.dofs_per_node, domain.fixed_dofs.tobytes(), domain.springs
+    )
+
+
+@lru_cache(maxsize=8)
+def _cached_plan(
+    nx: int, ny: int, dofs_per_node: int, fixed: bytes, springs: tuple[tuple[int, float], ...]
+) -> SolvePlan:
+    n_dofs = dofs_per_node * (nx + 1) * (ny + 1)
+    is_free = np.ones(n_dofs, dtype=bool)
+    is_free[np.frombuffer(fixed, dtype=int)] = False
+    nodes = _dissection_node_order(nx + 1, ny + 1)
+    dofs = (dofs_per_node * nodes[:, None] + np.arange(dofs_per_node)).ravel()
+    order = dofs[is_free[dofs]]
+    n_free = order.size
+    position = np.full(n_dofs, -1, dtype=np.int64)
+    position[order] = np.arange(n_free)
+
+    edof = position[element_dof_matrix(nx, ny, dofs_per_node)]
+    n_local = edof.shape[1]
+    rows = np.repeat(edof, n_local, axis=1).ravel()
+    cols = np.tile(edof, (1, n_local)).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    # Column-major keys sort into CSC order with rows ascending per column.
+    keys, slot_of_kept = np.unique(cols[kept] * n_free + rows[kept], return_inverse=True)
+    slots = np.full(rows.size, keys.size, dtype=np.int32)
+    slots[kept] = slot_of_kept
+    indptr = np.zeros(n_free + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n_free, minlength=n_free), out=indptr[1:])
+    indices = (keys % n_free).astype(np.int32)
+
+    spring_pos = position[np.array([dof for dof, _ in springs], dtype=int)]
+    on_free = spring_pos >= 0
+    spring_slots = np.searchsorted(keys, spring_pos[on_free] * (n_free + 1))
+    spring_values = np.array([k for _, k in springs], dtype=float)[on_free]
+    plan = SolvePlan(order, indptr, indices, slots, spring_slots, spring_values)
+    for array in vars(plan).values():
+        array.setflags(write=False)
+    return plan
+
+
 def assemble_system(domain: GridDomain, physics: Physics, modulus_field: np.ndarray) -> sparse.csc_matrix:
-    """Assemble the global matrix K = sum_e E_e * k0 plus diagonal springs."""
+    """Reduced matrix K = sum_e E_e * k0 plus springs, fixed DOFs eliminated.
+
+    Rows and columns follow ``solve_plan(domain).order``.
+    """
     modulus_field = np.asarray(modulus_field, dtype=float).ravel()
     if modulus_field.size != domain.n_elements:
         raise ValueError("modulus field length must equal the element count")
     if np.any(modulus_field <= 0.0):
         raise ValueError("modulus field entries must be positive")
-    ke = element_matrix(physics)
-    edof = domain.element_dofs()
-    n_local = ke.shape[0]
-    rows = np.repeat(edof, n_local, axis=1).ravel()
-    cols = np.tile(edof, (1, n_local)).ravel()
-    data = (modulus_field[:, None] * ke.ravel()[None, :]).ravel()
-    if domain.springs:
-        spring_dofs = np.array([d for d, _ in domain.springs])
-        spring_vals = np.array([k for _, k in domain.springs])
-        rows = np.concatenate([rows, spring_dofs])
-        cols = np.concatenate([cols, spring_dofs])
-        data = np.concatenate([data, spring_vals])
-    k_mat = sparse.coo_matrix((data, (rows, cols)), shape=(domain.n_dofs, domain.n_dofs))
-    return k_mat.tocsc()
+    plan = solve_plan(domain)
+    n_free = plan.order.size
+    weights = (modulus_field[:, None] * element_matrix(physics).ravel()).ravel()
+    data = np.bincount(plan.slots, weights=weights, minlength=plan.indices.size + 1)[:-1]
+    np.add.at(data, plan.spring_slots, plan.spring_values)
+    return sparse.csc_matrix((data, plan.indices, plan.indptr), shape=(n_free, n_free))
 
 
 class _ReducedSolver:
-    """LU factorization of the boundary-reduced system."""
+    """Symmetric LU factorization of the boundary-reduced system.
+
+    The reduced matrix is symmetric positive definite for a supported
+    domain, so SuperLU factors it in the plan's nested-dissection order
+    with diagonal pivots and no row exchanges. Every solve is still checked
+    by its residual and refined once, so a system that is not positive
+    definite after all fails loudly instead of returning a wrong answer.
+    """
 
     def __init__(self, domain: GridDomain, physics: Physics, modulus_field: np.ndarray):
         self.domain = domain
-        k_mat = assemble_system(domain, physics, modulus_field)
-        free = np.ones(domain.n_dofs, dtype=bool)
-        free[domain.fixed_dofs] = False
-        self.free = free
-        self.k_ff = k_mat[free][:, free].tocsc()
+        self.physics = physics
+        self.order = solve_plan(domain).order
+        self.k_ff = assemble_system(domain, physics, modulus_field)
         try:
-            self.lu = spla.splu(self.k_ff)
+            self.lu = spla.splu(
+                self.k_ff,
+                permc_spec="NATURAL",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         except RuntimeError as exc:
             raise SingularSystemError(
                 f"singular {physics.kind} system on {domain.nx}x{domain.ny} grid: {exc}"
             ) from exc
-        self.physics = physics
 
     def _acceptable(self, u_f: np.ndarray, rhs_f: np.ndarray) -> bool:
         residual = np.abs(self.k_ff @ u_f - rhs_f)
@@ -259,7 +371,7 @@ class _ReducedSolver:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float).ravel()
-        rhs_f = rhs[self.free]
+        rhs_f = rhs[self.order]
         u_f = self.lu.solve(rhs_f)
         if np.abs(rhs_f).max() > 0.0 and not self._acceptable(u_f, rhs_f):
             # One step of iterative refinement before giving up.
@@ -271,13 +383,19 @@ class _ReducedSolver:
                     f"{self.domain.nx}x{self.domain.ny} grid: residual {residual:.3e}"
                 )
         u = np.zeros(self.domain.n_dofs)
-        u[self.free] = u_f
+        u[self.order] = u_f
         return u
 
 
 def assemble_and_solve(domain: GridDomain, physics: Physics, modulus_field: np.ndarray) -> np.ndarray:
     """Solve K(modulus) U = F with fixed DOFs eliminated; returns full U."""
     return _ReducedSolver(domain, physics, modulus_field).solve(domain.load)
+
+
+def check_penalty(penalty: float) -> None:
+    """Reject SIMP penalties below 1: d(rho^p)/d(rho) is infinite at rho = 0."""
+    if not penalty >= 1.0:
+        raise ValueError(f"SIMP penalty {penalty} must be at least 1")
 
 
 def simp_modulus(physics: Physics, rho: np.ndarray, penalty: float) -> np.ndarray:
@@ -303,6 +421,7 @@ def evaluate_objective(
         raise ValueError("density field length must equal the element count")
     if rho.min() < -1e-12 or rho.max() > 1.0 + 1e-12:
         raise ValueError("densities must lie in [0, 1] (tolerance 1e-12)")
+    check_penalty(penalty)
     rho = np.clip(rho, 0.0, 1.0)
     if domain.passive_solid.size:
         rho = rho.copy()

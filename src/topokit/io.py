@@ -7,6 +7,7 @@ Density CSVs are row-major (ny rows by nx columns, top row first) and use
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -154,7 +155,8 @@ def read_manifest(path) -> dict:
 
 
 def write_csv_table(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """CSV table; floats use ``repr``, and cells holding commas are quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import GridDomain, Physics
+from .fem import GridDomain, Physics, check_penalty
 
 CATALOG = ("mbb", "michell", "cantilever", "bridge", "tensile", "thermal", "mechanism")
 
@@ -93,6 +93,7 @@ def make_problem(
     nx, ny = int(resolution[0]), int(resolution[1])
     if nx < 1 or ny < 1:
         raise ValueError("resolution must be positive")
+    check_penalty(penalty)
     if v0 is None:
         v0 = DEFAULT_VOLUME.get(name, 0.3)
     if filter_radius is None:

@@ -8,10 +8,12 @@ hand assemblies and sensitivities against central finite differences.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topokit import fem
 from topokit.fem import GridDomain, Physics, SingularSystemError
-from topokit.problems import make_problem
+from topokit.problems import CATALOG, make_problem
 
 # Closed-form entries of the unit-modulus plane-stress element: k-vector and
 # the symmetric sign pattern (result of symbolic integration).
@@ -152,14 +154,31 @@ def test_thermal_2x2_symmetric_and_matches_dense_solve():
     assert np.allclose(u, expected, atol=1e-12)
 
 
+def _dense_system(domain, physics, modulus):
+    """Full global matrix assembled element by element, springs included."""
+    k_dense = np.zeros((domain.n_dofs, domain.n_dofs))
+    ke = fem.element_matrix(physics)
+    for e, dofs in enumerate(domain.element_dofs()):
+        k_dense[np.ix_(dofs, dofs)] += modulus[e] * ke
+    for dof, stiffness in domain.springs:
+        k_dense[dof, dof] += stiffness
+    return k_dense
+
+
+def _free_mask(domain):
+    free = np.ones(domain.n_dofs, dtype=bool)
+    free[domain.fixed_dofs] = False
+    return free
+
+
 def test_reduced_system_is_positive_definite():
     problem = make_problem("michell", (8, 4), 0.5)
     rng = np.random.default_rng(0)
     modulus = fem.simp_modulus(problem.physics, rng.uniform(0.05, 1.0, 32), 3.0)
-    k_mat = fem.assemble_system(problem.domain, problem.physics, modulus).toarray()
-    free = np.ones(problem.domain.n_dofs, dtype=bool)
-    free[problem.domain.fixed_dofs] = False
-    k_red = k_mat[np.ix_(free, free)]
+    k_red = fem.assemble_system(problem.domain, problem.physics, modulus).toarray()
+    order = fem.solve_plan(problem.domain).order
+    k_dense = _dense_system(problem.domain, problem.physics, modulus)
+    assert np.allclose(k_red, k_dense[np.ix_(order, order)], rtol=0.0, atol=1e-12)
     assert np.allclose(k_red, k_red.T, atol=1e-12)
     assert np.linalg.eigvalsh(k_red).min() > 0.0
 
@@ -187,8 +206,7 @@ def test_solution_invariant_under_assembly_order():
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(problem.domain.n_dofs,) * 2,
     ).tocsc()
-    free = np.ones(problem.domain.n_dofs, dtype=bool)
-    free[problem.domain.fixed_dofs] = False
+    free = _free_mask(problem.domain)
     u2 = np.zeros(problem.domain.n_dofs)
     u2[free] = sparse.linalg.spsolve(k_mat[free][:, free], problem.domain.load[free])
     assert np.abs(u - u2).max() < 1e-10
@@ -281,3 +299,88 @@ def test_repeated_solves_bit_identical():
     ev2 = fem.evaluate_objective(problem.domain, problem.physics, rho, 3.0)
     assert ev1.value == ev2.value
     assert np.array_equal(ev1.grad_wrt_density, ev2.grad_wrt_density)
+
+
+def _assert_matches_dense_solve(u, domain, physics, modulus):
+    free = _free_mask(domain)
+    k_dense = _dense_system(domain, physics, modulus)
+    expected = np.zeros(domain.n_dofs)
+    expected[free] = np.linalg.solve(k_dense[np.ix_(free, free)], domain.load[free])
+    assert np.abs(u - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("resolution", [(1, 1), (7, 3), (12, 5), (2, 9)])
+@pytest.mark.parametrize("name", CATALOG)
+def test_solve_matches_dense_oracle(name, resolution):
+    problem = make_problem(name, resolution, None)
+    domain, physics = problem.domain, problem.physics
+    rng = np.random.default_rng(sum(resolution) + len(name))
+    rho = rng.uniform(0.0, 1.0, problem.n_elements)
+    modulus = fem.simp_modulus(physics, rho, problem.penalty)
+    u = fem.assemble_and_solve(domain, physics, modulus)
+    _assert_matches_dense_solve(u, domain, physics, modulus)
+
+    # evaluate_objective clamps the passive deck before it solves.
+    clamped = rho.copy()
+    clamped[domain.passive_solid] = 1.0
+    modulus = fem.simp_modulus(physics, clamped, problem.penalty)
+    u = fem.evaluate_objective(domain, physics, rho, problem.penalty).displacement
+    _assert_matches_dense_solve(u, domain, physics, modulus)
+
+
+def test_domains_on_one_grid_never_share_a_plan():
+    base = make_problem("mechanism", (7, 3), None).domain
+
+    def variant(fixed_dofs, springs=()):
+        return GridDomain(
+            nx=7, ny=3, dofs_per_node=2, fixed_dofs=fixed_dofs, load=base.load, springs=springs
+        )
+
+    domains = [
+        base,
+        variant(base.fixed_dofs[1:], base.springs),
+        variant(base.fixed_dofs, ((base.springs[0][0], 5.0),)),
+        variant(base.fixed_dofs),
+    ]
+    plans = [fem.solve_plan(d) for d in domains]
+    assert len({id(p) for p in plans}) == len(domains)
+    assert plans[1].order.size == plans[0].order.size + 1
+    assert plans[2].spring_values.tolist() == [5.0]
+    assert plans[3].spring_slots.size == 0
+    # The same content maps to the same plan.
+    assert fem.solve_plan(variant(base.fixed_dofs)) is plans[3]
+
+    physics = Physics(kind="compliance")
+    modulus = np.random.default_rng(5).uniform(0.1, 10.0, 21)
+    for domain in domains + domains[::-1]:
+        u = fem.assemble_and_solve(domain, physics, modulus)
+        _assert_matches_dense_solve(u, domain, physics, modulus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 40),
+    ny=st.integers(1, 40),
+    dofs_per_node=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_elimination_order_is_a_permutation_of_the_free_dofs(nx, ny, dofs_per_node, data):
+    n_dofs = dofs_per_node * (nx + 1) * (ny + 1)
+    fixed = data.draw(st.sets(st.integers(0, n_dofs - 1), max_size=n_dofs - 1))
+    domain = GridDomain(
+        nx=nx, ny=ny, dofs_per_node=dofs_per_node, fixed_dofs=sorted(fixed), load=np.zeros(n_dofs)
+    )
+    order = fem.solve_plan(domain).order
+    assert np.array_equal(np.sort(order), np.flatnonzero(_free_mask(domain)))
+
+
+def test_penalty_below_one_rejected():
+    with pytest.raises(ValueError, match="penalty 0.5"):
+        make_problem("michell", (8, 4), v0=0.5, penalty=0.5)
+    problem = make_problem("michell", (8, 4), v0=0.5, penalty=1.0)
+    rho = np.full(32, 0.5)
+    rho[0] = 0.0
+    with pytest.raises(ValueError, match="penalty 0.5"):
+        fem.evaluate_objective(problem.domain, problem.physics, rho, 0.5)
+    ev = fem.evaluate_objective(problem.domain, problem.physics, rho, 1.0)
+    assert np.all(np.isfinite(ev.grad_wrt_density))

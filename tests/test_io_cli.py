@@ -1,5 +1,6 @@
 """Serialization round trips and command-line workflows."""
 
+import csv
 import json
 
 import numpy as np
@@ -222,8 +223,23 @@ def test_cli_search_skips_failing_trial(tmp_path):
     assert run_cli("search", "--config", str(cfg_path), "--out", str(out)) == 0
     best = json.loads((out / "best.json").read_text())
     assert best == {"move_limit": 2.0}
-    trials = (out / "trials.csv").read_text()
-    assert "failed" in trials
+    with open(out / "trials.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    status = {row[header.index("move_limit")]: row[header.index("status")] for row in rows}
+    assert status["-1.0"] == (
+        "failed: ValueError: move limit and asymptote initialization must be positive"
+    )
+    assert status["2.0"] == "ok"
+
+
+def test_csv_table_quotes_only_cells_with_commas(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [[0, 0.1, "ok"], [1, float("inf"), "failed"]]
+    io.write_csv_table(path, ["trial", "objective", "status"], rows)
+    assert path.read_bytes() == b"trial,objective,status\n0,0.1,ok\n1,inf,failed\n"
+    io.write_csv_table(path, ["trial", "status"], [[0, "failed: ValueError: need a, b"]])
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["trial", "status"], ["0", "failed: ValueError: need a, b"]]
 
 
 def test_cli_threshold_command(tmp_path):
