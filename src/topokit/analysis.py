@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import reparam
 from .fields import DensityField
@@ -115,6 +114,9 @@ def landscape_1d(
 
 def count_interior_maxima(objectives: np.ndarray, noise_floor: float = NOISE_FLOOR_FRACTION) -> int:
     """Strict interior local maxima with prominence above the noise floor."""
+    # scipy.signal costs most of a second to import; only this function needs it.
+    from scipy.signal import find_peaks
+
     objectives = np.asarray(objectives, dtype=float)
     value_range = objectives.max() - objectives.min()
     if value_range <= 0.0:

@@ -9,7 +9,12 @@ layer by layer, so gradient checks against finite differences stay tight in
 double precision.
 
 Coordinate networks are evaluated on all element centers at once; batch and
-image normalizations therefore use the statistics of the full grid.
+image normalizations therefore use the statistics of the full grid. Their
+activations are carried feature-major, as (width, n_elements) arrays: every
+layer is one ``w @ z`` GEMM and every per-neuron batch statistic reduces
+along the contiguous axis. The CNN's bilinear upsampling of a (c, h, w)
+stack is two matrix products, ``ry @ t @ rx.T``, with the adjoint
+``ry.T @ du @ rx``; the interpolation matrices are cached per size.
 """
 
 from __future__ import annotations
@@ -270,44 +275,54 @@ def _direct_forward_vjp(spec, values, grid):
 # coordinate networks (MLP / SIREN)
 
 
-def _mlp_forward_vjp(spec, values, grid):
-    params = unpack(values, param_layout(spec, grid.nx, grid.ny))
-    z = grid.coords
+def _mlp_hidden(spec, params, grid):
+    """Run the MLP's hidden layers feature-major; return (tape, last activations).
+
+    Each layer's tape entry holds its (fan_in, n) input, the standardized
+    activations, the per-neuron inverse batch standard deviation and the
+    Leaky-ReLU pre-activation.
+    """
+    z = grid.coords.T
     tape = []
     for i in range(spec.hidden_layers):
-        w, b = params[f"w{i}"], params[f"b{i}"]
         scale, shift = params[f"bn_scale{i}"], params[f"bn_shift{i}"]
-        act = z @ w.T + b
-        mu = act.mean(axis=0)
-        inv_std = 1.0 / np.sqrt(act.var(axis=0) + NORM_EPS)
-        xhat = (act - mu) * inv_std
-        pre = scale * xhat + shift
-        out = np.where(pre > 0.0, pre, LEAKY_SLOPE * pre)
+        act = params[f"w{i}"] @ z + params[f"b{i}"][:, None]
+        xhat = act - act.mean(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=1) + NORM_EPS)
+        xhat *= inv_std[:, None]
+        pre = scale[:, None] * xhat + shift[:, None]
+        out = np.maximum(pre, LEAKY_SLOPE * pre)
         _check_finite(out, f"mlp hidden layer {i}")
-        tape.append((z, xhat, inv_std, pre, w, scale))
+        tape.append((z, xhat, inv_std, pre))
         z = out
-    raw = (z @ params["w_out"].T + params["b_out"]).ravel()
+    return tape, z
+
+
+def _mlp_forward_vjp(spec, values, grid):
+    params = unpack(values, param_layout(spec, grid.nx, grid.ny))
+    tape, z = _mlp_hidden(spec, params, grid)
+    raw = (params["w_out"] @ z + params["b_out"][:, None]).ravel()
     _check_finite(raw, "mlp output layer")
 
     def vjp_fun(d_raw):
         grads: dict[str, np.ndarray] = {}
-        g_out = np.asarray(d_raw, dtype=float).reshape(-1, 1)
-        grads["w_out"] = g_out.T @ z
-        grads["b_out"] = g_out.sum(axis=0)
-        gz = g_out @ params["w_out"]
+        g_out = np.asarray(d_raw, dtype=float).reshape(1, -1)
+        grads["w_out"] = g_out @ z.T
+        grads["b_out"] = g_out.sum(axis=1)
+        gz = params["w_out"].T * g_out
         for i in reversed(range(spec.hidden_layers)):
-            z_in, xhat, inv_std, pre, w, scale = tape[i]
-            ga = np.where(pre > 0.0, 1.0, LEAKY_SLOPE) * gz
-            grads[f"bn_scale{i}"] = (ga * xhat).sum(axis=0)
-            grads[f"bn_shift{i}"] = ga.sum(axis=0)
-            dxhat = ga * scale
+            z_in, xhat, inv_std, pre = tape[i]
+            ga = np.where(pre > 0.0, gz, LEAKY_SLOPE * gz)
+            g_scale = (ga * xhat).sum(axis=1)
+            g_shift = ga.sum(axis=1)
+            grads[f"bn_scale{i}"] = g_scale
+            grads[f"bn_shift{i}"] = g_shift
             # backprop through batch statistics of the full grid
-            da = inv_std * (
-                dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)
-            )
-            grads[f"w{i}"] = da.T @ z_in
-            grads[f"b{i}"] = da.sum(axis=0)
-            gz = da @ w
+            da = ga - (g_shift / grid.size)[:, None] - xhat * (g_scale / grid.size)[:, None]
+            da *= (params[f"bn_scale{i}"] * inv_std)[:, None]
+            grads[f"w{i}"] = da @ z_in.T
+            grads[f"b{i}"] = da.sum(axis=1)
+            gz = params[f"w{i}"].T @ da
         return grads
 
     return raw, vjp_fun
@@ -315,31 +330,30 @@ def _mlp_forward_vjp(spec, values, grid):
 
 def _siren_forward_vjp(spec, values, grid):
     params = unpack(values, param_layout(spec, grid.nx, grid.ny))
-    z = grid.coords
+    z = grid.coords.T
     tape = []
     for i in range(spec.hidden_layers):
-        w, b = params[f"w{i}"], params[f"b{i}"]
         freq = spec.omega0 if i == 0 else 1.0
-        pre = z @ w.T + b
-        out = np.sin(freq * pre)
+        phase = freq * (params[f"w{i}"] @ z + params[f"b{i}"][:, None])
+        out = np.sin(phase)
         _check_finite(out, f"siren hidden layer {i}")
-        tape.append((z, pre, w, freq))
+        tape.append((z, phase, freq))
         z = out
-    raw = (z @ params["w_out"].T + params["b_out"]).ravel()
+    raw = (params["w_out"] @ z + params["b_out"][:, None]).ravel()
     _check_finite(raw, "siren output layer")
 
     def vjp_fun(d_raw):
         grads: dict[str, np.ndarray] = {}
-        g_out = np.asarray(d_raw, dtype=float).reshape(-1, 1)
-        grads["w_out"] = g_out.T @ z
-        grads["b_out"] = g_out.sum(axis=0)
-        gz = g_out @ params["w_out"]
+        g_out = np.asarray(d_raw, dtype=float).reshape(1, -1)
+        grads["w_out"] = g_out @ z.T
+        grads["b_out"] = g_out.sum(axis=1)
+        gz = params["w_out"].T * g_out
         for i in reversed(range(spec.hidden_layers)):
-            z_in, pre, w, freq = tape[i]
-            dpre = gz * freq * np.cos(freq * pre)
-            grads[f"w{i}"] = dpre.T @ z_in
-            grads[f"b{i}"] = dpre.sum(axis=0)
-            gz = dpre @ w
+            z_in, phase, freq = tape[i]
+            dpre = gz * freq * np.cos(phase)
+            grads[f"w{i}"] = dpre @ z_in.T
+            grads[f"b{i}"] = dpre.sum(axis=1)
+            gz = params[f"w{i}"].T @ dpre
         return grads
 
     return raw, vjp_fun
@@ -349,8 +363,9 @@ def _siren_forward_vjp(spec, values, grid):
 # CNN decoder
 
 
+@lru_cache(maxsize=None)
 def _upsample_matrix(n_in: int, factor: int) -> np.ndarray:
-    """Half-pixel bilinear interpolation matrix of shape (n_in*factor, n_in)."""
+    """Half-pixel bilinear interpolation matrix of shape (n_in*factor, n_in), read-only."""
     n_out = n_in * factor
     src = (np.arange(n_out) + 0.5) / factor - 0.5
     i0 = np.floor(src).astype(int)
@@ -360,7 +375,22 @@ def _upsample_matrix(n_in: int, factor: int) -> np.ndarray:
     mat = np.zeros((n_out, n_in))
     np.add.at(mat, (np.arange(n_out), lo), 1.0 - frac)
     np.add.at(mat, (np.arange(n_out), hi), frac)
+    mat.setflags(write=False)
     return mat
+
+
+def _upsample(t: np.ndarray, factor: int) -> np.ndarray:
+    """Bilinear upsampling of a (c, h, w) stack, ``ry @ t @ rx.T`` per channel."""
+    ry = _upsample_matrix(t.shape[1], factor)
+    rx = _upsample_matrix(t.shape[2], factor)
+    return ry @ t @ rx.T
+
+
+def _upsample_adjoint(du: np.ndarray, factor: int) -> np.ndarray:
+    """Adjoint of :func:`_upsample`: ``ry.T @ du @ rx`` per channel."""
+    ry = _upsample_matrix(du.shape[1] // factor, factor)
+    rx = _upsample_matrix(du.shape[2] // factor, factor)
+    return ry.T @ du @ rx
 
 
 def _conv3x3(v: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -398,9 +428,7 @@ def _cnn_forward_vjp(spec, values, grid):
     tape = []
     for l, (factor, _) in enumerate(zip(spec.cnn_upsample, spec.cnn_filters)):
         t = np.tanh(x)
-        ry = _upsample_matrix(t.shape[1], factor)
-        rx = _upsample_matrix(t.shape[2], factor)
-        u = np.einsum("ab,cbd,ed->cae", ry, t, rx)
+        u = _upsample(t, factor)
         mu = u.mean()
         inv_std = 1.0 / np.sqrt(u.var() + NORM_EPS)
         v = (u - mu) * inv_std
@@ -408,21 +436,21 @@ def _cnn_forward_vjp(spec, values, grid):
         y = _conv3x3(v, conv_w, conv_b)
         x = y + params[f"offset{l}"]
         _check_finite(x, f"cnn hidden layer {l}")
-        tape.append((t, ry, rx, v, inv_std, conv_w))
+        tape.append((t, v, inv_std, conv_w))
     raw = x[0].ravel()
 
     def vjp_fun(d_raw):
         grads: dict[str, np.ndarray] = {}
         gx = np.asarray(d_raw, dtype=float).reshape(1, grid.ny, grid.nx)
         for l in reversed(range(len(spec.cnn_upsample))):
-            t, ry, rx, v, inv_std, conv_w = tape[l]
+            t, v, inv_std, conv_w = tape[l]
             grads[f"offset{l}"] = gx.copy()
             dv, dw, db = _conv3x3_backward(gx, v, conv_w)
             grads[f"conv_w{l}"] = dw
             grads[f"conv_b{l}"] = db
             # backprop through whole-image normalization
             du = inv_std * (dv - dv.mean() - v * (dv * v).mean())
-            dt = np.einsum("ab,cae,ed->cbd", ry, du, rx)
+            dt = _upsample_adjoint(du, spec.cnn_upsample[l])
             gx = dt * (1.0 - t**2)
         dd = gx.ravel()
         grads["dense_w"] = np.outer(dd, params["z"])
@@ -440,21 +468,14 @@ def batchnorm_standardized_stats(
 
     Batch normalization standardizes each hidden neuron over the coordinate
     grid, so the returned means should vanish and the variances should be 1
-    up to the normalization epsilon, for any parameter vector.
+    up to the normalization epsilon, for any parameter vector. The
+    activations come from the same hidden-layer pass the MLP forward runs.
     """
     if spec.kind != "mlp":
         raise ValueError("batch statistics exist only for the mlp kind")
     params = unpack(_values(theta), param_layout(spec, grid.nx, grid.ny))
-    z = grid.coords
-    stats = []
-    for i in range(spec.hidden_layers):
-        act = z @ params[f"w{i}"].T + params[f"b{i}"]
-        mu = act.mean(axis=0)
-        xhat = (act - mu) / np.sqrt(act.var(axis=0) + NORM_EPS)
-        stats.append((xhat.mean(axis=0), xhat.var(axis=0)))
-        pre = params[f"bn_scale{i}"] * xhat + params[f"bn_shift{i}"]
-        z = np.where(pre > 0.0, pre, LEAKY_SLOPE * pre)
-    return stats
+    tape, _ = _mlp_hidden(spec, params, grid)
+    return [(xhat.mean(axis=1), xhat.var(axis=1)) for _, xhat, _, _ in tape]
 
 
 # ---------------------------------------------------------------------------

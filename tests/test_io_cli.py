@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topokit
 from topokit import cli, io
 from topokit.fields import DensityField
 from topokit.optimizers import Trajectory
@@ -272,3 +277,17 @@ def test_density_field_validation():
         DensityField(np.array([0.5, 1.5]), 2, 1)
     with pytest.raises(ValueError):
         DensityField(np.zeros(3), 2, 2)
+
+
+def test_cli_import_loads_no_scipy_signal_or_stats():
+    # scipy.signal alone takes most of a second to import; the CLI must not
+    # pay for it (or scipy.stats) before a command needs it.
+    code = (
+        "import sys, topokit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
+    )
+    src = str(Path(topokit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -115,15 +115,20 @@ def test_forward_deterministic_and_pure():
         assert np.array_equal(theta.values, values_before)
 
 
-@pytest.mark.parametrize("kind", ["direct", "mlp", "siren", "cnn"])
+@pytest.mark.parametrize("kind", ["direct", "mlp", "siren", "cnn", "cnn-multichannel"])
 def test_vjp_matches_directional_finite_differences(kind):
-    spec = {
-        "direct": ArchitectureSpec(kind="direct"),
-        "mlp": ArchitectureSpec(kind="mlp", width=20),
-        "siren": ArchitectureSpec(kind="siren", width=22, omega0=10.0),
-        "cnn": ArchitectureSpec(kind="cnn"),
+    spec, nx, ny = {
+        "direct": (ArchitectureSpec(kind="direct"), 64, 32),
+        "mlp": (ArchitectureSpec(kind="mlp", width=20), 64, 32),
+        "siren": (ArchitectureSpec(kind="siren", width=22, omega0=10.0), 64, 32),
+        "cnn": (ArchitectureSpec(kind="cnn"), 64, 32),
+        "cnn-multichannel": (
+            ArchitectureSpec(kind="cnn", cnn_channels=3, cnn_filters=(3, 1), cnn_upsample=(2, 4)),
+            32,
+            16,
+        ),
     }[kind]
-    check_vjp(spec, trials=5, seed=11)
+    check_vjp(spec, nx=nx, ny=ny, trials=5, seed=11)
 
 
 def test_vjp_raw_output_mode():
@@ -155,6 +160,97 @@ def test_siren_init_bounds():
     for i in range(1, 5):
         hidden = theta.segment(f"w{i}")
         assert np.abs(hidden).max() <= np.sqrt(6.0 / 22)
+
+
+def test_upsampling_and_adjoint_match_einsum_contraction():
+    rng = np.random.default_rng(17)
+    t = rng.standard_normal((3, 5, 7))
+    for factor in (1, 2, 4, 8):
+        ry = reparam._upsample_matrix(5, factor)
+        rx = reparam._upsample_matrix(7, factor)
+        u = reparam._upsample(t, factor)
+        ref = np.einsum("ab,cbd,ed->cae", ry, t, rx)
+        assert u.shape == (3, 5 * factor, 7 * factor)
+        assert np.abs(u - ref).max() <= 1e-14 * np.abs(ref).max()
+        du = rng.standard_normal(u.shape)
+        dt = reparam._upsample_adjoint(du, factor)
+        ref = np.einsum("ab,cae,ed->cbd", ry, du, rx)
+        assert dt.shape == t.shape
+        assert np.abs(dt - ref).max() <= 1e-14 * np.abs(ref).max()
+        # the adjoint identity <U t, du> = <t, U^T du>
+        assert np.vdot(u, du) == pytest.approx(np.vdot(t, dt), rel=1e-13)
+
+
+def sample_major_mlp(spec, params, coords, d_raw):
+    """Reference MLP on (n, width) activations: raw output and parameter grads."""
+    z, tape = coords, []
+    for i in range(spec.hidden_layers):
+        w, b = params[f"w{i}"], params[f"b{i}"]
+        scale, shift = params[f"bn_scale{i}"], params[f"bn_shift{i}"]
+        act = z @ w.T + b
+        inv_std = 1.0 / np.sqrt(act.var(axis=0) + reparam.NORM_EPS)
+        xhat = (act - act.mean(axis=0)) * inv_std
+        pre = scale * xhat + shift
+        tape.append((z, xhat, inv_std, pre, w, scale))
+        z = np.where(pre > 0.0, pre, reparam.LEAKY_SLOPE * pre)
+    raw = (z @ params["w_out"].T + params["b_out"]).ravel()
+    g_out = d_raw.reshape(-1, 1)
+    grads = {"w_out": g_out.T @ z, "b_out": g_out.sum(axis=0)}
+    gz = g_out @ params["w_out"]
+    for i in reversed(range(spec.hidden_layers)):
+        z_in, xhat, inv_std, pre, w, scale = tape[i]
+        ga = np.where(pre > 0.0, 1.0, reparam.LEAKY_SLOPE) * gz
+        grads[f"bn_scale{i}"] = (ga * xhat).sum(axis=0)
+        grads[f"bn_shift{i}"] = ga.sum(axis=0)
+        dxhat = ga * scale
+        da = inv_std * (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0))
+        grads[f"w{i}"] = da.T @ z_in
+        grads[f"b{i}"] = da.sum(axis=0)
+        gz = da @ w
+    return raw, grads
+
+
+def sample_major_siren(spec, params, coords, d_raw):
+    """Reference SIREN on (n, width) activations: raw output and parameter grads."""
+    z, tape = coords, []
+    for i in range(spec.hidden_layers):
+        w, b = params[f"w{i}"], params[f"b{i}"]
+        freq = spec.omega0 if i == 0 else 1.0
+        pre = z @ w.T + b
+        tape.append((z, pre, w, freq))
+        z = np.sin(freq * pre)
+    raw = (z @ params["w_out"].T + params["b_out"]).ravel()
+    g_out = d_raw.reshape(-1, 1)
+    grads = {"w_out": g_out.T @ z, "b_out": g_out.sum(axis=0)}
+    gz = g_out @ params["w_out"]
+    for i in reversed(range(spec.hidden_layers)):
+        z_in, pre, w, freq = tape[i]
+        dpre = gz * freq * np.cos(freq * pre)
+        grads[f"w{i}"] = dpre.T @ z_in
+        grads[f"b{i}"] = dpre.sum(axis=0)
+        gz = dpre @ w
+    return raw, grads
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 32), (7, 3)])
+@pytest.mark.parametrize("kind", ["mlp", "siren"])
+def test_feature_major_networks_match_sample_major_reference(kind, nx, ny):
+    spec = ArchitectureSpec(kind=kind, width=20, output_bounding="shifted_sigmoid")
+    reference = {"mlp": sample_major_mlp, "siren": sample_major_siren}[kind]
+    grid = reparam.coordinate_grid(nx, ny)
+    layout = reparam.param_layout(spec, nx, ny)
+    rng = np.random.default_rng(18)
+    for seed in range(3):
+        theta = reparam.init_params(spec, nx, ny, seed=seed).values
+        theta = theta + 0.3 * rng.standard_normal(theta.size)
+        d_raw = rng.standard_normal(grid.size)
+        raw, vjp_fun = reparam.forward_with_vjp(spec, theta, grid)
+        ref_raw, ref_grads = reference(spec, reparam.unpack(theta, layout), grid.coords, d_raw)
+        assert np.abs(raw - ref_raw).max() <= 1e-12 * np.abs(ref_raw).max()
+        # normwise over the whole gradient: the MLP's hidden biases feed batch
+        # normalization, so their exact gradient is 0 and both sides are round-off
+        grad, ref_grad = vjp_fun(d_raw), reparam.pack(ref_grads, layout)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
 
 def test_batchnorm_standardizes_every_hidden_layer():
