@@ -16,9 +16,7 @@ from .fem import (
 from .pipeline import (
     FilterOperator,
     VolumeBudget,
-    apply_filter,
     build_filter,
-    filter_vjp,
     rescale_thresholded_compliance,
     shifted_sigmoid_project,
     shifted_sigmoid_vjp,
@@ -49,15 +47,12 @@ from .problems import (
     CATALOG,
     ProblemSpec,
     TwoBarProblem,
-    TwoBarState,
     make_problem,
     twobar_eval,
     twobar_siren_forward,
 )
 from .runner import (
-    AdamSettings,
     DesignMap,
-    MmaSettings,
     RunResult,
     evaluate_design,
     run_optimization,
@@ -73,5 +68,4 @@ from .analysis import (
     landscape_1d,
     performance_profile,
     psnr,
-    trajectory_metrics,
 )

@@ -1,6 +1,6 @@
 """Analysis protocols: 1-D objective landscapes between density-space
-reference points, optimizer-trajectory diagnostics, PSNR expressivity
-studies, performance profiles, and post-hoc convergence detection.
+reference points, PSNR expressivity studies, performance profiles, and
+post-hoc convergence detection.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 from . import reparam
 from .fields import DensityField
-from .optimizers import Trajectory, gradient_angle
 from .problems import ProblemSpec
 from .runner import evaluate_design
 
@@ -123,21 +122,6 @@ def count_interior_maxima(objectives: np.ndarray, noise_floor: float = NOISE_FLO
         return 0
     peaks, _ = find_peaks(objectives, prominence=noise_floor * value_range)
     return int(peaks.size)
-
-
-def trajectory_metrics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient norms and successive-gradient angles of a recorded run.
-
-    The angle is arccos of the cosine similarity, clamped into [-1, 1];
-    iterations adjacent to a zero gradient get NaN.
-    """
-    if len(traj.gradients) < 2:
-        raise ValueError("trajectory metrics need at least two iterations")
-    norms = np.array([np.linalg.norm(g) for g in traj.gradients])
-    angles = np.full(norms.size, np.nan)
-    for i in range(1, norms.size):
-        angles[i] = gradient_angle(traj.gradients[i], traj.gradients[i - 1])
-    return norms, angles
 
 
 def psnr(fit, target) -> float:

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, io, presets, reparam
-from .fields import DensityField
 from .problems import ProblemSpec, TwoBarProblem
 from .runner import run_optimization, threshold_and_rescale
 
@@ -134,7 +133,7 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _reference_field(ref, problem: ProblemSpec, seed: int) -> np.ndarray:
+def _reference_field(ref, problem: ProblemSpec) -> np.ndarray:
     if isinstance(ref, str) and ref == "uniform":
         return np.full(problem.n_elements, problem.volume_target)
     if isinstance(ref, dict) and "random_seed" in ref:
@@ -143,17 +142,15 @@ def _reference_field(ref, problem: ProblemSpec, seed: int) -> np.ndarray:
     path = Path(ref)
     if not path.exists():
         raise FileNotFoundError(f"reference design not found: {path}")
-    field = io.read_field_csv(path)
-    del seed
-    return field.values
+    return io.read_field_csv(path).values
 
 
 def cmd_landscape(args) -> int:
     try:
         cfg = _load_config(args)
         problem = presets.problem_from_config(cfg["problem"])
-        ref1 = _reference_field(cfg["rho_ref_1"], problem, int(cfg.get("seed", 0)))
-        ref2 = _reference_field(cfg["rho_ref_2"], problem, int(cfg.get("seed", 0)))
+        ref1 = _reference_field(cfg["rho_ref_1"], problem)
+        ref2 = _reference_field(cfg["rho_ref_2"], problem)
     except (KeyError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -80,7 +80,6 @@ class GridDomain:
     output_vector: np.ndarray | None = None
     passive_solid: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     springs: tuple[tuple[int, float], ...] = ()
-    element_size: float = 1.0
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:

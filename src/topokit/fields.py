@@ -33,10 +33,6 @@ class DensityField:
             raise ValueError("density values must lie in [0, 1]")
 
     @classmethod
-    def uniform(cls, nx: int, ny: int, value: float) -> "DensityField":
-        return cls(np.full(nx * ny, float(value)), nx, ny)
-
-    @classmethod
     def from_image(cls, image: np.ndarray) -> "DensityField":
         image = np.asarray(image, dtype=float)
         ny, nx = image.shape
@@ -45,6 +41,3 @@ class DensityField:
     def as_image(self) -> np.ndarray:
         """Return the field as an (ny, nx) array, row 0 at the top."""
         return self.values.reshape(self.ny, self.nx)
-
-    def mean(self) -> float:
-        return float(self.values.mean())

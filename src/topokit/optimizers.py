@@ -9,6 +9,12 @@ exactly by the subproblem bounds.
 
 Adam is the standard bias-corrected variant, preceded by global-norm
 gradient clipping.
+
+Each optimizer has one config type, ``MmaConfig`` or ``AdamConfig``,
+holding only the values runs set differently. Values no run changes are
+module constants: ``ASY_INCR``/``ASY_DECR``, ``A0``, ``D_CONST`` and
+``ADAM_BETA1``/``ADAM_BETA2``/``ADAM_EPS``. The variable box of an MMA run
+belongs to its decision vector and lives in ``MmaState``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,18 @@ ALBEFA = 0.1
 RAA0 = 1e-5
 SUBPROBLEM_EPSILON = 1e-7
 MAX_INNER_ITERS = 200
+#: Asymptote expansion / contraction factors for non-oscillating /
+#: oscillating variables.
+ASY_INCR = 1.2
+ASY_DECR = 0.7
+#: Artificial-variable constants: the objective weight of z, and the
+#: quadratic weight of each y_i (the linear weight is ``MmaConfig.c_const``).
+A0 = 1.0
+D_CONST = 1.0
+#: Adam's moment decay rates and denominator floor (the published defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class SubproblemError(RuntimeError):
@@ -34,56 +52,51 @@ class SubproblemError(RuntimeError):
 
 @dataclass(frozen=True)
 class MmaConfig:
-    """Move limit, asymptote initialization, and variable bounds.
+    """MMA hyperparameters of one run.
 
-    ``a0``, ``c_const`` and ``d_const`` are the constants of Svanberg's
-    artificial variables; the defaults follow the published scheme.
+    Network parameters live in the box [-theta_bound, theta_bound]; direct
+    variables keep their physical box. ``c_const`` is the linear penalty on
+    Svanberg's artificial variables y_i; it must exceed the active
+    constraint multipliers.
     """
 
     move_limit: float
     asyinit: float
-    lower: np.ndarray
-    upper: np.ndarray
-    asy_incr: float = 1.2
-    asy_decr: float = 0.7
-    a0: float = 1.0
+    theta_bound: float = 1.0
     c_const: float = 1000.0
-    d_const: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float).ravel())
-        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float).ravel())
-        if self.move_limit <= 0.0 or self.asyinit <= 0.0:
+        if not (self.move_limit > 0.0 and self.asyinit > 0.0):
             raise ValueError("move limit and asymptote initialization must be positive")
-        if self.lower.shape != self.upper.shape or np.any(self.lower >= self.upper):
-            raise ValueError("need lower < upper elementwise")
-
-    @classmethod
-    def boxed(cls, move_limit: float, asyinit: float, lower: float, upper: float, n: int, **kw):
-        return cls(
-            move_limit=move_limit,
-            asyinit=asyinit,
-            lower=np.full(n, float(lower)),
-            upper=np.full(n, float(upper)),
-            **kw,
-        )
+        if not self.theta_bound > 0.0:
+            raise ValueError("theta bound must be positive")
+        if not self.c_const > 0.0:
+            raise ValueError("MMA penalty c_const must be positive")
 
 
 @dataclass
 class MmaState:
-    """Iteration history MMA needs: previous iterates and asymptotes."""
+    """Variable box plus the iteration history MMA needs: previous iterates
+    and asymptotes."""
 
+    lower: np.ndarray
+    upper: np.ndarray
     xold1: np.ndarray | None = None
     xold2: np.ndarray | None = None
     low: np.ndarray | None = None
     upp: np.ndarray | None = None
     iteration: int = 0
 
+    def __post_init__(self):
+        self.lower = np.asarray(self.lower, dtype=float).ravel()
+        self.upper = np.asarray(self.upper, dtype=float).ravel()
+        if self.lower.shape != self.upper.shape or np.any(self.lower >= self.upper):
+            raise ValueError("need lower < upper elementwise")
+
 
 def mma_step(
     state: MmaState,
     x: np.ndarray,
-    f: float,
     dfdx: np.ndarray,
     g: np.ndarray,
     dgdx: np.ndarray,
@@ -94,13 +107,12 @@ def mma_step(
     ``g`` holds the constraint values (g_i <= 0 feasible) and ``dgdx`` their
     gradients, one row per constraint. The state is updated in place.
     """
-    del f
     x = np.asarray(x, dtype=float).ravel()
     dfdx = np.asarray(dfdx, dtype=float).ravel()
     g = np.atleast_1d(np.asarray(g, dtype=float))
     dgdx = np.asarray(dgdx, dtype=float).reshape(g.size, x.size)
     n = x.size
-    xmin, xmax = cfg.lower, cfg.upper
+    xmin, xmax = state.lower, state.upper
     xrange = xmax - xmin
     state.iteration += 1
 
@@ -110,8 +122,8 @@ def mma_step(
     else:
         osc = (x - state.xold1) * (state.xold1 - state.xold2)
         factor = np.ones(n)
-        factor[osc > 0.0] = cfg.asy_incr
-        factor[osc < 0.0] = cfg.asy_decr
+        factor[osc > 0.0] = ASY_INCR
+        factor[osc < 0.0] = ASY_DECR
         low = x - factor * (state.xold1 - state.low)
         upp = x + factor * (state.upp - state.xold1)
         low = np.clip(low, x - ASY_GROW_MAX * xrange, x - ASY_SHRINK_MIN * xrange)
@@ -139,7 +151,7 @@ def mma_step(
         p_mat = (p_mat + pq) * ux1[None, :] ** 2
         q_mat = (q_mat + pq) * xl1[None, :] ** 2
         b = p_mat @ (1.0 / ux1) + q_mat @ (1.0 / xl1) - g
-        x_new = _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, cfg)
+        x_new = _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, cfg.c_const)
     else:
         # Without constraints the subproblem is separable with the closed
         # form x = (sqrt(p0) low + sqrt(q0) upp) / (sqrt(p0) + sqrt(q0)).
@@ -153,7 +165,7 @@ def mma_step(
     return x_new
 
 
-def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, cfg) -> np.ndarray:
+def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, c_const) -> np.ndarray:
     """Primal-dual interior-point solve of the MMA subproblem.
 
     Solves
@@ -165,8 +177,8 @@ def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, cfg) -> np.ndarray:
     """
     m, n = p_mat.shape
     a_vec = np.zeros(m)
-    c_vec = np.full(m, cfg.c_const)
-    d_vec = np.full(m, cfg.d_const)
+    c_vec = np.full(m, c_const)
+    d_vec = np.full(m, D_CONST)
     epsi = 1.0
     x = 0.5 * (alfa + beta)
     y = np.ones(m)
@@ -186,7 +198,7 @@ def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, cfg) -> np.ndarray:
         gvec = p_mat @ (1.0 / ux1) + q_mat @ (1.0 / xl1)
         rex = plam / ux1**2 - qlam / xl1**2 - xsi + eta
         rey = c_vec + d_vec * y - mu - lam
-        rez = cfg.a0 - zet - a_vec @ lam
+        rez = A0 - zet - a_vec @ lam
         relam = gvec - a_vec * z - y + s - b
         rexsi = xsi * (x - alfa) - epsi
         reeta = eta * (beta - x) - epsi
@@ -215,7 +227,7 @@ def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, cfg) -> np.ndarray:
             gg = p_mat / ux2[None, :] - q_mat / xl2[None, :]
             delx = plam / ux2 - qlam / xl2 - epsi / (x - alfa) + epsi / (beta - x)
             dely = c_vec + d_vec * y - lam - epsi / y
-            delz = cfg.a0 - a_vec @ lam - epsi / z
+            delz = A0 - a_vec @ lam - epsi / z
             dellam = gvec - a_vec * z - y - b + epsi / lam
             diagx = 2.0 * (plam / (ux2 * ux1) + qlam / (xl2 * xl1))
             diagx = diagx + xsi / (x - alfa) + eta / (beta - x)
@@ -286,16 +298,16 @@ def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, cfg) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdamConfig:
+    """Adam hyperparameters of one run; ``grad_clip`` bounds the global
+    gradient norm (infinite: no clipping)."""
+
     learning_rate: float
     grad_clip: float = np.inf
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ValueError("learning rate must be positive")
-        if self.grad_clip <= 0.0:
+        if not self.grad_clip > 0.0:
             raise ValueError("gradient clip threshold must be positive")
 
 
@@ -322,11 +334,11 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray, cfg: AdamCo
     theta = np.asarray(theta, dtype=float)
     grad = clip_by_global_norm(np.asarray(grad, dtype=float), cfg.grad_clip)
     state.t += 1
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad**2
-    m_hat = state.m / (1.0 - cfg.beta1**state.t)
-    v_hat = state.v / (1.0 - cfg.beta2**state.t)
-    return theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad**2
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    return theta - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

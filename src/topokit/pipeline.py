@@ -4,6 +4,14 @@ Covers the cone density filter, exact volume projection through a shifted
 sigmoid, and black-and-white thresholding. Every differentiable operation
 comes with its exact vector-Jacobian product so gradients can be chained
 through the whole pipeline.
+
+The cone filter's weights depend only on the offset between two elements,
+so the filter is a correlation of the field with one (2r+1)-square kernel
+divided by per-element row sums (Andreassen et al. 2011, top88). It is
+computed here with numpy slices instead of an n-by-n sparse matrix, whose
+index-loop build took 0.9-1.5 s at 320x160. ``scipy.ndimage.correlate``
+would do the same work, but importing it costs 60-70 ms, which every run
+would pay at start-up; the slice loop needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.special import expit
 
 #: Bisection interval tolerance on the sigmoid shift.
@@ -23,7 +30,6 @@ class VolumeBudget:
     """Volume fraction target V0 with uniform element volumes."""
 
     target: float
-    element_volume: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.target <= 1.0:
@@ -32,34 +38,59 @@ class VolumeBudget:
 
 @dataclass(frozen=True)
 class FilterOperator:
-    """Row-normalized cone-weight filter on an nx-by-ny grid.
+    """Row-normalized cone filter on an nx-by-ny grid.
 
-    ``weights`` holds the raw symmetric cone weights; filtering divides by
-    the per-row sums, so a uniform field passes through unchanged.
+    ``kernel`` holds the cone weights ``max(0, rmin - hypot(dy, dx))`` for
+    offsets in [-reach, reach] on both axes; ``row_sums`` is the kernel
+    correlated with a field of ones, as an (ny, nx) image. Filtering divides
+    the correlation by the row sums, so a uniform field passes through
+    unchanged.
     """
 
-    nx: int
-    ny: int
-    radius: float
-    weights: sparse.csr_matrix
+    kernel: np.ndarray
     row_sums: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.nx * self.ny
+        return self.row_sums.size
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.size:
             raise ValueError(f"field has {x.size} entries, expected {self.size}")
-        return (self.weights @ x) / self.row_sums
+        return (_correlate(self.kernel, x.reshape(self.row_sums.shape)) / self.row_sums).ravel()
 
     def vjp(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float).ravel()
         if w.size != self.size:
             raise ValueError(f"vector has {w.size} entries, expected {self.size}")
         # H = D^-1 W with W symmetric, so H^T w = W (w / row_sums).
-        return self.weights @ (w / self.row_sums)
+        return _correlate(self.kernel, w.reshape(self.row_sums.shape) / self.row_sums).ravel()
+
+
+def _correlate(kernel: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """Zero-padded correlation of an (ny, nx) image with a (2r+1)-square kernel.
+
+    Terms are added one positive kernel entry at a time, offsets in
+    row-major order (dy, then dx, ascending): the order in which a CSR
+    matrix of the same weights sums each row, so the result matches its
+    matrix-vector product bit for bit. Each term is one contiguous slice of
+    the flattened padded image, shifted by dy * width + dx; the output is
+    computed at the padded width and its padding columns are dropped.
+    """
+    reach = kernel.shape[0] // 2
+    ny, nx = image.shape
+    width = nx + 2 * reach
+    # One spare row of zeros keeps the largest shift's slice in bounds.
+    padded = np.zeros((ny + 2 * reach + 1, width))
+    padded[reach : reach + ny, reach : reach + nx] = image
+    flat = padded.ravel()
+    m = ny * width
+    out = np.zeros(m)
+    for dy, dx in zip(*np.nonzero(kernel > 0.0)):
+        shift = dy * width + dx
+        out += kernel[dy, dx] * flat[shift : shift + m]
+    return out.reshape(ny, width)[:, :nx]
 
 
 def build_filter(nx: int, ny: int, rmin: float) -> FilterOperator:
@@ -67,37 +98,10 @@ def build_filter(nx: int, ny: int, rmin: float) -> FilterOperator:
     if rmin <= 0.0:
         raise ValueError("filter radius must be positive")
     reach = int(np.ceil(rmin)) - 1
-    n = nx * ny
-    rows, cols, vals = [], [], []
-    for dy in range(-reach, reach + 1):
-        for dx in range(-reach, reach + 1):
-            weight = rmin - np.hypot(dx, dy)
-            if weight <= 0.0:
-                continue
-            x_src = np.arange(max(0, -dx), min(nx, nx - dx))
-            y_src = np.arange(max(0, -dy), min(ny, ny - dy))
-            if x_src.size == 0 or y_src.size == 0:
-                continue
-            xs, ys = np.meshgrid(x_src, y_src)
-            src = (ys * nx + xs).ravel()
-            dst = ((ys + dy) * nx + (xs + dx)).ravel()
-            rows.append(dst)
-            cols.append(src)
-            vals.append(np.full(src.size, weight))
-    weights = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    row_sums = np.asarray(weights.sum(axis=1)).ravel()
-    return FilterOperator(nx=nx, ny=ny, radius=float(rmin), weights=weights, row_sums=row_sums)
-
-
-def apply_filter(filt: FilterOperator, x: np.ndarray) -> np.ndarray:
-    return filt.apply(x)
-
-
-def filter_vjp(filt: FilterOperator, w: np.ndarray) -> np.ndarray:
-    return filt.vjp(w)
+    offsets = np.arange(-reach, reach + 1)
+    kernel = np.maximum(0.0, rmin - np.hypot(offsets[:, None], offsets[None, :]))
+    row_sums = np.ascontiguousarray(_correlate(kernel, np.ones((ny, nx))))
+    return FilterOperator(kernel=kernel, row_sums=row_sums)
 
 
 def find_volume_shift(raw: np.ndarray, target: float) -> float:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import copy
 
-import numpy as np
-
+from .optimizers import AdamConfig, MmaConfig
 from .problems import CATALOG, make_problem
 from .reparam import ArchitectureSpec
-from .runner import TWOBAR_MMA_C, TWOBAR_THETA0, AdamSettings, MmaSettings
+from .runner import TWOBAR_MMA_C, TWOBAR_THETA0
 
 MLP_WIDTH = 20
 SIREN_WIDTH = 22
@@ -206,19 +205,19 @@ def spec_from_config(cfg: dict) -> ArchitectureSpec:
     return ArchitectureSpec(kind=kind, **kwargs)
 
 
-def optimizer_from_config(cfg: dict) -> MmaSettings | AdamSettings:
+_OPTIMIZERS = {"mma": MmaConfig, "adam": AdamConfig}
+
+
+def optimizer_from_config(cfg: dict) -> MmaConfig | AdamConfig:
+    """Validated optimizer config; unknown or missing keys raise ValueError."""
     kind = cfg.get("kind", "mma")
-    if kind == "mma":
-        return MmaSettings(
-            move_limit=cfg["move_limit"],
-            asyinit=cfg["asyinit"],
-            theta_bound=cfg.get("theta_bound", 1.0),
-            c_const=cfg.get("c_const", 1000.0),
-        )
-    if kind == "adam":
-        clip = cfg.get("grad_clip", np.inf)
-        return AdamSettings(learning_rate=cfg["learning_rate"], grad_clip=float(clip))
-    raise ValueError(f"unknown optimizer kind {kind!r}")
+    if kind not in _OPTIMIZERS:
+        raise ValueError(f"unknown optimizer kind {kind!r}")
+    params = {key: value for key, value in cfg.items() if key != "kind"}
+    try:
+        return _OPTIMIZERS[kind](**params)
+    except TypeError as exc:
+        raise ValueError(f"{kind} optimizer config: {exc}") from exc
 
 
 def sweep_specs(nx: int, ny: int) -> list[ArchitectureSpec]:

@@ -211,33 +211,22 @@ def make_problem(
 # two-bar stress-constrained truss
 
 
+#: Bar lengths, the load, and the allowable stress of the truss.
+TWOBAR_LENGTHS = (0.6, 0.4)
+TWOBAR_LOAD = 1.0
+TWOBAR_SIGMA_MAX = 1.0
+#: Mass per unit area of each bar.
+TWOBAR_MASS_COEFFS = (0.6, 0.8)
+#: Admissible range of each bar area.
+TWOBAR_AREA_BOX = (0.0, 2.0)
+
+
 @dataclass(frozen=True)
 class TwoBarProblem:
-    """Two bars under a unit load with per-bar stress constraints."""
+    """Two bars under a unit load with per-bar stress constraints.
 
-    name: str = "twobar"
-    length1: float = 0.6
-    length2: float = 0.4
-    load: float = 1.0
-    sigma_max: float = 1.0
-    area_min: float = 0.0
-    area_max: float = 2.0
-
-
-@dataclass(frozen=True)
-class TwoBarState:
-    """Bar areas plus the fixed problem constants."""
-
-    a1: float
-    a2: float
-    l1: float = 0.6
-    l2: float = 0.4
-    load: float = 1.0
-    sigma_max: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.a1 <= 2.0 and 0.0 <= self.a2 <= 2.0):
-            raise ValueError("bar areas must lie in [0, 2]")
+    The truss is fixed: its data are the ``TWOBAR_*`` module constants.
+    """
 
 
 @dataclass(frozen=True)
@@ -249,32 +238,37 @@ class TwoBarEval:
     dgbar: np.ndarray
 
 
-def twobar_eval(state: TwoBarState) -> TwoBarEval:
+def twobar_eval(a1: float, a2: float) -> TwoBarEval:
     """Mass, relaxed stress constraints, and their analytic gradients.
 
     The relaxed constraints are gbar_i = (A_i / 2) * (|sigma_i| / sigma_max
     - 1) <= 0; bar 1 is always in tension and bar 2 in compression, so the
     absolute values are smooth on the admissible set.
     """
-    a1, a2 = state.a1, state.a2
-    denom = a1 * state.l2 + a2 * state.l1
+    lo, hi = TWOBAR_AREA_BOX
+    if not (lo <= a1 <= hi and lo <= a2 <= hi):
+        raise ValueError(f"bar areas must lie in [{lo:g}, {hi:g}]")
+    l1, l2 = TWOBAR_LENGTHS
+    load, sigma_max = TWOBAR_LOAD, TWOBAR_SIGMA_MAX
+    denom = a1 * l2 + a2 * l1
     if denom <= 0.0:
         raise ValueError("stress undefined: a1*l2 + a2*l1 must be positive")
-    sigma1 = state.load * state.l2 / denom
-    sigma2 = -state.load * state.l1 / denom
-    g1 = abs(sigma1) / state.sigma_max - 1.0
-    g2 = abs(sigma2) / state.sigma_max - 1.0
+    sigma1 = load * l2 / denom
+    sigma2 = -load * l1 / denom
+    g1 = abs(sigma1) / sigma_max - 1.0
+    g2 = abs(sigma2) / sigma_max - 1.0
     gbar = np.array([0.5 * a1 * g1, 0.5 * a2 * g2])
 
-    mass = 0.6 * a1 + 0.8 * a2
-    dmass = np.array([0.6, 0.8])
+    m1, m2 = TWOBAR_MASS_COEFFS
+    mass = m1 * a1 + m2 * a2
+    dmass = np.array([m1, m2])
     # d|sigma_i|/dA_j = -|sigma_i| * l_{j'} / denom with l' = (l2, l1)
-    dabs1 = -abs(sigma1) / denom * np.array([state.l2, state.l1])
-    dabs2 = -abs(sigma2) / denom * np.array([state.l2, state.l1])
+    dabs1 = -abs(sigma1) / denom * np.array([l2, l1])
+    dabs2 = -abs(sigma2) / denom * np.array([l2, l1])
     dgbar = np.array(
         [
-            [0.5 * g1 + 0.5 * a1 * dabs1[0] / state.sigma_max, 0.5 * a1 * dabs1[1] / state.sigma_max],
-            [0.5 * a2 * dabs2[0] / state.sigma_max, 0.5 * g2 + 0.5 * a2 * dabs2[1] / state.sigma_max],
+            [0.5 * g1 + 0.5 * a1 * dabs1[0] / sigma_max, 0.5 * a1 * dabs1[1] / sigma_max],
+            [0.5 * a2 * dabs2[0] / sigma_max, 0.5 * g2 + 0.5 * a2 * dabs2[1] / sigma_max],
         ]
     )
     return TwoBarEval(

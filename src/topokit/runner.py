@@ -25,7 +25,7 @@ from scipy.special import expit
 
 from . import fem, pipeline, reparam
 from .optimizers import AdamConfig, AdamState, MmaConfig, MmaState, Trajectory, adam_step, mma_step
-from .problems import ProblemSpec, TwoBarProblem, TwoBarState, twobar_eval, twobar_siren_forward
+from .problems import TWOBAR_AREA_BOX, ProblemSpec, TwoBarProblem, twobar_eval, twobar_siren_forward
 from .reparam import ArchitectureSpec, CoordinateGrid, ParamVector
 
 #: Relative volume violation below which an iterate counts as feasible.
@@ -42,30 +42,6 @@ TWOBAR_THETA0 = (0.0, 0.0, -2.9)
 #: the relaxed near-feasible band around the stress-constrained optimum
 #: becomes untraversable.
 TWOBAR_MMA_C = 3.0
-
-
-@dataclass(frozen=True)
-class MmaSettings:
-    """Scalar MMA hyperparameters; bounds are built per decision vector."""
-
-    move_limit: float
-    asyinit: float
-    theta_bound: float = 1.0
-    c_const: float = 1000.0
-
-    @property
-    def kind(self) -> str:
-        return "mma"
-
-
-@dataclass(frozen=True)
-class AdamSettings:
-    learning_rate: float
-    grad_clip: float = np.inf
-
-    @property
-    def kind(self) -> str:
-        return "adam"
 
 
 @dataclass
@@ -164,7 +140,7 @@ def _prepare_theta(problem, spec, seed, pretrain, theta0):
 def run_optimization(
     problem,
     reparam_spec: ArchitectureSpec,
-    optimizer: MmaSettings | AdamSettings,
+    optimizer: MmaConfig | AdamConfig,
     budget: int,
     seed: int = 0,
     pretrain: bool = True,
@@ -181,7 +157,8 @@ def run_optimization(
     if budget < 0:
         raise ValueError("budget must be non-negative")
 
-    bounding = "sigmoid" if optimizer.kind == "mma" else "shifted_sigmoid"
+    use_mma = isinstance(optimizer, MmaConfig)
+    bounding = "sigmoid" if use_mma else "shifted_sigmoid"
     spec = dataclasses.replace(reparam_spec, output_bounding=bounding)
     grid, theta, pretrain_mse = _prepare_theta(problem, spec, seed, pretrain, theta0)
 
@@ -189,28 +166,17 @@ def run_optimization(
     v0 = problem.volume_target
     n = problem.n_elements
 
-    if optimizer.kind == "adam":
-        design_map = DesignMap(spec, grid, filter_op, pipeline.VolumeBudget(target=v0))
-    else:
+    if use_mma:
         design_map = DesignMap(spec, grid, filter_op, None)
-
-    if optimizer.kind == "mma":
         if spec.kind == "direct":
             lower, upper = np.zeros(len(theta)), np.ones(len(theta))
         else:
             b = optimizer.theta_bound
             lower, upper = np.full(len(theta), -b), np.full(len(theta), b)
-        mma_cfg = MmaConfig(
-            move_limit=optimizer.move_limit,
-            asyinit=optimizer.asyinit,
-            lower=lower,
-            upper=upper,
-            c_const=optimizer.c_const,
-        )
+        mma_state = MmaState(lower=lower, upper=upper)
         x = np.clip(theta.values.copy(), lower, upper)
-        mma_state = MmaState()
     else:
-        adam_cfg = AdamConfig(learning_rate=optimizer.learning_rate, grad_clip=optimizer.grad_clip)
+        design_map = DesignMap(spec, grid, filter_op, pipeline.VolumeBudget(target=v0))
         adam_state = AdamState.zeros(len(theta))
         x = theta.values.copy()
 
@@ -228,12 +194,12 @@ def run_optimization(
     trajectory.record(value, vol, violation, grad, rho, feasible_tol)
 
     for _ in range(budget):
-        if optimizer.kind == "mma":
+        if use_mma:
             gval = np.array([vol / v0 - 1.0])
             dg = vjp_fun(np.full(n, 1.0 / (n * v0))).reshape(1, -1)
-            x = mma_step(mma_state, x, value, grad, gval, dg, mma_cfg)
+            x = mma_step(mma_state, x, grad, gval, dg, optimizer)
         else:
-            x = adam_step(adam_state, x, grad, adam_cfg)
+            x = adam_step(adam_state, x, grad, optimizer)
         rho, value, vol, grad, vjp_fun = evaluate(x)
         violation = max(0.0, vol / v0 - 1.0)
         trajectory.record(value, vol, violation, grad, rho, feasible_tol)
@@ -249,7 +215,7 @@ def run_optimization(
 
 
 def _run_twobar(problem, reparam_spec, optimizer, budget, theta0, feasible_tol) -> RunResult:
-    if optimizer.kind != "mma":
+    if not isinstance(optimizer, MmaConfig):
         raise ValueError("the two-bar problem is optimized with MMA")
     kind = reparam_spec.kind
     if kind not in ("direct", "siren"):
@@ -257,8 +223,7 @@ def _run_twobar(problem, reparam_spec, optimizer, budget, theta0, feasible_tol) 
 
     if kind == "direct":
         x = np.array([1.0, 1.0]) if theta0 is None else np.asarray(theta0, dtype=float).ravel()
-        lower = np.full(2, problem.area_min)
-        upper = np.full(2, problem.area_max)
+        lower, upper = np.full(2, TWOBAR_AREA_BOX[0]), np.full(2, TWOBAR_AREA_BOX[1])
         layout = (("areas", (2,)),)
     else:
         x = (
@@ -272,23 +237,16 @@ def _run_twobar(problem, reparam_spec, optimizer, budget, theta0, feasible_tol) 
 
     def evaluate(values):
         if kind == "direct":
-            areas = np.clip(values, problem.area_min, problem.area_max)
+            areas = np.clip(values, *TWOBAR_AREA_BOX)
             jac = np.eye(2)
         else:
             areas, jac = twobar_siren_forward(values, reparam_spec.omega0)
-        ev = twobar_eval(TwoBarState(a1=areas[0], a2=areas[1]))
+        ev = twobar_eval(areas[0], areas[1])
         dmass = ev.dmass @ jac
         dgbar = ev.dgbar @ jac
         return areas, ev, dmass, dgbar
 
-    cfg = MmaConfig(
-        move_limit=optimizer.move_limit,
-        asyinit=optimizer.asyinit,
-        lower=lower,
-        upper=upper,
-        c_const=optimizer.c_const,
-    )
-    state = MmaState()
+    state = MmaState(lower=lower, upper=upper)
     trajectory = Trajectory()
 
     areas, ev, dmass, dgbar = evaluate(x)
@@ -296,7 +254,7 @@ def _run_twobar(problem, reparam_spec, optimizer, budget, theta0, feasible_tol) 
         ev.mass, float("nan"), max(0.0, float(ev.gbar.max())), dmass, areas, feasible_tol
     )
     for _ in range(budget):
-        x = mma_step(state, x, ev.mass, dmass, ev.gbar, dgbar, cfg)
+        x = mma_step(state, x, dmass, ev.gbar, dgbar, optimizer)
         areas, ev, dmass, dgbar = evaluate(x)
         trajectory.record(
             ev.mass, float("nan"), max(0.0, float(ev.gbar.max())), dmass, areas, feasible_tol

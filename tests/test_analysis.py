@@ -87,20 +87,13 @@ def test_trajectory_metrics_reference_angles():
     ]
     for g in gradients:
         traj.record(1.0, 0.5, 0.0, g, np.zeros(2))
-    norms, angles = analysis.trajectory_metrics(traj)
+    norms, angles = traj.grad_norm, traj.grad_angle
     assert np.allclose(norms, [1, 2, 1, 3, 0])
     assert np.isnan(angles[0])
     assert angles[1] == pytest.approx(0.0, abs=1e-12)
     assert angles[2] == pytest.approx(np.pi / 2, abs=1e-12)
     assert angles[3] == pytest.approx(np.pi, abs=1e-12)
     assert np.isnan(angles[4])
-
-
-def test_trajectory_metrics_needs_two_iterations():
-    traj = Trajectory()
-    traj.record(1.0, 0.5, 0.0, np.ones(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        analysis.trajectory_metrics(traj)
 
 
 def test_psnr_reference_values():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import topokit
-from topokit import cli, io
+from topokit import cli, io, reparam
 from topokit.fields import DensityField
 from topokit.optimizers import Trajectory
 
@@ -94,6 +94,37 @@ def test_cli_invalid_problem_lists_catalog(tmp_path, capsys):
     assert code != 0
     err = capsys.readouterr().err
     assert "michell" in err and "twobar" in err
+
+
+@pytest.mark.parametrize(
+    "optimizer",
+    [
+        {"kind": "adam", "learning_rate": -1},
+        {"kind": "mma", "move_limit": 0, "asyinit": 0.2},
+        {"kind": "mma", "move_limit": 0.1, "asyinit": 0.2, "asy_incr": 1.5},
+        {"kind": "adam"},
+    ],
+    ids=["adam-negative-rate", "mma-zero-move", "mma-unknown-key", "adam-missing-rate"],
+)
+def test_cli_optimize_rejects_bad_optimizer_config_before_pretraining(
+    tmp_path, capsys, monkeypatch, optimizer
+):
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before the config was validated")
+
+    monkeypatch.setattr(reparam, "pretrain_uniform", no_pretraining)
+    cfg = {
+        "problem": {"name": "michell", "nx": 32, "ny": 16, "v0": 0.6},
+        "reparam": {"kind": "mlp"},
+        "optimizer": optimizer,
+        "budget": 1,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli("optimize", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_optimize_grid_writes_artifacts(tmp_path):
@@ -281,10 +312,13 @@ def test_density_field_validation():
 
 def test_cli_import_loads_no_scipy_signal_or_stats():
     # scipy.signal alone takes most of a second to import; the CLI must not
-    # pay for it (or scipy.stats) before a command needs it.
+    # pay for it (or scipy.stats) before a command needs it. scipy.ndimage
+    # costs about 70 ms and nothing needs it: the filter is its own
+    # correlation.
     code = (
         "import sys, topokit.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'signal'], ['scipy', 'stats'], ['scipy', 'ndimage'])))"
     )
     src = str(Path(topokit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -19,14 +19,14 @@ from topokit.optimizers import (
 def test_mma_respects_move_limit_and_bounds():
     rng = np.random.default_rng(0)
     n = 12
-    cfg = MmaConfig.boxed(move_limit=0.15, asyinit=0.4, lower=-1.0, upper=2.0, n=n)
-    state = MmaState()
+    cfg = MmaConfig(move_limit=0.15, asyinit=0.4)
+    state = MmaState(lower=np.full(n, -1.0), upper=np.full(n, 2.0))
     x = rng.uniform(-1, 2, n)
     for _ in range(25):
         dfdx = rng.standard_normal(n) * rng.uniform(0.1, 50)
         g = np.array([rng.uniform(-0.5, 0.5)])
         dgdx = rng.standard_normal((1, n))
-        x_next = mma_step(state, x, 0.0, dfdx, g, dgdx, cfg)
+        x_next = mma_step(state, x, dfdx, g, dgdx, cfg)
         assert np.abs(x_next - x).max() <= 0.15 * 3.0 + 1e-12
         assert np.all(x_next >= -1.0 - 1e-12) and np.all(x_next <= 2.0 + 1e-12)
         x = x_next
@@ -38,15 +38,13 @@ def test_mma_converges_on_convex_quadratic():
     # minimizer is reached the iterates enter the usual small limit cycle
     # (the reference implementations oscillate identically), so strict
     # monotonicity is only asserted until the neighborhood is first hit.
-    cfg = MmaConfig.boxed(move_limit=0.05, asyinit=0.1, lower=0.0, upper=1.0, n=1)
-    state = MmaState()
+    cfg = MmaConfig(move_limit=0.05, asyinit=0.1)
+    state = MmaState(lower=np.zeros(1), upper=np.ones(1))
     x = np.array([0.9])
     history = []
     for _ in range(50):
         history.append((x[0] - 0.3) ** 2)
-        x = mma_step(
-            state, x, history[-1], np.array([2 * (x[0] - 0.3)]), np.zeros(0), np.zeros((0, 1)), cfg
-        )
+        x = mma_step(state, x, np.array([2 * (x[0] - 0.3)]), np.zeros(0), np.zeros((0, 1)), cfg)
     assert abs(x[0] - 0.3) < 1e-4
     descent_end = next(i for i, f in enumerate(history) if f < 1e-8)
     assert all(history[i + 1] <= history[i] + 1e-14 for i in range(descent_end))
@@ -55,12 +53,12 @@ def test_mma_converges_on_convex_quadratic():
 def test_mma_descends_on_linear_objective_with_inactive_constraints():
     # Mass-like linear objective: with slack constraints both variables must
     # move downward on the first step.
-    cfg = MmaConfig.boxed(move_limit=0.1, asyinit=0.3, lower=0.0, upper=2.0, n=2)
-    state = MmaState()
+    cfg = MmaConfig(move_limit=0.1, asyinit=0.3)
+    state = MmaState(lower=np.zeros(2), upper=np.full(2, 2.0))
     x = np.array([1.0, 1.0])
     g = np.array([-0.3, -0.2])
     dgdx = np.array([[-0.1, 0.05], [0.02, -0.1]])
-    x_next = mma_step(state, x, 1.4, np.array([0.6, 0.8]), g, dgdx, cfg)
+    x_next = mma_step(state, x, np.array([0.6, 0.8]), g, dgdx, cfg)
     assert np.all(x_next < x)
 
 
@@ -132,10 +130,16 @@ def test_trajectory_angles_lie_in_range_and_best_feasible_tracked():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        MmaConfig.boxed(move_limit=0.0, asyinit=0.1, lower=0.0, upper=1.0, n=2)
+        MmaConfig(move_limit=0.0, asyinit=0.1)
     with pytest.raises(ValueError):
-        MmaConfig.boxed(move_limit=0.1, asyinit=0.1, lower=1.0, upper=1.0, n=2)
+        MmaConfig(move_limit=0.1, asyinit=0.1, theta_bound=0.0)
+    with pytest.raises(ValueError):
+        MmaConfig(move_limit=0.1, asyinit=0.1, c_const=-1.0)
+    with pytest.raises(ValueError):
+        MmaState(lower=np.ones(2), upper=np.ones(2))
     with pytest.raises(ValueError):
         AdamConfig(learning_rate=-1.0)
+    with pytest.raises(ValueError):
+        AdamConfig(learning_rate=float("nan"))
     with pytest.raises(ValueError):
         AdamConfig(learning_rate=0.1, grad_clip=0.0)

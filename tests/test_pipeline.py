@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from topokit import pipeline
 from topokit.pipeline import VolumeBudget
 
 
-def dense_cone_filter(nx, ny, rmin):
+def dense_cone_weights(nx, ny, rmin):
     """Independent dense construction: explicit double loop over elements."""
     n = nx * ny
     weights = np.zeros((n, n))
@@ -20,6 +21,11 @@ def dense_cone_filter(nx, ny, rmin):
                     w = rmin - np.sqrt((ix - jx) ** 2 + (iy - jy) ** 2)
                     if w > 0:
                         weights[i, j] = w
+    return weights
+
+
+def dense_cone_filter(nx, ny, rmin):
+    weights = dense_cone_weights(nx, ny, rmin)
     return weights / weights.sum(axis=1, keepdims=True)
 
 
@@ -52,14 +58,31 @@ def test_spike_response_matches_dense_construction():
 
 
 def test_filter_matches_dense_on_random_fields():
-    h_dense = dense_cone_filter(6, 5, 2.0)
-    filt = pipeline.build_filter(6, 5, 2.0)
+    # Besides a regular grid: grids narrower than the kernel along one or
+    # both axes, where every padded shift reaches past the field, and a
+    # radius below one element, where the kernel is a single entry.
     rng = np.random.default_rng(1)
-    for _ in range(3):
-        x = rng.uniform(0, 1, 30)
-        assert np.allclose(filt.apply(x), h_dense @ x, atol=1e-13)
-        w = rng.standard_normal(30)
-        assert np.allclose(filt.vjp(w), h_dense.T @ w, atol=1e-13)
+    for nx, ny, rmin in ((6, 5, 2.0), (1, 7, 3.5), (7, 1, 3.5), (3, 2, 3.5), (6, 5, 0.5)):
+        h_dense = dense_cone_filter(nx, ny, rmin)
+        filt = pipeline.build_filter(nx, ny, rmin)
+        n = nx * ny
+        for _ in range(3):
+            x = rng.uniform(0, 1, n)
+            assert np.allclose(filt.apply(x), h_dense @ x, atol=1e-13)
+            w = rng.standard_normal(n)
+            assert np.allclose(filt.vjp(w), h_dense.T @ w, atol=1e-13)
+
+
+def test_filter_correlation_sums_in_sparse_row_order():
+    # The unnormalized correlation adds one kernel entry at a time in the
+    # order a CSR matrix of the weights sums each row, so the two agree
+    # bit for bit.
+    rng = np.random.default_rng(9)
+    for nx, ny, rmin in ((13, 7, 3.2), (2, 9, 2.5)):
+        weights = sparse.csr_matrix(dense_cone_weights(nx, ny, rmin))
+        kernel = pipeline.build_filter(nx, ny, rmin).kernel
+        x = rng.uniform(0, 1, nx * ny)
+        assert np.array_equal(pipeline._correlate(kernel, x.reshape(ny, nx)).ravel(), weights @ x)
 
 
 def test_filter_adjoint_identity():

@@ -6,7 +6,6 @@ import pytest
 from topokit import problems
 from topokit.problems import (
     TwoBarProblem,
-    TwoBarState,
     make_problem,
     twobar_eval,
     twobar_siren_forward,
@@ -77,16 +76,16 @@ def test_loads_are_distributed_patches():
 
 
 def test_twobar_eval_hand_values():
-    ev = twobar_eval(TwoBarState(a1=1.0, a2=1.0))
+    ev = twobar_eval(1.0, 1.0)
     assert ev.mass == pytest.approx(1.4)
     assert np.allclose(ev.stresses, [0.4, -0.6])
     assert np.allclose(ev.gbar, [-0.3, -0.2])
 
-    global_opt = twobar_eval(TwoBarState(a1=1.0, a2=0.0))
+    global_opt = twobar_eval(1.0, 0.0)
     assert global_opt.mass == pytest.approx(0.6)
     assert np.allclose(global_opt.gbar, [0.0, 0.0], atol=1e-15)
 
-    local_opt = twobar_eval(TwoBarState(a1=0.0, a2=1.0))
+    local_opt = twobar_eval(0.0, 1.0)
     assert local_opt.mass == pytest.approx(0.8)
     assert np.allclose(local_opt.gbar, [0.0, 0.0], atol=1e-15)
 
@@ -94,7 +93,7 @@ def test_twobar_eval_hand_values():
 def test_twobar_stress_ratio_invariant():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        ev = twobar_eval(TwoBarState(a1=rng.uniform(0.05, 2), a2=rng.uniform(0.05, 2)))
+        ev = twobar_eval(rng.uniform(0.05, 2), rng.uniform(0.05, 2))
         assert abs(ev.stresses[1]) / abs(ev.stresses[0]) == pytest.approx(1.5, rel=1e-12)
 
 
@@ -103,13 +102,13 @@ def test_twobar_gradients_match_finite_differences():
     step = 1e-7
     for _ in range(10):
         a = rng.uniform(0.1, 1.9, 2)
-        ev = twobar_eval(TwoBarState(a1=a[0], a2=a[1]))
+        ev = twobar_eval(a[0], a[1])
         for j in range(2):
             plus, minus = a.copy(), a.copy()
             plus[j] += step
             minus[j] -= step
-            evp = twobar_eval(TwoBarState(a1=plus[0], a2=plus[1]))
-            evm = twobar_eval(TwoBarState(a1=minus[0], a2=minus[1]))
+            evp = twobar_eval(plus[0], plus[1])
+            evm = twobar_eval(minus[0], minus[1])
             assert ev.dmass[j] == pytest.approx((evp.mass - evm.mass) / (2 * step), rel=1e-6)
             for i in range(2):
                 fd = (evp.gbar[i] - evm.gbar[i]) / (2 * step)
@@ -118,12 +117,18 @@ def test_twobar_gradients_match_finite_differences():
 
 def test_twobar_zero_denominator_rejected():
     with pytest.raises(ValueError, match="positive"):
-        twobar_eval(TwoBarState(a1=0.0, a2=0.0))
+        twobar_eval(0.0, 0.0)
+
+
+def test_twobar_areas_outside_box_rejected():
+    for a1, a2 in ((-0.1, 1.0), (1.0, 2.1), (2.5, -1.0)):
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            twobar_eval(a1, a2)
 
 
 def test_twobar_constraint_gradient_at_zero_area():
     # one-sided derivative d gbar_i / d a_i = g_i / 2 on the boundary
-    ev = twobar_eval(TwoBarState(a1=0.0, a2=1.0))
+    ev = twobar_eval(0.0, 1.0)
     g1 = abs(ev.stresses[0]) - 1.0
     assert ev.dgbar[0, 0] == pytest.approx(0.5 * g1, rel=1e-12)
 
@@ -167,4 +172,11 @@ def test_micro_net_jacobian_matches_finite_differences():
 def test_make_problem_twobar():
     problem = make_problem("twobar")
     assert isinstance(problem, TwoBarProblem)
-    assert (problem.length1, problem.length2) == (0.6, 0.4)
+    assert problems.TWOBAR_LENGTHS == (0.6, 0.4)
+
+
+def test_twobar_problem_has_no_settable_fields():
+    # The truss data are module constants; a field that nothing would read
+    # must not be accepted silently.
+    with pytest.raises(TypeError):
+        TwoBarProblem(sigma_max=2.0)

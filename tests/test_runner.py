@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from topokit import pipeline, reparam
+from topokit.optimizers import AdamConfig, MmaConfig
 from topokit.problems import make_problem
 from topokit.reparam import ArchitectureSpec
-from topokit.runner import (
-    AdamSettings,
-    DesignMap,
-    MmaSettings,
-    run_optimization,
-    threshold_and_rescale,
-)
+from topokit.runner import DesignMap, run_optimization, threshold_and_rescale
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +19,7 @@ def test_zero_budget_records_only_initial_evaluation(small_problem):
     result = run_optimization(
         small_problem,
         ArchitectureSpec(kind="direct"),
-        MmaSettings(move_limit=0.2, asyinit=0.5),
+        MmaConfig(move_limit=0.2, asyinit=0.5),
         budget=0,
     )
     assert result.trajectory.iterations == 1
@@ -33,7 +28,7 @@ def test_zero_budget_records_only_initial_evaluation(small_problem):
 
 def test_runs_are_deterministic_per_seed(small_problem):
     spec = ArchitectureSpec(kind="siren", width=6, hidden_layers=2)
-    settings = AdamSettings(learning_rate=0.01, grad_clip=0.1)
+    settings = AdamConfig(learning_rate=0.01, grad_clip=0.1)
     a = run_optimization(small_problem, spec, settings, budget=5, seed=3)
     b = run_optimization(small_problem, spec, settings, budget=5, seed=3)
     assert a.trajectory.objective == b.trajectory.objective
@@ -45,7 +40,7 @@ def test_runs_are_deterministic_per_seed(small_problem):
 def test_adam_run_holds_volume_exactly(small_problem):
     spec = ArchitectureSpec(kind="mlp", width=6, hidden_layers=2)
     result = run_optimization(
-        small_problem, spec, AdamSettings(learning_rate=0.02), budget=10, seed=0
+        small_problem, spec, AdamConfig(learning_rate=0.02), budget=10, seed=0
     )
     assert np.abs(np.asarray(result.trajectory.volume) - 0.5).max() <= 1e-9
     assert max(result.trajectory.constraint_violation) <= 1e-9
@@ -55,7 +50,7 @@ def test_mma_baseline_respects_volume_and_improves(small_problem):
     result = run_optimization(
         small_problem,
         ArchitectureSpec(kind="direct"),
-        MmaSettings(move_limit=0.1, asyinit=0.3),
+        MmaConfig(move_limit=0.1, asyinit=0.3),
         budget=30,
     )
     traj = result.trajectory
@@ -70,7 +65,7 @@ def test_mma_network_iterates_stay_in_theta_box(small_problem):
     result = run_optimization(
         small_problem,
         spec,
-        MmaSettings(move_limit=0.05, asyinit=0.2, theta_bound=1.5),
+        MmaConfig(move_limit=0.05, asyinit=0.2, theta_bound=1.5),
         budget=15,
         seed=1,
     )
@@ -101,7 +96,7 @@ def test_twobar_requires_mma():
         run_optimization(
             make_problem("twobar"),
             ArchitectureSpec(kind="siren"),
-            AdamSettings(learning_rate=0.1),
+            AdamConfig(learning_rate=0.1),
             budget=1,
         )
 
@@ -117,7 +112,7 @@ def test_threshold_and_rescale_consistency(small_problem):
 def test_pretrained_network_starts_near_uniform(small_problem):
     spec = ArchitectureSpec(kind="mlp", width=6, hidden_layers=2)
     result = run_optimization(
-        small_problem, spec, AdamSettings(learning_rate=0.01), budget=0, seed=0, pretrain=True
+        small_problem, spec, AdamConfig(learning_rate=0.01), budget=0, seed=0, pretrain=True
     )
     design = result.trajectory.designs[0]
     assert np.sqrt(np.mean((design - 0.5) ** 2)) < 1e-2
