@@ -15,6 +15,16 @@ the data array, factors with SuperLU in that order with diagonal pivots
 right-hand side and the solution. Each solution is residual-checked and
 refined once before it is accepted.
 
+The plan is read off the node stencil, without sorting the element
+entries: two DOFs couple exactly when their nodes lie in one 3x3 node
+neighbourhood, and free DOFs are numbered node by node. So a column holds
+the free DOFs of its node's neighbours, sorted by their rank in the
+elimination order; a neighbour's row offset in the column is the running
+count of free DOFs before it; and an element entry's slot is the column
+start plus that offset plus the row DOF's rank among its node's free DOFs.
+On a 2-core VM at 160x80 this takes about 20 ms, against 45-60 ms for a
+global ``np.unique`` over the 819k element entries.
+
 Grid conventions: node (ix, iy) has index ``iy * (nx + 1) + ix`` and element
 (ix, iy) has index ``iy * nx + ix``; elastic DOFs are ``(2n, 2n + 1)`` for
 node n. Element-local nodes are ordered (x, y), (x+1, y), (x+1, y+1),
@@ -268,36 +278,91 @@ def solve_plan(domain: GridDomain) -> SolvePlan:
     )
 
 
+#: ``_LOCAL_DIRECTION[a, b]`` is the direction index ``3 * (dy + 1) + (dx + 1)``
+#: of element-local node b seen from node a; local nodes in
+#: ``element_dof_matrix`` order: (0, 0), (1, 0), (1, 1), (0, 1).
+_LOCAL_X = np.array([0, 1, 1, 0])
+_LOCAL_Y = np.array([0, 0, 1, 1])
+_LOCAL_DIRECTION = 3 * (_LOCAL_Y[None, :] - _LOCAL_Y[:, None] + 1) + (
+    _LOCAL_X[None, :] - _LOCAL_X[:, None] + 1
+)
+
+
+def _stencil(values: np.ndarray, nodes_x: int, nodes_y: int, fill: int) -> np.ndarray:
+    """Per node, ``values`` of its 3x3 node neighbourhood in direction order
+    (``fill`` outside the grid); one row per node."""
+    padded = np.full((nodes_y + 2, nodes_x + 2), fill, dtype=values.dtype)
+    padded[1:-1, 1:-1] = values.reshape(nodes_y, nodes_x)
+    return np.stack(
+        [padded[dy : dy + nodes_y, dx : dx + nodes_x].ravel() for dy in range(3) for dx in range(3)],
+        axis=1,
+    )
+
+
 @lru_cache(maxsize=8)
 def _cached_plan(
     nx: int, ny: int, dofs_per_node: int, fixed: bytes, springs: tuple[tuple[int, float], ...]
 ) -> SolvePlan:
-    n_dofs = dofs_per_node * (nx + 1) * (ny + 1)
+    d = dofs_per_node
+    nodes_x, nodes_y = nx + 1, ny + 1
+    n_nodes = nodes_x * nodes_y
+    n_dofs = d * n_nodes
     is_free = np.ones(n_dofs, dtype=bool)
     is_free[np.frombuffer(fixed, dtype=int)] = False
-    nodes = _dissection_node_order(nx + 1, ny + 1)
-    dofs = (dofs_per_node * nodes[:, None] + np.arange(dofs_per_node)).ravel()
+    nodes = _dissection_node_order(nodes_x, nodes_y)
+    dofs = (d * nodes[:, None] + np.arange(d)).ravel()
     order = dofs[is_free[dofs]]
     n_free = order.size
-    position = np.full(n_dofs, -1, dtype=np.int64)
-    position[order] = np.arange(n_free)
 
-    edof = position[element_dof_matrix(nx, ny, dofs_per_node)]
-    n_local = edof.shape[1]
-    rows = np.repeat(edof, n_local, axis=1).ravel()
-    cols = np.tile(edof, (1, n_local)).ravel()
-    kept = (rows >= 0) & (cols >= 0)
-    # Column-major keys sort into CSC order with rows ascending per column.
-    keys, slot_of_kept = np.unique(cols[kept] * n_free + rows[kept], return_inverse=True)
-    slots = np.full(rows.size, keys.size, dtype=np.int32)
-    slots[kept] = slot_of_kept
+    # Free DOFs are numbered node by node in dissection order, so a node's
+    # free DOFs are consecutive and its first one sits after the free DOFs
+    # of every node ranked before it.
+    free = is_free.reshape(n_nodes, d)
+    free_count = free.sum(axis=1, dtype=np.int32)
+    comp_rank = (np.cumsum(free, axis=1, dtype=np.int32) - free).ravel()
+    rank = np.empty(n_nodes, dtype=np.int32)
+    rank[nodes] = np.arange(n_nodes, dtype=np.int32)
+    first = np.empty(n_nodes, dtype=np.int32)
+    first[nodes] = np.cumsum(free_count[nodes], dtype=np.int32) - free_count[nodes]
+
+    # Column j of the reduced matrix holds every free DOF of the 3x3 node
+    # neighbourhood of j's node, neighbours by rank, components ascending.
+    by_rank = np.argsort(_stencil(rank, nodes_x, nodes_y, n_nodes), axis=1, kind="stable")
+    count = np.take_along_axis(_stencil(free_count, nodes_x, nodes_y, 0), by_rank, axis=1)
+    start = np.take_along_axis(_stencil(first, nodes_x, nodes_y, 0), by_rank, axis=1)
+    offset = np.empty_like(count)  # a neighbour's first row within the column, by direction
+    np.put_along_axis(offset, by_rank, np.cumsum(count, axis=1) - count, axis=1)
+
+    column_node = order // d
     indptr = np.zeros(n_free + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // n_free, minlength=n_free), out=indptr[1:])
-    indices = (keys % n_free).astype(np.int32)
+    np.cumsum(count.sum(axis=1)[column_node], out=indptr[1:])
+    comps = np.arange(d, dtype=np.int32)
+    rows = (start[:, :, None] + comps)[column_node]
+    indices = rows[(comps < count[:, :, None])[column_node]]
+    nnz = indices.size
 
-    spring_pos = position[np.array([dof for dof, _ in springs], dtype=int)]
-    on_free = spring_pos >= 0
-    spring_slots = np.searchsorted(keys, spring_pos[on_free] * (n_free + 1))
+    # Entry (row i, column j) of an element sits at j's column start, plus
+    # the offset of i's node in j's column, plus i's rank among its node's
+    # free DOFs. A fixed DOF gets column start and rank nnz, so every entry
+    # touching it lands at or beyond nnz and is clipped to the dropped slot.
+    column_start = np.full(n_dofs, nnz, dtype=np.int32)
+    column_start[order] = indptr[:-1]
+    row_rank = np.where(is_free, comp_rank, nnz).astype(np.int32)
+    edof = element_dof_matrix(nx, ny, d)
+    local_node = np.arange(edof.shape[1]) // d
+    node_offset = offset[element_dof_matrix(nx, ny, 1)[:, None, :], _LOCAL_DIRECTION.T]
+    slots = column_start[edof][:, None, :] + row_rank[edof][:, :, None]
+    slots += node_offset[:, local_node[:, None], local_node[None, :]]
+    np.minimum(slots, nnz, out=slots)
+    slots = slots.ravel()
+
+    # A spring sits on the diagonal: the centre entry (direction 4) of its column.
+    spring_dofs = np.array([dof for dof, _ in springs], dtype=int)
+    on_free = is_free[spring_dofs]
+    spring_dofs = spring_dofs[on_free]
+    spring_slots = (
+        column_start[spring_dofs] + offset[spring_dofs // d, 4] + comp_rank[spring_dofs]
+    ).astype(np.intp)
     spring_values = np.array([k for _, k in springs], dtype=float)[on_free]
     plan = SolvePlan(order, indptr, indices, slots, spring_slots, spring_values)
     for array in vars(plan).values():

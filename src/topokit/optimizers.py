@@ -1,11 +1,19 @@
 """First-order optimizers: the method of moving asymptotes and Adam.
 
 The MMA step builds Svanberg's separable convex approximation around the
-current iterate and solves the subproblem with a primal-dual interior-point
-Newton scheme. Asymptotes start at ``x -/+ asyinit * (upper - lower)`` and
-afterwards expand or contract depending on the oscillation sign of each
-variable. The per-step move limit and the variable box are both enforced
-exactly by the subproblem bounds.
+current iterate (Svanberg 1987) and solves the subproblem with a
+primal-dual interior-point Newton scheme (Svanberg 2002). Asymptotes start
+at ``x -/+ asyinit * (upper - lower)`` and afterwards expand or contract
+depending on the oscillation sign of each variable. The per-step move limit
+and the variable box are both enforced exactly by the subproblem bounds.
+
+The subsolve computes its n-long products with ``np.einsum`` and
+elementwise reductions, never with BLAS (``@``, ``np.linalg.norm``). Its
+products are m-by-n with m of 1 to 3, too thin for BLAS to gain anything,
+and at n of 10k and more OpenBLAS hands them to its worker threads. On a
+2-core VM, the first MMA step on 12 800 direct densities took 0.87 s in
+1 of 12 fresh processes with BLAS products (42-67 ms in the other 11);
+without them it took 23-36 ms in all 12.
 
 Adam is the standard bias-corrected variant, preceded by global-norm
 gradient clipping.
@@ -150,7 +158,7 @@ def mma_step(
         pq = 0.001 * (p_mat + q_mat) + RAA0 * xmami_inv[None, :]
         p_mat = (p_mat + pq) * ux1[None, :] ** 2
         q_mat = (q_mat + pq) * xl1[None, :] ** 2
-        b = p_mat @ (1.0 / ux1) + q_mat @ (1.0 / xl1) - g
+        b = np.einsum("ij,j->i", p_mat, 1.0 / ux1) + np.einsum("ij,j->i", q_mat, 1.0 / xl1) - g
         x_new = _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, cfg.c_const)
     else:
         # Without constraints the subproblem is separable with the closed
@@ -170,15 +178,18 @@ def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, c_const) -> np.ndar
 
     Solves
         min  sum(p0/(upp-x) + q0/(x-low)) + a0 z + sum(c y + 0.5 d y^2)
-        s.t. sum(P_i/(upp-x) + Q_i/(x-low)) - a_i z - y_i <= b_i,
+        s.t. sum(P_i/(upp-x) + Q_i/(x-low)) - y_i <= b_i,
              alfa <= x <= beta, y >= 0, z >= 0,
     following the standard Newton iteration on the relaxed KKT system with a
-    decreasing barrier parameter.
+    decreasing barrier parameter. The constraints carry no z term (a_i = 0),
+    so each Newton step solves an m-by-m system for the multipliers and
+    finds the z step on its own. The n-long terms of a point are computed
+    once, when the line search visits it, and reused by the Newton step
+    taken from it; every n-long product is an ``np.einsum`` or an
+    elementwise reduction (see the module docstring for why not BLAS).
     """
-    m, n = p_mat.shape
-    a_vec = np.zeros(m)
+    m = p_mat.shape[0]
     c_vec = np.full(m, c_const)
-    d_vec = np.full(m, D_CONST)
     epsi = 1.0
     x = 0.5 * (alfa + beta)
     y = np.ones(m)
@@ -190,104 +201,109 @@ def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, c_const) -> np.ndar
     zet = 1.0
     s = np.ones(m)
 
-    def residuals(x, y, z, lam, xsi, eta, mu, zet, s, epsi):
-        ux1 = upp - x
-        xl1 = x - low
-        plam = p0 + lam @ p_mat
-        qlam = q0 + lam @ q_mat
-        gvec = p_mat @ (1.0 / ux1) + q_mat @ (1.0 / xl1)
-        rex = plam / ux1**2 - qlam / xl1**2 - xsi + eta
-        rey = c_vec + d_vec * y - mu - lam
-        rez = A0 - zet - a_vec @ lam
-        relam = gvec - a_vec * z - y + s - b
-        rexsi = xsi * (x - alfa) - epsi
-        reeta = eta * (beta - x) - epsi
-        remu = mu * y - epsi
-        rezet = zet * z - epsi
-        res = lam * s - epsi
-        parts = np.concatenate(
-            [rex, rey, [rez], relam, rexsi, reeta, remu, [rezet], res]
-        )
-        return parts
+    def terms(x, lam):
+        """The n-long terms at (x, lam): gaps to the bounds, reciprocal
+        asymptote gaps and their squares, p0 + P^T lam, q0 + Q^T lam, the
+        constraint sums and the x-gradient of the separable terms."""
+        uxinv = 1.0 / (upp - x)
+        xlinv = 1.0 / (x - low)
+        uxinv2 = uxinv * uxinv
+        xlinv2 = xlinv * xlinv
+        plam = p0 + np.einsum("i,ij->j", lam, p_mat)
+        qlam = q0 + np.einsum("i,ij->j", lam, q_mat)
+        gvec = np.einsum("ij,j->i", p_mat, uxinv) + np.einsum("ij,j->i", q_mat, xlinv)
+        dpsi = plam * uxinv2 - qlam * xlinv2
+        return x - alfa, beta - x, uxinv, xlinv, uxinv2, xlinv2, plam, qlam, gvec, dpsi
 
+    def residual(point, y, z, lam, xsi, eta, mu, zet, s, epsi):
+        """2-norm and max-abs of the relaxed KKT residual."""
+        xa, bx, *_, gvec, dpsi = point
+        long_parts = (dpsi - xsi + eta, xsi * xa - epsi, eta * bx - epsi)
+        short_parts = (
+            c_vec + D_CONST * y - mu - lam,
+            gvec - y + s - b,
+            mu * y - epsi,
+            lam * s - epsi,
+        )
+        scalars = (A0 - zet, zet * z - epsi)
+        square_sum = sum(float(np.einsum("i,i->", r, r)) for r in long_parts + short_parts)
+        square_sum += sum(r * r for r in scalars)
+        res_max = max(max(float(r.max()), -float(r.min())) for r in long_parts + short_parts)
+        res_max = max(res_max, *(abs(r) for r in scalars))
+        return np.sqrt(square_sum), res_max
+
+    point = terms(x, lam)
     while epsi > SUBPROBLEM_EPSILON:
-        res_vec = residuals(x, y, z, lam, xsi, eta, mu, zet, s, epsi)
-        res_norm = np.linalg.norm(res_vec)
-        res_max = np.abs(res_vec).max()
+        res_norm, res_max = residual(point, y, z, lam, xsi, eta, mu, zet, s, epsi)
         inner = 0
         while res_max > 0.9 * epsi and inner < MAX_INNER_ITERS:
             inner += 1
-            ux1 = upp - x
-            xl1 = x - low
-            ux2 = ux1**2
-            xl2 = xl1**2
-            plam = p0 + lam @ p_mat
-            qlam = q0 + lam @ q_mat
-            gvec = p_mat @ (1.0 / ux1) + q_mat @ (1.0 / xl1)
-            gg = p_mat / ux2[None, :] - q_mat / xl2[None, :]
-            delx = plam / ux2 - qlam / xl2 - epsi / (x - alfa) + epsi / (beta - x)
-            dely = c_vec + d_vec * y - lam - epsi / y
-            delz = A0 - a_vec @ lam - epsi / z
-            dellam = gvec - a_vec * z - y - b + epsi / lam
-            diagx = 2.0 * (plam / (ux2 * ux1) + qlam / (xl2 * xl1))
-            diagx = diagx + xsi / (x - alfa) + eta / (beta - x)
-            diagy = d_vec + mu / y
+            xa, bx, uxinv, xlinv, uxinv2, xlinv2, plam, qlam, gvec, dpsi = point
+            xa_inv = 1.0 / xa
+            bx_inv = 1.0 / bx
+            gg = p_mat * uxinv2 - q_mat * xlinv2
+            delx = dpsi - epsi * xa_inv + epsi * bx_inv
+            dely = c_vec + D_CONST * y - lam - epsi / y
+            delz = A0 - epsi / z
+            dellam = gvec - y - b + epsi / lam
+            diagx = 2.0 * (plam * uxinv2 * uxinv + qlam * xlinv2 * xlinv)
+            diagx_inv = 1.0 / (diagx + xsi * xa_inv + eta * bx_inv)
+            diagy = D_CONST + mu / y
             diaglam = s / lam + 1.0 / diagy
 
-            # Dense m+1 system in (dlam, dz); n is usually much larger than m.
-            blam = dellam + dely / diagy - gg @ (delx / diagx)
-            aa = np.zeros((m + 1, m + 1))
-            aa[:m, :m] = np.diag(diaglam) + (gg / diagx[None, :]) @ gg.T
-            aa[:m, m] = a_vec
-            aa[m, :m] = a_vec
-            aa[m, m] = -zet / z
-            rhs = np.concatenate([blam, [delz]])
+            # m-by-m system in dlam; n is usually much larger than m.
+            blam = dellam + dely / diagy - np.einsum("ij,j->i", gg, delx * diagx_inv)
+            aa = np.einsum("ij,kj->ik", gg * diagx_inv, gg)
+            aa[np.diag_indices(m)] += diaglam
             try:
-                solution = np.linalg.solve(aa, rhs)
+                dlam = np.linalg.solve(aa, blam)
             except np.linalg.LinAlgError as exc:
                 raise SubproblemError(f"Newton system is singular: {exc}") from exc
-            dlam = solution[:m]
-            dz = solution[m]
-            dx = -delx / diagx - (dlam @ gg) / diagx
-            dy = dlam / diagy - dely / diagy
-            dxsi = -xsi + epsi / (x - alfa) - (xsi * dx) / (x - alfa)
-            deta = -eta + epsi / (beta - x) + (eta * dx) / (beta - x)
-            dmu = -mu + epsi / y - (mu * dy) / y
-            dzet = -zet + epsi / z - zet * dz / z
-            ds = -s + epsi / lam - (s * dlam) / lam
+            dz = -delz * z / zet
+            dx = -(delx + np.einsum("i,ij->j", dlam, gg)) * diagx_inv
+            dy = (dlam - dely) / diagy
+            dxsi = -xsi + (epsi - xsi * dx) * xa_inv
+            deta = -eta + (epsi + eta * dx) * bx_inv
+            dmu = -mu + (epsi - mu * dy) / y
+            dzet = -zet + (epsi - zet * dz) / z
+            ds = -s + (epsi - s * dlam) / lam
 
-            step_vars = np.concatenate([dy, [dz], dlam, dxsi, deta, dmu, [dzet], ds])
-            cur_vars = np.concatenate([y, [z], lam, xsi, eta, mu, [zet], s])
-            ratios = np.concatenate(
-                [
-                    -1.01 * step_vars / cur_vars,
-                    -1.01 * dx / (x - alfa),
-                    1.01 * dx / (beta - x),
-                ]
+            # Largest step that keeps every variable and gap positive, with
+            # a 1% margin.
+            ratio = max(
+                -float((dx * xa_inv).min()),
+                float((dx * bx_inv).max()),
+                -float((dxsi / xsi).min()),
+                -float((deta / eta).min()),
+                -float((dy / y).min()),
+                -float((dlam / lam).min()),
+                -float((dmu / mu).min()),
+                -float((ds / s).min()),
+                -dz / z,
+                -dzet / zet,
             )
-            step = 1.0 / max(float(ratios.max()), 1.0)
+            step = 1.0 / max(1.01 * ratio, 1.0)
 
-            old = (x, y, z, lam, xsi, eta, mu, zet, s)
             res_old = res_norm
             for _ in range(50):
-                x_t = old[0] + step * dx
-                y_t = old[1] + step * dy
-                z_t = old[2] + step * dz
-                lam_t = old[3] + step * dlam
-                xsi_t = old[4] + step * dxsi
-                eta_t = old[5] + step * deta
-                mu_t = old[6] + step * dmu
-                zet_t = old[7] + step * dzet
-                s_t = old[8] + step * ds
-                res_vec = residuals(x_t, y_t, z_t, lam_t, xsi_t, eta_t, mu_t, zet_t, s_t, epsi)
-                res_norm = np.linalg.norm(res_vec)
+                trial = (
+                    x + step * dx,
+                    y + step * dy,
+                    z + step * dz,
+                    lam + step * dlam,
+                    xsi + step * dxsi,
+                    eta + step * deta,
+                    mu + step * dmu,
+                    zet + step * dzet,
+                    s + step * ds,
+                )
+                trial_point = terms(trial[0], trial[3])
+                res_norm, res_max = residual(trial_point, *trial[1:], epsi)
                 if res_norm < 2.0 * res_old:
                     break
                 step *= 0.5
-            x, y, z, lam, xsi, eta, mu, zet, s = (
-                x_t, y_t, z_t, lam_t, xsi_t, eta_t, mu_t, zet_t, s_t,
-            )
-            res_max = np.abs(res_vec).max()
+            x, y, z, lam, xsi, eta, mu, zet, s = trial
+            point = trial_point
         if inner >= MAX_INNER_ITERS and res_max > 0.9 * epsi:
             raise SubproblemError(
                 f"subproblem stalled at dual residual {res_max:.3e} (barrier {epsi:.1e})"

@@ -37,17 +37,32 @@ class VolumeBudget:
 
 
 @dataclass(frozen=True)
+class FilterKernel:
+    """A correlation kernel as taps on images of one width.
+
+    ``taps`` lists every positive kernel entry in row-major order (dy, then
+    dx, ascending) as the flat shift ``dy * width + dx`` of its term in the
+    zero-padded, flattened image, and its weight. ``reach`` is the padding
+    on each side of the image; ``width`` is the padded row length.
+    """
+
+    reach: int
+    width: int
+    taps: tuple[tuple[int, float], ...]
+
+
+@dataclass(frozen=True)
 class FilterOperator:
     """Row-normalized cone filter on an nx-by-ny grid.
 
     ``kernel`` holds the cone weights ``max(0, rmin - hypot(dy, dx))`` for
-    offsets in [-reach, reach] on both axes; ``row_sums`` is the kernel
-    correlated with a field of ones, as an (ny, nx) image. Filtering divides
-    the correlation by the row sums, so a uniform field passes through
-    unchanged.
+    offsets in [-reach, reach] on both axes, as taps; ``row_sums`` is the
+    kernel correlated with a field of ones, as an (ny, nx) image. Filtering
+    divides the correlation by the row sums, so a uniform field passes
+    through unchanged.
     """
 
-    kernel: np.ndarray
+    kernel: FilterKernel
     row_sums: np.ndarray
 
     @property
@@ -68,28 +83,27 @@ class FilterOperator:
         return _correlate(self.kernel, w.reshape(self.row_sums.shape) / self.row_sums).ravel()
 
 
-def _correlate(kernel: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """Zero-padded correlation of an (ny, nx) image with a (2r+1)-square kernel.
+def _correlate(kernel: FilterKernel, image: np.ndarray) -> np.ndarray:
+    """Zero-padded correlation of an (ny, nx) image with the kernel's taps.
 
-    Terms are added one positive kernel entry at a time, offsets in
-    row-major order (dy, then dx, ascending): the order in which a CSR
-    matrix of the same weights sums each row, so the result matches its
-    matrix-vector product bit for bit. Each term is one contiguous slice of
-    the flattened padded image, shifted by dy * width + dx; the output is
-    computed at the padded width and its padding columns are dropped.
+    Terms are added one tap at a time, offsets in row-major order (dy, then
+    dx, ascending): the order in which a CSR matrix of the same weights sums
+    each row, so the result matches its matrix-vector product bit for bit.
+    Each term is one contiguous slice of the flattened padded image; the
+    output is computed at the padded width and its padding columns are
+    dropped.
     """
-    reach = kernel.shape[0] // 2
+    reach, width = kernel.reach, kernel.width
     ny, nx = image.shape
-    width = nx + 2 * reach
     # One spare row of zeros keeps the largest shift's slice in bounds.
     padded = np.zeros((ny + 2 * reach + 1, width))
     padded[reach : reach + ny, reach : reach + nx] = image
     flat = padded.ravel()
     m = ny * width
     out = np.zeros(m)
-    for dy, dx in zip(*np.nonzero(kernel > 0.0)):
-        shift = dy * width + dx
-        out += kernel[dy, dx] * flat[shift : shift + m]
+    term = np.empty(m)
+    for shift, weight in kernel.taps:
+        out += np.multiply(flat[shift : shift + m], weight, out=term)
     return out.reshape(ny, width)[:, :nx]
 
 
@@ -99,7 +113,12 @@ def build_filter(nx: int, ny: int, rmin: float) -> FilterOperator:
         raise ValueError("filter radius must be positive")
     reach = int(np.ceil(rmin)) - 1
     offsets = np.arange(-reach, reach + 1)
-    kernel = np.maximum(0.0, rmin - np.hypot(offsets[:, None], offsets[None, :]))
+    weights = np.maximum(0.0, rmin - np.hypot(offsets[:, None], offsets[None, :]))
+    width = nx + 2 * reach
+    taps = tuple(
+        (int(dy * width + dx), float(weights[dy, dx])) for dy, dx in zip(*np.nonzero(weights > 0.0))
+    )
+    kernel = FilterKernel(reach=reach, width=width, taps=taps)
     row_sums = np.ascontiguousarray(_correlate(kernel, np.ones((ny, nx))))
     return FilterOperator(kernel=kernel, row_sums=row_sums)
 

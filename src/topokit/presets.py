@@ -174,12 +174,24 @@ def preset_config(name: str) -> dict:
     return copy.deepcopy(PRESETS[name])
 
 
+def _reject_unknown_keys(cfg: dict, known: set[str], what: str) -> None:
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ValueError(
+            f"{what} config: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(sorted(known))}"
+        )
+
+
 def problem_from_config(cfg: dict):
+    """Problem from a config dict; unknown keys raise ValueError."""
     name = cfg["name"]
     if name == "twobar":
+        _reject_unknown_keys(cfg, {"name"}, "twobar problem")
         return make_problem("twobar")
     if name not in CATALOG:
         raise ValueError(f"unknown problem {name!r}; catalog: {', '.join(CATALOG + ('twobar',))}")
+    _reject_unknown_keys(cfg, {"name", "nx", "ny", "v0", "penalty", "filter_radius"}, f"{name} problem")
     return make_problem(
         name,
         resolution=(cfg.get("nx", 64), cfg.get("ny", 32)),
@@ -189,13 +201,26 @@ def problem_from_config(cfg: dict):
     )
 
 
+#: Config keys each reparameterization kind reads, besides ``kind``.
+_REPARAM_KEYS = {
+    "direct": set(),
+    "mlp": {"width", "hidden_layers"},
+    "siren": {"width", "hidden_layers", "omega0"},
+    "cnn": {"input_size", "channels", "filters", "upsample"},
+}
+
+
 def spec_from_config(cfg: dict) -> ArchitectureSpec:
+    """Architecture from a config dict; unknown keys raise ValueError."""
     kind = cfg.get("kind", "direct")
+    if kind not in _REPARAM_KEYS:
+        raise ValueError(f"unknown reparameterization kind {kind!r}")
+    _reject_unknown_keys(cfg, _REPARAM_KEYS[kind] | {"kind"}, f"{kind} reparam")
     kwargs = {}
     if kind in ("mlp", "siren"):
         kwargs["width"] = cfg.get("width", MLP_WIDTH if kind == "mlp" else SIREN_WIDTH)
         kwargs["hidden_layers"] = cfg.get("hidden_layers", 5)
-    if kind == "siren" or "omega0" in cfg:
+    if kind == "siren":
         kwargs["omega0"] = cfg.get("omega0", 10.0)
     if kind == "cnn":
         kwargs["cnn_input_size"] = cfg.get("input_size", 1)

@@ -20,6 +20,7 @@ stack is two matrix products, ``ry @ t @ rx.T``, with the adjoint
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -135,18 +136,25 @@ class ParamVector:
         return ParamVector(values=np.asarray(values, dtype=float), layout=self.layout)
 
 
+@lru_cache(maxsize=None)
+def _segments(layout: Layout) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """``(name, start, stop, shape)`` of every segment, in packing order."""
+    segments = []
+    start = 0
+    for name, shape in layout:
+        stop = start + math.prod(shape)
+        segments.append((name, start, stop, shape))
+        start = stop
+    return tuple(segments)
+
+
 def layout_size(layout: Layout) -> int:
-    return int(sum(np.prod(shape, dtype=int) for _, shape in layout))
+    segments = _segments(layout)
+    return segments[-1][2] if segments else 0
 
 
 def unpack(values: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
-    out = {}
-    offset = 0
-    for name, shape in layout:
-        size = int(np.prod(shape, dtype=int))
-        out[name] = values[offset : offset + size].reshape(shape)
-        offset += size
-    return out
+    return {name: values[start:stop].reshape(shape) for name, start, stop, shape in _segments(layout)}
 
 
 def pack(segments: dict[str, np.ndarray], layout: Layout) -> np.ndarray:

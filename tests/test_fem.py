@@ -374,6 +374,84 @@ def test_elimination_order_is_a_permutation_of_the_free_dofs(nx, ny, dofs_per_no
     assert np.array_equal(np.sort(order), np.flatnonzero(_free_mask(domain)))
 
 
+def sorted_reference_plan(nx, ny, dofs_per_node, fixed_dofs, springs):
+    """Reference plan build: one global sort of every element-matrix entry.
+
+    Keys ``column * n_free + row`` of the kept entries, sorted and made
+    unique, are the CSC pattern; each entry's slot is its key's rank.
+    Shares only the elimination order with ``fem``.
+    """
+    n_dofs = dofs_per_node * (nx + 1) * (ny + 1)
+    is_free = np.ones(n_dofs, dtype=bool)
+    is_free[np.asarray(fixed_dofs, dtype=int)] = False
+    nodes = fem._dissection_node_order(nx + 1, ny + 1)
+    dofs = (dofs_per_node * nodes[:, None] + np.arange(dofs_per_node)).ravel()
+    order = dofs[is_free[dofs]]
+    n_free = order.size
+    position = np.full(n_dofs, -1, dtype=np.int64)
+    position[order] = np.arange(n_free)
+
+    edof = position[fem.element_dof_matrix(nx, ny, dofs_per_node)]
+    n_local = edof.shape[1]
+    rows = np.repeat(edof, n_local, axis=1).ravel()
+    cols = np.tile(edof, (1, n_local)).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    keys, slot_of_kept = np.unique(cols[kept] * n_free + rows[kept], return_inverse=True)
+    slots = np.full(rows.size, keys.size, dtype=np.int32)
+    slots[kept] = slot_of_kept
+    indptr = np.zeros(n_free + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n_free, minlength=n_free), out=indptr[1:])
+    indices = (keys % n_free).astype(np.int32)
+
+    spring_pos = position[np.array([dof for dof, _ in springs], dtype=int)]
+    on_free = spring_pos >= 0
+    spring_slots = np.searchsorted(keys, spring_pos[on_free] * (n_free + 1))
+    spring_values = np.array([k for _, k in springs], dtype=float)[on_free]
+    return fem.SolvePlan(order, indptr, indices, slots, spring_slots, spring_values)
+
+
+def _assert_plan_matches_reference(domain):
+    plan = fem.solve_plan(domain)
+    reference = sorted_reference_plan(
+        domain.nx, domain.ny, domain.dofs_per_node, domain.fixed_dofs, domain.springs
+    )
+    for name, expected in vars(reference).items():
+        actual = getattr(plan, name)
+        assert actual.dtype == expected.dtype, name
+        assert np.array_equal(actual, expected), name
+        assert not actual.flags.writeable, name
+
+
+@pytest.mark.parametrize("resolution", [(1, 1), (7, 3), (12, 5), (2, 9), (64, 32), (160, 80)])
+@pytest.mark.parametrize("name", CATALOG)
+def test_plan_matches_sorted_reference(name, resolution):
+    _assert_plan_matches_reference(make_problem(name, resolution, None).domain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(1, 40),
+    ny=st.integers(1, 40),
+    dofs_per_node=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_plan_matches_sorted_reference_on_random_domains(nx, ny, dofs_per_node, data):
+    n_dofs = dofs_per_node * (nx + 1) * (ny + 1)
+    fixed = data.draw(st.sets(st.integers(0, n_dofs - 1), max_size=n_dofs - 1))
+    springs = data.draw(
+        st.lists(st.tuples(st.integers(0, n_dofs - 1), st.floats(0.1, 10.0)), max_size=4)
+    )
+    domain = GridDomain(
+        nx=nx,
+        ny=ny,
+        dofs_per_node=dofs_per_node,
+        fixed_dofs=sorted(fixed),
+        load=np.zeros(n_dofs),
+        springs=springs,
+    )
+    _assert_plan_matches_reference(domain)
+
+
 def test_penalty_below_one_rejected():
     with pytest.raises(ValueError, match="penalty 0.5"):
         make_problem("michell", (8, 4), v0=0.5, penalty=0.5)

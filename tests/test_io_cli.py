@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import topokit
-from topokit import cli, io, reparam
+from topokit import cli, io, presets, reparam
 from topokit.fields import DensityField
 from topokit.optimizers import Trajectory
 
@@ -125,6 +125,48 @@ def test_cli_optimize_rejects_bad_optimizer_config_before_pretraining(
     assert run_cli("optimize", "--config", str(cfg_path), "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, value, key",
+    [
+        ("reparam", {"kind": "mlp", "widht": 50}, "widht"),
+        ("problem", {"name": "michell", "nx": 32, "ny": 16, "volume": 0.9}, "volume"),
+        ("problem", {"name": "twobar", "sigma_max": 2}, "sigma_max"),
+    ],
+    ids=["mlp-width-typo", "catalog-volume", "twobar-sigma-max"],
+)
+def test_cli_optimize_rejects_unknown_config_keys_before_pretraining(
+    tmp_path, capsys, monkeypatch, section, value, key
+):
+    # Each of these used to run silently with the default the key was
+    # meant to override.
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before the config was validated")
+
+    monkeypatch.setattr(reparam, "pretrain_uniform", no_pretraining)
+    cfg = {
+        "problem": {"name": "michell", "nx": 32, "ny": 16, "v0": 0.6},
+        "reparam": {"kind": "mlp"},
+        "optimizer": {"kind": "mma", "move_limit": 0.1, "asyinit": 0.2},
+        "budget": 1,
+    }
+    cfg[section] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli("optimize", "--config", str(cfg_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
+def test_every_shipped_config_has_only_known_keys():
+    for name in presets.PRESETS:
+        cfg = presets.preset_config(name)
+        presets.problem_from_config(cfg["problem"])
+        presets.spec_from_config(cfg["reparam"])
+        presets.optimizer_from_config(cfg["optimizer"])
 
 
 def test_cli_optimize_grid_writes_artifacts(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from topokit import optimizers, presets, runner
 from topokit.optimizers import (
     AdamConfig,
     AdamState,
@@ -143,3 +144,167 @@ def test_config_validation():
         AdamConfig(learning_rate=float("nan"))
     with pytest.raises(ValueError):
         AdamConfig(learning_rate=0.1, grad_clip=0.0)
+
+
+def reference_subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, c_const):
+    """Reference MMA subsolve: the same Newton iteration on the full
+    (m+1)-square system in (dlam, dz) with a_i = 0 kept explicit, every
+    residual, step and ratio vector concatenated, and matrix products."""
+    m, n = p_mat.shape
+    a_vec = np.zeros(m)
+    c_vec = np.full(m, c_const)
+    d_vec = np.full(m, optimizers.D_CONST)
+    a0 = optimizers.A0
+    epsi = 1.0
+    x = 0.5 * (alfa + beta)
+    y = np.ones(m)
+    z = 1.0
+    lam = np.ones(m)
+    xsi = np.maximum(1.0 / (x - alfa), 1.0)
+    eta = np.maximum(1.0 / (beta - x), 1.0)
+    mu = np.maximum(1.0, 0.5 * c_vec)
+    zet = 1.0
+    s = np.ones(m)
+
+    def residuals(x, y, z, lam, xsi, eta, mu, zet, s, epsi):
+        ux1 = upp - x
+        xl1 = x - low
+        plam = p0 + lam @ p_mat
+        qlam = q0 + lam @ q_mat
+        gvec = p_mat @ (1.0 / ux1) + q_mat @ (1.0 / xl1)
+        rex = plam / ux1**2 - qlam / xl1**2 - xsi + eta
+        rey = c_vec + d_vec * y - mu - lam
+        rez = a0 - zet - a_vec @ lam
+        relam = gvec - a_vec * z - y + s - b
+        rexsi = xsi * (x - alfa) - epsi
+        reeta = eta * (beta - x) - epsi
+        remu = mu * y - epsi
+        rezet = zet * z - epsi
+        res = lam * s - epsi
+        return np.concatenate([rex, rey, [rez], relam, rexsi, reeta, remu, [rezet], res])
+
+    while epsi > optimizers.SUBPROBLEM_EPSILON:
+        res_vec = residuals(x, y, z, lam, xsi, eta, mu, zet, s, epsi)
+        res_norm = np.linalg.norm(res_vec)
+        res_max = np.abs(res_vec).max()
+        inner = 0
+        while res_max > 0.9 * epsi and inner < optimizers.MAX_INNER_ITERS:
+            inner += 1
+            ux1 = upp - x
+            xl1 = x - low
+            ux2 = ux1**2
+            xl2 = xl1**2
+            plam = p0 + lam @ p_mat
+            qlam = q0 + lam @ q_mat
+            gvec = p_mat @ (1.0 / ux1) + q_mat @ (1.0 / xl1)
+            gg = p_mat / ux2[None, :] - q_mat / xl2[None, :]
+            delx = plam / ux2 - qlam / xl2 - epsi / (x - alfa) + epsi / (beta - x)
+            dely = c_vec + d_vec * y - lam - epsi / y
+            delz = a0 - a_vec @ lam - epsi / z
+            dellam = gvec - a_vec * z - y - b + epsi / lam
+            diagx = 2.0 * (plam / (ux2 * ux1) + qlam / (xl2 * xl1))
+            diagx = diagx + xsi / (x - alfa) + eta / (beta - x)
+            diagy = d_vec + mu / y
+            diaglam = s / lam + 1.0 / diagy
+
+            blam = dellam + dely / diagy - gg @ (delx / diagx)
+            aa = np.zeros((m + 1, m + 1))
+            aa[:m, :m] = np.diag(diaglam) + (gg / diagx[None, :]) @ gg.T
+            aa[:m, m] = a_vec
+            aa[m, :m] = a_vec
+            aa[m, m] = -zet / z
+            solution = np.linalg.solve(aa, np.concatenate([blam, [delz]]))
+            dlam = solution[:m]
+            dz = solution[m]
+            dx = -delx / diagx - (dlam @ gg) / diagx
+            dy = dlam / diagy - dely / diagy
+            dxsi = -xsi + epsi / (x - alfa) - (xsi * dx) / (x - alfa)
+            deta = -eta + epsi / (beta - x) + (eta * dx) / (beta - x)
+            dmu = -mu + epsi / y - (mu * dy) / y
+            dzet = -zet + epsi / z - zet * dz / z
+            ds = -s + epsi / lam - (s * dlam) / lam
+
+            step_vars = np.concatenate([dy, [dz], dlam, dxsi, deta, dmu, [dzet], ds])
+            cur_vars = np.concatenate([y, [z], lam, xsi, eta, mu, [zet], s])
+            ratios = np.concatenate(
+                [-1.01 * step_vars / cur_vars, -1.01 * dx / (x - alfa), 1.01 * dx / (beta - x)]
+            )
+            step = 1.0 / max(float(ratios.max()), 1.0)
+
+            old = (x, y, z, lam, xsi, eta, mu, zet, s)
+            deltas = (dx, dy, dz, dlam, dxsi, deta, dmu, dzet, ds)
+            res_old = res_norm
+            for _ in range(50):
+                trial = tuple(v + step * dv for v, dv in zip(old, deltas))
+                res_vec = residuals(*trial, epsi)
+                res_norm = np.linalg.norm(res_vec)
+                if res_norm < 2.0 * res_old:
+                    break
+                step *= 0.5
+            x, y, z, lam, xsi, eta, mu, zet, s = trial
+            res_max = np.abs(res_vec).max()
+        assert res_max <= 0.9 * epsi, "reference subsolve stalled"
+        epsi *= 0.1
+    return x
+
+
+def _compare_subsolves(monkeypatch):
+    """Route mma_step's subsolve through one that also runs the reference;
+    returns the list of (new, reference) result pairs."""
+    calls = []
+    subsolve = optimizers._subsolve
+
+    def both(low, upp, alfa, beta, *rest):
+        x_new = subsolve(low, upp, alfa, beta, *rest)
+        calls.append((x_new, reference_subsolve(low, upp, alfa, beta, *rest)))
+        return x_new
+
+    monkeypatch.setattr(optimizers, "_subsolve", both)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 2000])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_subsolve_matches_reference(monkeypatch, m, n):
+    calls = _compare_subsolves(monkeypatch)
+    rng = np.random.default_rng(100 * m + n)
+    lower = rng.uniform(-1.0, 0.0, n)
+    upper = lower + rng.uniform(0.5, 2.0, n)
+    state = MmaState(lower=lower, upper=upper)
+    cfg = MmaConfig(move_limit=0.2, asyinit=0.3, c_const=float(rng.choice([10.0, 1000.0])))
+    x = rng.uniform(lower, upper)
+    steps = []
+    # Four steps, so that the third and fourth adapt their asymptotes.
+    for _ in range(4):
+        dfdx = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+        g = rng.uniform(-0.5, 0.5, m)
+        dgdx = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-2, 1, (m, 1))
+        x_next = mma_step(state, x, dfdx, g, dgdx, cfg)
+        steps.append(np.abs(x_next - x).max())
+        x = x_next
+    assert len(calls) == 4
+    for (x_new, x_ref), step in zip(calls, steps):
+        assert step > 0.0
+        assert np.abs(x_new - x_ref).max() <= 1e-12 * step
+
+
+@pytest.mark.parametrize("name", ["twobar-baseline", "twobar-siren", "twobar-siren-fast"])
+def test_twobar_presets_match_reference_subsolve(monkeypatch, name):
+    # Every subproblem of the run is also solved by the reference. The
+    # comparison is per subproblem: the SIREN presets end in a limit cycle
+    # around the optimum that amplifies any round-off difference over the
+    # run, so whole trajectories are not compared.
+    calls = _compare_subsolves(monkeypatch)
+    cfg = presets.preset_config(name)
+    runner.run_optimization(
+        presets.problem_from_config(cfg["problem"]),
+        presets.spec_from_config(cfg["reparam"]),
+        presets.optimizer_from_config(cfg["optimizer"]),
+        budget=cfg["budget"],
+        seed=cfg["seed"],
+        theta0=cfg.get("theta0"),
+    )
+    assert len(calls) == cfg["budget"]
+    for x_new, x_ref in calls:
+        assert x_ref.size == (2 if name == "twobar-baseline" else 3)
+        assert np.abs(x_new - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
