@@ -24,6 +24,11 @@ from .runner import run_optimization, threshold_and_rescale
 
 FEASIBLE_FALLBACK_NOTE = "no feasible iterate; reporting the least-violating design"
 
+#: Top-level keys of an ``optimize`` config.
+_OPTIMIZE_KEYS = {
+    "problem", "reparam", "optimizer", "budget", "seed", "pretrain", "theta0", "snapshot_every"
+}
+
 
 def _load_config(args) -> dict:
     if getattr(args, "preset", None):
@@ -52,6 +57,7 @@ def _manifest_skeleton(command: str, cfg: dict) -> dict:
 def cmd_optimize(args) -> int:
     try:
         cfg = _load_config(args)
+        presets._reject_unknown_keys(cfg, _OPTIMIZE_KEYS, "optimize")
         problem = presets.problem_from_config(cfg["problem"])
         spec = presets.spec_from_config(cfg.get("reparam", {"kind": "direct"}))
         optimizer = presets.optimizer_from_config(cfg["optimizer"])

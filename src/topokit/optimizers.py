@@ -360,6 +360,9 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray, cfg: AdamCo
 # ---------------------------------------------------------------------------
 # trajectory record
 
+#: Constraint violation at or below which an iterate counts as feasible.
+FEASIBLE_TOL = 1e-6
+
 
 def gradient_angle(current: np.ndarray, previous: np.ndarray) -> float:
     """Angle in [0, pi] between successive gradients; NaN if either is zero."""
@@ -393,7 +396,6 @@ class Trajectory:
         violation: float,
         gradient: np.ndarray,
         design: np.ndarray,
-        feasible_tol: float = 1e-6,
     ) -> None:
         gradient = np.asarray(gradient, dtype=float).copy()
         if self.gradients:
@@ -406,10 +408,11 @@ class Trajectory:
         self.grad_norm.append(float(np.linalg.norm(gradient)))
         self.grad_angle.append(angle)
         self.gradients.append(gradient)
-        self.designs.append(np.asarray(design, dtype=float).copy())
-        if violation <= feasible_tol and objective < self.best_feasible_objective:
+        design = np.asarray(design, dtype=float).copy()
+        self.designs.append(design)
+        if violation <= FEASIBLE_TOL and objective < self.best_feasible_objective:
             self.best_feasible_objective = float(objective)
-            self.best_feasible_design = np.asarray(design, dtype=float).copy()
+            self.best_feasible_design = design
             self.best_feasible_iteration = len(self.objective) - 1
 
     @property

@@ -11,12 +11,18 @@ from __future__ import annotations
 import copy
 
 from .optimizers import AdamConfig, MmaConfig
-from .problems import CATALOG, make_problem
+from .problems import CATALOG, TWOBAR_THETA0, make_problem
 from .reparam import ArchitectureSpec
-from .runner import TWOBAR_MMA_C, TWOBAR_THETA0
 
 MLP_WIDTH = 20
 SIREN_WIDTH = 22
+
+#: MMA feasibility-penalty constant for the two-bar presets. It must exceed
+#: the active constraint multipliers (about 1.2 at the optima) but stay
+#: moderate: a stiff penalty pins the iterates to the feasible boundary and
+#: the relaxed near-feasible band around the stress-constrained optimum
+#: becomes untraversable.
+TWOBAR_MMA_C = 3.0
 
 # (move_limit, asyinit, theta_bound) for MMA; SIREN adds omega0.
 _MMA_TUNED = {
@@ -124,9 +130,6 @@ def _build_presets() -> dict[str, dict]:
             cfg["optimizer"] = {"kind": "adam", "learning_rate": lr, "grad_clip": clip}
             presets[f"{problem}-p{int(penalty)}-{kind}-adam"] = cfg
 
-    # One moderate feasibility penalty serves the whole two-bar study; see
-    # runner.TWOBAR_MMA_C for why the usual stiff default cannot traverse
-    # the relaxed band around the stress-constrained optimum.
     presets["twobar-baseline"] = {
         "problem": {"name": "twobar"},
         "reparam": {"kind": "direct"},

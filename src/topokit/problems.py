@@ -219,6 +219,10 @@ TWOBAR_SIGMA_MAX = 1.0
 TWOBAR_MASS_COEFFS = (0.6, 0.8)
 #: Admissible range of each bar area.
 TWOBAR_AREA_BOX = (0.0, 2.0)
+#: Default starting weights of the two-bar micro-net. The hidden activation
+#: is exactly zero here, so the areas start at (1, 1) like the baseline
+#: while theta3 already selects the descending branch of the output sine.
+TWOBAR_THETA0 = (0.0, 0.0, -2.9)
 
 
 @dataclass(frozen=True)

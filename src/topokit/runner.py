@@ -1,7 +1,15 @@
-"""Outer optimization loops composing reparameterizations with the physics.
+"""The optimization loop composing reparameterizations with the physics.
 
-Two pipelines are wired here. With MMA the volume constraint is handed to
-the optimizer explicitly and network outputs are sigmoid-bounded:
+Each problem kind has a setup that returns the start point, the bounds of
+the MMA box and an evaluator ``evaluate(x)``. The evaluator returns the
+objective, volume, violation and objective gradient, the constraint values,
+a zero-argument callable giving the constraint Jacobian, and the design.
+One loop in ``run_optimization`` drives MMA or Adam over any evaluator. It
+calls the Jacobian only right before an MMA step, so no constraint gradient
+is taken after the final evaluation.
+
+Grid problems run one of two pipelines. With MMA the volume constraint is
+handed to the optimizer explicitly and network outputs are sigmoid-bounded:
 
     theta -> network -> sigmoid -> density filter -> FE analysis
 
@@ -10,9 +18,9 @@ through the shifted-sigmoid projection, which pins the volume exactly:
 
     theta -> network (raw) -> density filter -> projection -> FE analysis
 
-The two-bar truss bypasses the grid pipeline entirely; its decision
-variables are either the bar areas or the three weights of the sinusoidal
-micro-net.
+The two-bar truss's decision variables are either the bar areas or the
+three weights of the sinusoidal micro-net. Its constraints are the relaxed
+stress constraints with their analytic Jacobian, and it runs under MMA only.
 """
 
 from __future__ import annotations
@@ -25,23 +33,15 @@ from scipy.special import expit
 
 from . import fem, pipeline, reparam
 from .optimizers import AdamConfig, AdamState, MmaConfig, MmaState, Trajectory, adam_step, mma_step
-from .problems import TWOBAR_AREA_BOX, ProblemSpec, TwoBarProblem, twobar_eval, twobar_siren_forward
+from .problems import (
+    TWOBAR_AREA_BOX,
+    TWOBAR_THETA0,
+    ProblemSpec,
+    TwoBarProblem,
+    twobar_eval,
+    twobar_siren_forward,
+)
 from .reparam import ArchitectureSpec, CoordinateGrid, ParamVector
-
-#: Relative volume violation below which an iterate counts as feasible.
-FEASIBLE_TOL = 1e-6
-
-#: Default starting weights of the two-bar micro-net. The hidden activation
-#: is exactly zero here, so the areas start at (1, 1) like the baseline
-#: while theta3 already selects the descending branch of the output sine.
-TWOBAR_THETA0 = (0.0, 0.0, -2.9)
-
-#: MMA feasibility-penalty constant for the two-bar presets. It must exceed
-#: the active constraint multipliers (about 1.2 at the optima) but stay
-#: moderate: a stiff penalty pins the iterates to the feasible boundary and
-#: the relaxed near-feasible band around the stress-constrained optimum
-#: becomes untraversable.
-TWOBAR_MMA_C = 3.0
 
 
 @dataclass
@@ -49,13 +49,7 @@ class RunResult:
     trajectory: Trajectory
     theta: ParamVector
     design: np.ndarray
-    problem: object
-    reparam_spec: ArchitectureSpec | None
     pretrain_mse: float | None = None
-
-    @property
-    def final_objective(self) -> float:
-        return self.trajectory.objective[-1]
 
 
 class DesignMap:
@@ -120,7 +114,10 @@ def threshold_and_rescale(problem: ProblemSpec, rho_phys: np.ndarray):
     return rho_bw, value, rescaled, v_th
 
 
-def _prepare_theta(problem, spec, seed, pretrain, theta0):
+def _grid_setup(problem: ProblemSpec, reparam_spec, optimizer, seed, pretrain, theta0):
+    use_mma = isinstance(optimizer, MmaConfig)
+    bounding = "sigmoid" if use_mma else "shifted_sigmoid"
+    spec = dataclasses.replace(reparam_spec, output_bounding=bounding)
     grid = reparam.coordinate_grid(problem.nx, problem.ny)
     if theta0 is None:
         theta = reparam.init_params(spec, problem.nx, problem.ny, seed)
@@ -132,9 +129,64 @@ def _prepare_theta(problem, spec, seed, pretrain, theta0):
     pretrain_mse = None
     if pretrain:
         result = reparam.pretrain_uniform(spec, theta, grid, problem.volume_target)
-        theta = result.theta
-        pretrain_mse = result.mse
-    return grid, theta, pretrain_mse
+        theta, pretrain_mse = result.theta, result.mse
+
+    filter_op = pipeline.build_filter(problem.nx, problem.ny, problem.filter_radius)
+    v0 = problem.volume_target
+    n = problem.n_elements
+    if use_mma:
+        design_map = DesignMap(spec, grid, filter_op, None)
+        b = optimizer.theta_bound
+        box = (0.0, 1.0) if spec.kind == "direct" else (-b, b)
+        cotangent = np.full(n, 1.0 / (n * v0))  # of the volume constraint
+    else:
+        design_map = DesignMap(spec, grid, filter_op, pipeline.VolumeBudget(target=v0))
+        box = cotangent = None
+
+    def evaluate(values):
+        rho, vjp_fun = design_map.forward_with_vjp(values)
+        ev = evaluate_design(problem, rho)
+        grad = vjp_fun(ev.grad_wrt_density)
+        vol = pipeline.volume_fraction(rho)
+        violation = max(0.0, vol / v0 - 1.0)
+        if cotangent is None:  # Adam: the projection pins the volume
+            return ev.value, vol, violation, grad, None, None, rho
+        g = np.array([vol / v0 - 1.0])
+        return ev.value, vol, violation, grad, g, lambda: vjp_fun(cotangent).reshape(1, -1), rho
+
+    return theta, box, evaluate, pretrain_mse
+
+
+def _twobar_setup(reparam_spec: ArchitectureSpec, optimizer, theta0):
+    if not isinstance(optimizer, MmaConfig):
+        raise ValueError("the two-bar problem is optimized with MMA")
+    if reparam_spec.kind == "direct":
+        layout, start, box = (("areas", (2,)),), (1.0, 1.0), TWOBAR_AREA_BOX
+
+        def areas_and_jacobian(values):
+            return np.clip(values, *TWOBAR_AREA_BOX), np.eye(2)
+
+    elif reparam_spec.kind == "siren":
+        b = optimizer.theta_bound
+        layout, start, box = (("weights", (3,)),), TWOBAR_THETA0, (-b, b)
+
+        def areas_and_jacobian(values):
+            return twobar_siren_forward(values, reparam_spec.omega0)
+
+    else:
+        raise ValueError("two-bar supports the direct and siren reparameterizations")
+    values = start if theta0 is None else theta0
+    theta = ParamVector(values=np.asarray(values, dtype=float), layout=layout)
+
+    def evaluate(values):
+        areas, jac = areas_and_jacobian(values)
+        ev = twobar_eval(areas[0], areas[1])
+        violation = max(0.0, float(ev.gbar.max()))
+        return (
+            ev.mass, float("nan"), violation, ev.dmass @ jac, ev.gbar, lambda: ev.dgbar @ jac, areas
+        )
+
+    return theta, box, evaluate, None
 
 
 def run_optimization(
@@ -145,125 +197,43 @@ def run_optimization(
     seed: int = 0,
     pretrain: bool = True,
     theta0=None,
-    feasible_tol: float = FEASIBLE_TOL,
 ) -> RunResult:
     """Run one optimization for ``budget`` function evaluations past the
     initial one, recording a full trajectory. Deterministic for fixed seed.
+    A start point outside the MMA box is clipped into it.
     """
-    if isinstance(problem, TwoBarProblem):
-        return _run_twobar(problem, reparam_spec, optimizer, budget, theta0, feasible_tol)
-    if not isinstance(problem, ProblemSpec):
-        raise TypeError(f"unsupported problem type {type(problem)!r}")
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    if isinstance(problem, TwoBarProblem):
+        theta, box, evaluate, pretrain_mse = _twobar_setup(reparam_spec, optimizer, theta0)
+    elif isinstance(problem, ProblemSpec):
+        theta, box, evaluate, pretrain_mse = _grid_setup(
+            problem, reparam_spec, optimizer, seed, pretrain, theta0
+        )
+    else:
+        raise TypeError(f"unsupported problem type {type(problem)!r}")
 
     use_mma = isinstance(optimizer, MmaConfig)
-    bounding = "sigmoid" if use_mma else "shifted_sigmoid"
-    spec = dataclasses.replace(reparam_spec, output_bounding=bounding)
-    grid, theta, pretrain_mse = _prepare_theta(problem, spec, seed, pretrain, theta0)
-
-    filter_op = pipeline.build_filter(problem.nx, problem.ny, problem.filter_radius)
-    v0 = problem.volume_target
-    n = problem.n_elements
-
     if use_mma:
-        design_map = DesignMap(spec, grid, filter_op, None)
-        if spec.kind == "direct":
-            lower, upper = np.zeros(len(theta)), np.ones(len(theta))
-        else:
-            b = optimizer.theta_bound
-            lower, upper = np.full(len(theta), -b), np.full(len(theta), b)
-        mma_state = MmaState(lower=lower, upper=upper)
-        x = np.clip(theta.values.copy(), lower, upper)
+        lo, hi = box
+        state = MmaState(lower=np.full(len(theta), lo), upper=np.full(len(theta), hi))
+        x = np.clip(theta.values, lo, hi)
     else:
-        design_map = DesignMap(spec, grid, filter_op, pipeline.VolumeBudget(target=v0))
-        adam_state = AdamState.zeros(len(theta))
-        x = theta.values.copy()
-
+        state = AdamState.zeros(len(theta))
+        x = theta.values
     trajectory = Trajectory()
-
-    def evaluate(values):
-        rho, vjp_fun = design_map.forward_with_vjp(values)
-        ev = evaluate_design(problem, rho)
-        grad = vjp_fun(ev.grad_wrt_density)
-        vol = pipeline.volume_fraction(rho)
-        return rho, ev.value, vol, grad, vjp_fun
-
-    rho, value, vol, grad, vjp_fun = evaluate(x)
-    violation = max(0.0, vol / v0 - 1.0)
-    trajectory.record(value, vol, violation, grad, rho, feasible_tol)
-
-    for _ in range(budget):
-        if use_mma:
-            gval = np.array([vol / v0 - 1.0])
-            dg = vjp_fun(np.full(n, 1.0 / (n * v0))).reshape(1, -1)
-            x = mma_step(mma_state, x, grad, gval, dg, optimizer)
-        else:
-            x = adam_step(adam_state, x, grad, optimizer)
-        rho, value, vol, grad, vjp_fun = evaluate(x)
-        violation = max(0.0, vol / v0 - 1.0)
-        trajectory.record(value, vol, violation, grad, rho, feasible_tol)
+    for it in range(budget + 1):
+        if it:
+            if use_mma:
+                x = mma_step(state, x, grad, g, jacobian(), optimizer)
+            else:
+                x = adam_step(state, x, grad, optimizer)
+        objective, volume, violation, grad, g, jacobian, design = evaluate(x)
+        trajectory.record(objective, volume, violation, grad, design)
 
     return RunResult(
         trajectory=trajectory,
         theta=theta.replace_values(x),
-        design=rho,
-        problem=problem,
-        reparam_spec=spec,
+        design=design,
         pretrain_mse=pretrain_mse,
-    )
-
-
-def _run_twobar(problem, reparam_spec, optimizer, budget, theta0, feasible_tol) -> RunResult:
-    if not isinstance(optimizer, MmaConfig):
-        raise ValueError("the two-bar problem is optimized with MMA")
-    kind = reparam_spec.kind
-    if kind not in ("direct", "siren"):
-        raise ValueError("two-bar supports the direct and siren reparameterizations")
-
-    if kind == "direct":
-        x = np.array([1.0, 1.0]) if theta0 is None else np.asarray(theta0, dtype=float).ravel()
-        lower, upper = np.full(2, TWOBAR_AREA_BOX[0]), np.full(2, TWOBAR_AREA_BOX[1])
-        layout = (("areas", (2,)),)
-    else:
-        x = (
-            np.array(TWOBAR_THETA0)
-            if theta0 is None
-            else np.asarray(theta0, dtype=float).ravel()
-        )
-        b = optimizer.theta_bound
-        lower, upper = np.full(3, -b), np.full(3, b)
-        layout = (("weights", (3,)),)
-
-    def evaluate(values):
-        if kind == "direct":
-            areas = np.clip(values, *TWOBAR_AREA_BOX)
-            jac = np.eye(2)
-        else:
-            areas, jac = twobar_siren_forward(values, reparam_spec.omega0)
-        ev = twobar_eval(areas[0], areas[1])
-        dmass = ev.dmass @ jac
-        dgbar = ev.dgbar @ jac
-        return areas, ev, dmass, dgbar
-
-    state = MmaState(lower=lower, upper=upper)
-    trajectory = Trajectory()
-
-    areas, ev, dmass, dgbar = evaluate(x)
-    trajectory.record(
-        ev.mass, float("nan"), max(0.0, float(ev.gbar.max())), dmass, areas, feasible_tol
-    )
-    for _ in range(budget):
-        x = mma_step(state, x, dmass, ev.gbar, dgbar, optimizer)
-        areas, ev, dmass, dgbar = evaluate(x)
-        trajectory.record(
-            ev.mass, float("nan"), max(0.0, float(ev.gbar.max())), dmass, areas, feasible_tol
-        )
-
-    return RunResult(
-        trajectory=trajectory,
-        theta=ParamVector(values=x, layout=layout),
-        design=areas,
-        problem=problem,
-        reparam_spec=reparam_spec,
     )

@@ -169,6 +169,34 @@ def test_every_shipped_config_has_only_known_keys():
         presets.optimizer_from_config(cfg["optimizer"])
 
 
+def test_cli_optimize_rejects_unknown_top_level_key_before_pretraining(
+    tmp_path, capsys, monkeypatch
+):
+    # A misspelt budget used to run the default 100 evaluations and exit 0.
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before the config was validated")
+
+    monkeypatch.setattr(reparam, "pretrain_uniform", no_pretraining)
+    cfg = {
+        "problem": {"name": "michell", "nx": 32, "ny": 16, "v0": 0.6},
+        "reparam": {"kind": "mlp"},
+        "optimizer": {"kind": "mma", "move_limit": 0.1, "asyinit": 0.2},
+        "budgt": 3,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli("optimize", "--config", str(cfg_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'budgt'" in err
+    assert not out.exists()
+
+
+def test_every_shipped_preset_has_only_known_top_level_keys():
+    for name in presets.PRESETS:
+        presets._reject_unknown_keys(presets.preset_config(name), cli._OPTIMIZE_KEYS, name)
+
+
 def test_cli_optimize_grid_writes_artifacts(tmp_path):
     cfg = {
         "problem": {"name": "mbb", "nx": 16, "ny": 8, "v0": 0.5},

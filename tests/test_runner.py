@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from topokit import pipeline, reparam
+from topokit import pipeline, reparam, runner
 from topokit.optimizers import AdamConfig, MmaConfig
 from topokit.problems import make_problem
 from topokit.reparam import ArchitectureSpec
@@ -116,3 +116,64 @@ def test_pretrained_network_starts_near_uniform(small_problem):
     )
     design = result.trajectory.designs[0]
     assert np.sqrt(np.mean((design - 0.5) ** 2)) < 1e-2
+
+
+def _twobar_run(kind="siren", **kwargs):
+    return run_optimization(
+        make_problem("twobar"),
+        ArchitectureSpec(kind=kind, omega0=88.0),
+        MmaConfig(move_limit=0.31, asyinit=0.1, theta_bound=3.0, c_const=3.0),
+        **kwargs,
+    )
+
+
+def test_twobar_rejects_negative_budget():
+    with pytest.raises(ValueError, match="budget"):
+        _twobar_run(budget=-1)
+
+
+@pytest.mark.parametrize(
+    "kind, theta0, size", [("siren", [0.0, 0.0], 3), ("direct", [1.0, 1.0, 1.0], 2)]
+)
+def test_twobar_rejects_theta0_of_wrong_length_before_any_step(monkeypatch, kind, theta0, size):
+    def no_step(*args, **kwargs):
+        raise AssertionError("an MMA step ran")
+
+    monkeypatch.setattr(runner, "mma_step", no_step)
+    with pytest.raises(ValueError, match=f"layout needs {size}"):
+        _twobar_run(kind, budget=3, theta0=theta0)
+
+
+def test_twobar_clips_theta0_into_the_box():
+    result = _twobar_run(budget=5, theta0=[0.0, 0.0, -5.0])
+    assert result.trajectory.iterations == 6
+    assert np.abs(result.theta.values).max() <= 3.0
+
+
+@pytest.mark.parametrize(
+    "optimizer, vjps",
+    [
+        (MmaConfig(move_limit=0.05, asyinit=0.2, theta_bound=2.0), lambda budget: 2 * budget + 1),
+        (AdamConfig(learning_rate=0.01), lambda budget: budget + 1),
+    ],
+    ids=["mma", "adam"],
+)
+def test_network_vjp_runs_once_per_gradient(small_problem, monkeypatch, optimizer, vjps):
+    # One VJP per objective gradient, plus one per MMA step for the volume
+    # constraint; none for a constraint gradient no step consumes.
+    calls = []
+    forward_with_vjp = reparam.forward_with_vjp
+
+    def counting_forward_with_vjp(*args, **kwargs):
+        field, vjp_fun = forward_with_vjp(*args, **kwargs)
+
+        def counted(w):
+            calls.append(1)
+            return vjp_fun(w)
+
+        return field, counted
+
+    monkeypatch.setattr(reparam, "forward_with_vjp", counting_forward_with_vjp)
+    spec = ArchitectureSpec(kind="mlp", width=6, hidden_layers=2)
+    run_optimization(small_problem, spec, optimizer, budget=4, pretrain=False)
+    assert len(calls) == vjps(4)
