@@ -25,6 +25,7 @@ from .pipeline import (
 from .reparam import (
     ArchitectureSpec,
     CoordinateGrid,
+    DesignMap,
     ParamVector,
     coordinate_grid,
     fit_to_density,
@@ -52,7 +53,6 @@ from .problems import (
     twobar_siren_forward,
 )
 from .runner import (
-    DesignMap,
     RunResult,
     evaluate_design,
     run_optimization,

@@ -5,7 +5,6 @@ post-hoc convergence detection.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -74,21 +73,20 @@ def landscape_1d(
     density-space reference points.
 
     Both reference points are regressed into the reparameterization's
-    decision space, then the objective F(h(theta_alpha)) and volume
-    constraint are evaluated on a uniform alpha grid including both
-    endpoints.
+    decision space through its sigmoid-bounded, unfiltered design map, then
+    the objective F(h(theta_alpha)) and volume constraint are evaluated on a
+    uniform alpha grid including both endpoints.
     """
     if n_alpha < 2:
         raise ValueError("need at least the two endpoint samples")
     rho1 = _field_values(rho_ref_1, problem.n_elements)
     rho2 = _field_values(rho_ref_2, problem.n_elements)
-    grid = reparam.coordinate_grid(problem.nx, problem.ny)
-    spec = dataclasses.replace(reparam_spec, output_bounding="sigmoid")
+    design_map = reparam.DesignMap(reparam_spec, reparam.coordinate_grid(problem.nx, problem.ny))
     kwargs = fit_kwargs or {}
 
-    theta0 = reparam.init_params(spec, problem.nx, problem.ny, seed)
-    fit1 = reparam.fit_to_density(spec, theta0, grid, rho1, **kwargs)
-    fit2 = reparam.fit_to_density(spec, theta0, grid, rho2, **kwargs)
+    theta0 = reparam.init_params(reparam_spec, problem.nx, problem.ny, seed)
+    fit1 = reparam.fit_to_density(design_map, theta0, rho1, **kwargs)
+    fit2 = reparam.fit_to_density(design_map, theta0, rho2, **kwargs)
     warnings_list = []
     for label, fit in (("rho_ref_1", fit1), ("rho_ref_2", fit2)):
         if fit.mse > fit_warn_threshold:
@@ -97,7 +95,7 @@ def landscape_1d(
     samples = []
     for alpha in np.linspace(0.0, 1.0, n_alpha):
         theta_alpha = fit1.theta.values + alpha * (fit2.theta.values - fit1.theta.values)
-        rho = reparam.forward(spec, theta_alpha, grid)
+        rho = design_map.forward(theta_alpha)
         objective = evaluate_design(problem, rho).value
         constraint = float(rho.mean()) - problem.volume_target
         samples.append(
@@ -164,14 +162,14 @@ def expressivity_study(
     kwargs = fit_kwargs or {}
     rows = []
     for spec in specs:
-        spec = dataclasses.replace(spec, output_bounding="sigmoid")
+        design_map = reparam.DesignMap(spec, grid)
         worst_scores = []
         for repeat in range(repeats):
             theta0 = reparam.init_params(spec, nx, ny, seed + 1000 * repeat)
             scores = []
             for target in targets:
-                fit = reparam.fit_to_density(spec, theta0, grid, target.values, **kwargs)
-                scores.append(psnr(reparam.forward(spec, fit.theta, grid), target.values))
+                fit = reparam.fit_to_density(design_map, theta0, target.values, **kwargs)
+                scores.append(psnr(design_map.forward(fit.theta.values), target.values))
             worst_scores.append(min(scores))
         finite = [s for s in worst_scores if np.isfinite(s)]
         rows.append(

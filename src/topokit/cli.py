@@ -1,10 +1,11 @@
 """Command-line entry points.
 
-Subcommands: optimize, landscape, trajectory, expressivity, profile, search,
-threshold. Every command reads a JSON config (or a named preset), writes its
-artifacts into an output directory together with a manifest that is
-sufficient to re-run the experiment, and returns a nonzero exit status on
-failure.
+Subcommands: optimize, landscape, expressivity, profile, search, threshold.
+The config-driven commands (optimize, landscape, expressivity, search) read a
+JSON config or a named preset, reject unknown config keys with exit status 2
+before any run, and write their artifacts into an output directory together
+with a manifest that is sufficient to re-run the experiment. Every command
+returns a nonzero exit status on failure.
 """
 
 from __future__ import annotations
@@ -28,6 +29,18 @@ FEASIBLE_FALLBACK_NOTE = "no feasible iterate; reporting the least-violating des
 _OPTIMIZE_KEYS = {
     "problem", "reparam", "optimizer", "budget", "seed", "pretrain", "theta0", "snapshot_every"
 }
+#: Top-level keys of a ``landscape`` and of an ``expressivity`` config, and
+#: the keys of the ``fit`` section they share: the options of
+#: ``reparam.fit_to_density``.
+_LANDSCAPE_KEYS = {"problem", "reparams", "rho_ref_1", "rho_ref_2", "n_alpha", "seed", "fit"}
+_EXPRESSIVITY_KEYS = {"targets", "architectures", "repeats", "seed", "fit"}
+_FIT_KEYS = {
+    "learning_rate", "iteration_cap", "plateau_iters", "plateau_rtol", "lr_decay", "min_learning_rate"
+}
+#: Keys of a ``search`` config, of its ``base`` run and of its ``search`` section.
+_SEARCH_KEYS = {"base", "search", "seed"}
+_SEARCH_BASE_KEYS = {"problem", "reparam", "optimizer", "seed", "pretrain", "theta0"}
+_SEARCH_SECTION_KEYS = {"mode", "parameters", "budget", "trials"}
 
 
 def _load_config(args) -> dict:
@@ -154,7 +167,10 @@ def _reference_field(ref, problem: ProblemSpec) -> np.ndarray:
 def cmd_landscape(args) -> int:
     try:
         cfg = _load_config(args)
+        presets._reject_unknown_keys(cfg, _LANDSCAPE_KEYS, "landscape")
+        presets._reject_unknown_keys(cfg.get("fit") or {}, _FIT_KEYS, "fit")
         problem = presets.problem_from_config(cfg["problem"])
+        specs = [presets.spec_from_config(c) for c in cfg.get("reparams", [{"kind": "direct"}])]
         ref1 = _reference_field(cfg["rho_ref_1"], problem)
         ref2 = _reference_field(cfg["rho_ref_2"], problem)
     except (KeyError, ValueError, FileNotFoundError) as exc:
@@ -163,8 +179,7 @@ def cmd_landscape(args) -> int:
     out = _outdir(args)
     manifest = _manifest_skeleton("landscape", cfg)
     results = {}
-    for reparam_cfg in cfg.get("reparams", [{"kind": "direct"}]):
-        spec = presets.spec_from_config(reparam_cfg)
+    for spec in specs:
         res = analysis.landscape_1d(
             spec,
             ref1,
@@ -194,41 +209,26 @@ def cmd_landscape(args) -> int:
     return 0
 
 
-def cmd_trajectory(args) -> int:
-    run_dir = Path(args.run)
-    traj_path = run_dir / "trajectory.csv"
-    if not traj_path.exists():
-        print(f"error: missing artifact {traj_path}", file=sys.stderr)
-        return 2
-    columns = io.read_trajectory_csv(traj_path)
-    out = _outdir(args)
-    rows = [
-        [int(i), float(n), float(a)]
-        for i, n, a in zip(columns["iteration"], columns["grad_norm"], columns["grad_angle_rad"])
-    ]
-    io.write_csv_table(out / "trajectory_metrics.csv", ["iteration", "grad_norm", "grad_angle_rad"], rows)
-    print(f"trajectory: wrote metrics for {len(rows)} iterations -> {out}")
-    return 0
-
-
 def cmd_expressivity(args) -> int:
     try:
         cfg = _load_config(args)
+        presets._reject_unknown_keys(cfg, _EXPRESSIVITY_KEYS, "expressivity")
+        presets._reject_unknown_keys(cfg.get("fit") or {}, _FIT_KEYS, "fit")
         target_paths = cfg["targets"]
         targets = []
         for path in target_paths:
             if not Path(path).exists():
                 raise FileNotFoundError(f"target design not found: {path}")
             targets.append(io.read_field_csv(path))
+        arch_cfg = cfg.get("architectures", "sweep")
+        if arch_cfg == "sweep":
+            specs = presets.sweep_specs(targets[0].nx, targets[0].ny)
+        else:
+            specs = [presets.spec_from_config(c) for c in arch_cfg]
     except (KeyError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _outdir(args)
-    arch_cfg = cfg.get("architectures", "sweep")
-    if arch_cfg == "sweep":
-        specs = presets.sweep_specs(targets[0].nx, targets[0].ny)
-    else:
-        specs = [presets.spec_from_config(c) for c in arch_cfg]
     rows_out = analysis.expressivity_study(
         specs,
         targets,
@@ -312,9 +312,13 @@ def cmd_profile(args) -> int:
 def cmd_search(args) -> int:
     try:
         cfg = _load_config(args)
+        presets._reject_unknown_keys(cfg, _SEARCH_KEYS, "search")
         base = cfg["base"]
         search = cfg["search"]
+        presets._reject_unknown_keys(base, _SEARCH_BASE_KEYS, "search base")
+        presets._reject_unknown_keys(search, _SEARCH_SECTION_KEYS, "search section")
         problem = presets.problem_from_config(base["problem"])
+        spec = presets.spec_from_config(base.get("reparam", {"kind": "direct"}))
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -356,7 +360,6 @@ def cmd_search(args) -> int:
         status = "ok"
         value = np.inf
         try:
-            spec = presets.spec_from_config(base.get("reparam", {"kind": "direct"}))
             optimizer = presets.optimizer_from_config(opt_cfg)
             result = run_optimization(
                 problem,
@@ -447,11 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_land = sub.add_parser("landscape", help="1-D objective landscape slices")
     add_common(p_land)
     p_land.set_defaults(func=cmd_landscape)
-
-    p_traj = sub.add_parser("trajectory", help="extract trajectory diagnostics from a run")
-    p_traj.add_argument("--run", required=True, help="run directory with trajectory.csv")
-    p_traj.add_argument("--out", help="output directory")
-    p_traj.set_defaults(func=cmd_trajectory)
 
     p_exp = sub.add_parser("expressivity", help="PSNR expressivity study")
     add_common(p_exp)

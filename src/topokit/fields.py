@@ -38,6 +38,3 @@ class DensityField:
         ny, nx = image.shape
         return cls(image.ravel(), nx, ny)
 
-    def as_image(self) -> np.ndarray:
-        """Return the field as an (ny, nx) array, row 0 at the top."""
-        return self.values.reshape(self.ny, self.nx)

@@ -84,20 +84,6 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(height, width).astype(float) / maxval
 
 
-def write_displacement_csv(path, displacement: np.ndarray, nx: int, ny: int, dofs_per_node: int) -> None:
-    """Nodal field exported component by component, (ny+1) rows each.
-
-    For elastic problems the x-component block precedes the y-component
-    block, separated by a blank line.
-    """
-    u = np.asarray(displacement, dtype=float)
-    blocks = []
-    for comp in range(dofs_per_node):
-        image = u[comp::dofs_per_node].reshape(ny + 1, nx + 1)
-        blocks.append("\n".join(",".join(_fmt(v) for v in row) for row in image))
-    Path(path).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
-
-
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     lines = [",".join(TRAJECTORY_COLUMNS)]
     for i in range(trajectory.iterations):
@@ -114,16 +100,6 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
             )
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
-    columns = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, tok in zip(header, line.split(",")):
-            columns[name].append(float(tok))
-    return {name: np.asarray(vals) for name, vals in columns.items()}
 
 
 def save_params(path, theta: ParamVector) -> None:

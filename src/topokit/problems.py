@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import GridDomain, Physics, check_penalty
+from .pipeline import VolumeBudget
 
 CATALOG = ("mbb", "michell", "cantilever", "bridge", "tensile", "thermal", "mechanism")
 
@@ -83,8 +84,8 @@ def make_problem(
     """Build a fully populated problem from the catalog.
 
     ``make_problem("twobar")`` returns the analytic :class:`TwoBarProblem`;
-    every other name builds a grid case. The volume target defaults to 0.3
-    except for the mechanism (0.4).
+    every other name builds a grid case. The volume target must lie in
+    (0, 1]; it defaults to 0.3 except for the mechanism (0.4).
     """
     if name == "twobar":
         return TwoBarProblem()
@@ -96,6 +97,7 @@ def make_problem(
     check_penalty(penalty)
     if v0 is None:
         v0 = DEFAULT_VOLUME.get(name, 0.3)
+    v0 = VolumeBudget(v0).target  # rejects a target outside (0, 1]
     if filter_radius is None:
         filter_radius = FILTER_RADIUS_AT_64 * nx / 64.0
 

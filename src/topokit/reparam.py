@@ -4,9 +4,16 @@ Four mappings are provided: ``direct`` (the baseline, densities are the
 decision variables), a coordinate MLP with batch normalization and
 Leaky-ReLU, a sinusoidal coordinate network (SIREN), and a convolutional
 decoder that upsamples a small trainable seed into the full field. Each
-mapping supplies its exact reverse-mode vector-Jacobian product, written out
-layer by layer, so gradient checks against finite differences stay tight in
-double precision.
+mapping returns its raw, unbounded field together with its exact
+reverse-mode vector-Jacobian product, written out layer by layer, so
+gradient checks against finite differences stay tight in double precision.
+``direct`` is the identity.
+
+:class:`DesignMap` is the one place the raw field is bounded. For MMA it
+applies a sigmoid and then the density filter; for Adam it filters and then
+applies the shifted-sigmoid exact-volume projection (Hoyer et al. 2019).
+Direct densities get no sigmoid: the [0, 1] MMA box bounds them. Pretraining
+and least-squares fitting train through a map without a filter.
 
 Coordinate networks are evaluated on all element centers at once; batch and
 image normalizations therefore use the statistics of the full grid. Their
@@ -29,7 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from . import optimizers
+from . import optimizers, pipeline
 
 LEAKY_SLOPE = 0.01
 #: Epsilon inside the batch/image normalization square roots. Kept at a
@@ -37,7 +44,6 @@ LEAKY_SLOPE = 0.01
 NORM_EPS = 1e-12
 
 KINDS = ("direct", "mlp", "siren", "cnn")
-BOUNDINGS = ("sigmoid", "shifted_sigmoid")
 
 
 class NumericError(RuntimeError):
@@ -55,10 +61,8 @@ class ArchitectureSpec:
     convolution filter count per layer; the last entry must be 1 so the
     decoder emits a single-channel field.
 
-    ``output_bounding`` selects how the final field is bounded: ``sigmoid``
-    applies a plain sigmoid (used with optimizers that handle the volume
-    constraint explicitly), ``shifted_sigmoid`` leaves the output raw for a
-    downstream exact-volume projection.
+    The spec describes the network only. How its field is bounded follows
+    from the optimizer and is composed by :class:`DesignMap`.
     """
 
     kind: str
@@ -69,13 +73,10 @@ class ArchitectureSpec:
     cnn_channels: int = 1
     cnn_filters: tuple[int, ...] = (2, 1)
     cnn_upsample: tuple[int, ...] = (4, 8)
-    output_bounding: str = "sigmoid"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown reparameterization kind {self.kind!r}")
-        if self.output_bounding not in BOUNDINGS:
-            raise ValueError(f"unknown output bounding {self.output_bounding!r}")
         if self.kind in ("mlp", "siren") and (self.width < 1 or self.hidden_layers < 1):
             raise ValueError("coordinate networks need width >= 1 and hidden_layers >= 1")
         if self.kind == "cnn":
@@ -262,21 +263,7 @@ def _values(theta: ParamVector | np.ndarray) -> np.ndarray:
 
 
 def _direct_forward_vjp(spec, values, grid):
-    if spec.output_bounding == "sigmoid":
-        out = np.clip(values, 0.0, 1.0)
-        mask = (values >= 0.0) & (values <= 1.0)
-
-        def vjp_fun(w):
-            return np.asarray(w, dtype=float).ravel() * mask
-
-        return out, vjp_fun
-    # raw mode: identity, projection happens downstream
-    out = values.copy()
-
-    def vjp_fun(w):
-        return np.asarray(w, dtype=float).ravel().copy()
-
-    return out, vjp_fun
+    return values.copy(), lambda d_raw: {"rho": d_raw}
 
 
 # ---------------------------------------------------------------------------
@@ -502,30 +489,17 @@ def forward_with_vjp(
     theta: ParamVector | np.ndarray,
     grid: CoordinateGrid,
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Evaluate the mapping and return (field, vjp) sharing one tape.
+    """Evaluate the mapping's raw field and return (field, vjp) sharing one tape.
 
-    The returned field is sigmoid-bounded unless the spec requests raw
-    output for a downstream shifted-sigmoid projection. The vjp closure maps
-    a cotangent on the field to a flat gradient w.r.t. the parameters.
+    The field is unbounded; :class:`DesignMap` bounds it. The vjp closure
+    maps a cotangent on the field to a flat gradient w.r.t. the parameters.
     """
     values = _values(theta)
     expected = param_count(spec, grid.nx, grid.ny)
     if values.size != expected:
         raise ValueError(f"theta has {values.size} entries, spec needs {expected}")
-    if spec.kind == "direct":
-        out, vjp_fun = _direct_forward_vjp(spec, values, grid)
-        return out, vjp_fun
-
     raw, net_vjp = _FORWARD_VJP[spec.kind](spec, values, grid)
     layout = param_layout(spec, grid.nx, grid.ny)
-    if spec.output_bounding == "sigmoid":
-        bounded = expit(raw)
-
-        def vjp_fun(w):
-            d_raw = np.asarray(w, dtype=float).ravel() * bounded * (1.0 - bounded)
-            return pack(net_vjp(d_raw), layout)
-
-        return bounded, vjp_fun
 
     def vjp_fun(w):
         return pack(net_vjp(np.asarray(w, dtype=float).ravel()), layout)
@@ -536,7 +510,7 @@ def forward_with_vjp(
 def forward(
     spec: ArchitectureSpec, theta: ParamVector | np.ndarray, grid: CoordinateGrid
 ) -> np.ndarray:
-    """Map decision variables to the output field (bounded when sigmoid)."""
+    """Map decision variables to the mapping's raw field."""
     out, _ = forward_with_vjp(spec, theta, grid)
     return out
 
@@ -547,7 +521,7 @@ def vjp(
     grid: CoordinateGrid,
     w: np.ndarray,
 ) -> np.ndarray:
-    """w^T (d field / d theta) by reverse-mode accumulation."""
+    """w^T (d raw field / d theta) by reverse-mode accumulation."""
     w = np.asarray(w, dtype=float).ravel()
     if not np.all(np.isfinite(w)):
         raise ValueError("cotangent vector must be finite")
@@ -555,8 +529,64 @@ def vjp(
     return vjp_fun(w)
 
 
+class DesignMap:
+    """Composite map from decision variables to physical densities.
+
+    Without a projection (the MMA pipeline) a network's raw field passes a
+    sigmoid and then the filter; with one (the Adam pipeline) it is filtered
+    and then projected onto the exact volume by the shifted sigmoid. Direct
+    densities get no sigmoid. The filter is optional.
+    """
+
+    def __init__(
+        self,
+        spec: ArchitectureSpec,
+        grid: CoordinateGrid,
+        filter_op: pipeline.FilterOperator | None = None,
+        projection: pipeline.VolumeBudget | None = None,
+    ):
+        self.spec = spec
+        self.grid = grid
+        self.filter_op = filter_op
+        self.projection = projection
+        self.sigmoid = projection is None and spec.kind != "direct"
+
+    def forward_with_vjp(self, theta_values: np.ndarray):
+        field, net_vjp = forward_with_vjp(self.spec, theta_values, self.grid)
+        if self.sigmoid:
+            field = bounded = expit(field)
+        if self.filter_op is not None:
+            field = self.filter_op.apply(field)
+        rho = field
+        if self.projection is not None:
+            shift = pipeline.find_volume_shift(field, self.projection.target)
+            rho = expit(field + shift)
+
+        def vjp_fun(w):
+            if self.projection is not None:
+                w = pipeline.shifted_sigmoid_vjp(field, self.projection, w, shift=shift)
+            if self.filter_op is not None:
+                w = self.filter_op.vjp(w)
+            if self.sigmoid:
+                w = np.asarray(w, dtype=float).ravel() * bounded * (1.0 - bounded)
+            return net_vjp(w)
+
+        return rho, vjp_fun
+
+    def forward(self, theta_values: np.ndarray) -> np.ndarray:
+        rho, _ = self.forward_with_vjp(theta_values)
+        return rho
+
+
 # ---------------------------------------------------------------------------
 # pretraining and least-squares fitting
+
+#: Adam learning rate of the uniform-gray pretraining.
+PRETRAIN_LEARNING_RATE = 1e-3
+#: Pretraining stops once the mean squared error falls below this.
+PRETRAIN_TARGET_MSE = 1e-4
+#: Pretraining iterations after which it stops with a warning.
+PRETRAIN_ITERATION_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -578,80 +608,44 @@ class PretrainWarning(UserWarning):
     pass
 
 
-def _bounded_spec(spec: ArchitectureSpec) -> ArchitectureSpec:
-    if spec.output_bounding == "sigmoid":
-        return spec
-    return dataclasses.replace(spec, output_bounding="sigmoid")
-
-
-def _mse_and_grad(spec, theta_values, grid, target):
-    out, vjp_fun = forward_with_vjp(spec, theta_values, grid)
-    err = out - target
+def _mse_and_grad(design_map: DesignMap, theta_values, target):
+    rho, vjp_fun = design_map.forward_with_vjp(theta_values)
+    err = rho - target
     mse = float(err @ err) / err.size
     grad = vjp_fun(2.0 * err / err.size)
     return mse, grad
 
 
-def _projected_mse_and_grad(spec, theta_values, grid, v0):
-    # Pipeline-consistent uniform-gray error: the raw output runs through the
-    # exact-volume projection, so only the spatial variation must be trained
-    # away; the projection shift supplies the mean.
-    from . import pipeline
-
-    raw, vjp_fun = forward_with_vjp(spec, theta_values, grid)
-    budget = pipeline.VolumeBudget(v0)
-    shift = pipeline.find_volume_shift(raw, v0)
-    rho = expit(raw + shift)
-    err = rho - v0
-    mse = float(err @ err) / err.size
-    grad = vjp_fun(pipeline.shifted_sigmoid_vjp(raw, budget, 2.0 * err / err.size, shift=shift))
-    return mse, grad
-
-
-def pretrain_uniform(
-    spec: ArchitectureSpec,
-    theta0: ParamVector,
-    grid: CoordinateGrid,
-    v0: float,
-    learning_rate: float = 1e-3,
-    target_mse: float = 1e-4,
-    max_iters: int = 300,
-    iteration_cap: int = 2000,
-) -> PretrainResult:
+def pretrain_uniform(design_map: DesignMap, theta0: ParamVector, v0: float) -> PretrainResult:
     """Train the mapping to emit a uniform gray field of density v0.
 
-    Runs Adam at the default learning rate for up to ``max_iters``
-    iterations, extending to ``iteration_cap`` only if the target error has
-    not been reached; warns (and still returns the best parameters) when
-    even the cap is insufficient.
-
-    The error follows the spec's output bounding: a plain sigmoid output is
-    regressed on the uniform field directly, while a raw output destined for
-    the exact-volume projection is measured after that projection.
+    The error is taken on the output of ``design_map``, a map without a
+    filter, so it follows the pipeline: a sigmoid-bounded field is regressed
+    on the uniform field directly, while under the exact-volume projection
+    the shift supplies the mean and only the spatial variation must be
+    trained away. Adam runs at PRETRAIN_LEARNING_RATE until the error falls
+    below PRETRAIN_TARGET_MSE, for at most PRETRAIN_ITERATION_CAP
+    iterations; when the cap comes first it warns and still returns the
+    best parameters.
     """
-    if spec.kind == "direct":
+    if design_map.spec.kind == "direct":
         theta = theta0.replace_values(np.full(len(theta0), v0))
         return PretrainResult(theta=theta, mse=0.0, iterations=0, converged=True)
 
-    projected = spec.output_bounding == "shifted_sigmoid"
-    fit_spec = spec if projected else _bounded_spec(spec)
-    target = np.full(grid.size, float(v0))
+    target = np.full(design_map.grid.size, float(v0))
     values = theta0.values.copy()
     state = optimizers.AdamState.zeros(values.size)
-    cfg = optimizers.AdamConfig(learning_rate=learning_rate)
+    cfg = optimizers.AdamConfig(learning_rate=PRETRAIN_LEARNING_RATE)
     best_values, best_mse = values.copy(), np.inf
     iterations = 0
-    for iterations in range(1, max(max_iters, iteration_cap) + 1):
-        if projected:
-            mse, grad = _projected_mse_and_grad(fit_spec, values, grid, v0)
-        else:
-            mse, grad = _mse_and_grad(fit_spec, values, grid, target)
+    for iterations in range(1, PRETRAIN_ITERATION_CAP + 1):
+        mse, grad = _mse_and_grad(design_map, values, target)
         if mse < best_mse:
             best_mse, best_values = mse, values.copy()
-        if best_mse < target_mse:
+        if best_mse < PRETRAIN_TARGET_MSE:
             break
         values = optimizers.adam_step(state, values, grad, cfg)
-    converged = best_mse < target_mse
+    converged = best_mse < PRETRAIN_TARGET_MSE
     if not converged:
         warnings.warn(
             f"pretraining stalled at MSE {best_mse:.3e} after {iterations} iterations",
@@ -666,9 +660,8 @@ def pretrain_uniform(
 
 
 def fit_to_density(
-    spec: ArchitectureSpec,
+    design_map: DesignMap,
     theta0: ParamVector,
-    grid: CoordinateGrid,
     target: np.ndarray,
     learning_rate: float = 0.02,
     iteration_cap: int = 4000,
@@ -677,25 +670,24 @@ def fit_to_density(
     lr_decay: float = 0.5,
     min_learning_rate: float = 1e-4,
 ) -> FitResult:
-    """Least-squares fit of the mapping's output to a target density field.
+    """Least-squares fit of a map's output to a target density field.
 
-    Adam with a plateau-triggered learning-rate ladder: whenever the best
-    error has not improved by a relative ``plateau_rtol`` within
-    ``plateau_iters`` iterations, training restarts from the best parameters
-    at a reduced rate, stopping once the rate falls below
-    ``min_learning_rate`` or the iteration cap is hit. Reports the best mean
-    squared pixel error seen.
+    ``design_map`` has no filter. Adam with a plateau-triggered
+    learning-rate ladder: whenever the best error has not improved by a
+    relative ``plateau_rtol`` within ``plateau_iters`` iterations, training
+    restarts from the best parameters at a reduced rate, stopping once the
+    rate falls below ``min_learning_rate`` or the iteration cap is hit.
+    Reports the best mean squared pixel error seen.
     """
     target = np.asarray(target, dtype=float).ravel()
-    if target.size != grid.size:
+    if target.size != design_map.grid.size:
         raise ValueError("target field does not match the grid")
-    if spec.kind == "direct":
+    if design_map.spec.kind == "direct":
         theta = theta0.replace_values(np.clip(target, 0.0, 1.0))
-        out = forward(spec, theta, grid)
+        out = design_map.forward(theta.values)
         mse = float(np.mean((out - target) ** 2))
         return FitResult(theta=theta, mse=mse, iterations=0)
 
-    fit_spec = _bounded_spec(spec)
     values = theta0.values.copy()
     state = optimizers.AdamState.zeros(values.size)
     cfg = optimizers.AdamConfig(learning_rate=learning_rate)
@@ -705,7 +697,7 @@ def fit_to_density(
     iterations = 0
     while iterations < iteration_cap:
         iterations += 1
-        mse, grad = _mse_and_grad(fit_spec, values, grid, target)
+        mse, grad = _mse_and_grad(design_map, values, target)
         if mse < best_mse:
             best_mse, best_values = mse, values.copy()
         if mse < window_best * (1.0 - plateau_rtol):

@@ -8,15 +8,18 @@ One loop in ``run_optimization`` drives MMA or Adam over any evaluator. It
 calls the Jacobian only right before an MMA step, so no constraint gradient
 is taken after the final evaluation.
 
-Grid problems run one of two pipelines. With MMA the volume constraint is
-handed to the optimizer explicitly and network outputs are sigmoid-bounded:
+Grid problems run one of two pipelines, both composed by
+:class:`reparam.DesignMap`. With MMA the volume constraint is handed to the
+optimizer explicitly and a network's raw field is sigmoid-bounded:
 
     theta -> network -> sigmoid -> density filter -> FE analysis
 
 With Adam the problem is unconstrained because the filtered field passes
 through the shifted-sigmoid projection, which pins the volume exactly:
 
-    theta -> network (raw) -> density filter -> projection -> FE analysis
+    theta -> network -> density filter -> projection -> FE analysis
+
+Direct densities skip the sigmoid: the MMA box [0, 1] bounds them.
 
 The two-bar truss's decision variables are either the bar areas or the
 three weights of the sinusoidal micro-net. Its constraints are the relaxed
@@ -25,11 +28,9 @@ stress constraints with their analytic Jacobian, and it runs under MMA only.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import fem, pipeline, reparam
 from .optimizers import AdamConfig, AdamState, MmaConfig, MmaState, Trajectory, adam_step, mma_step
@@ -41,7 +42,7 @@ from .problems import (
     twobar_eval,
     twobar_siren_forward,
 )
-from .reparam import ArchitectureSpec, CoordinateGrid, ParamVector
+from .reparam import ArchitectureSpec, DesignMap, ParamVector
 
 
 @dataclass
@@ -50,49 +51,6 @@ class RunResult:
     theta: ParamVector
     design: np.ndarray
     pretrain_mse: float | None = None
-
-
-class DesignMap:
-    """Composite map from decision variables to physical densities."""
-
-    def __init__(
-        self,
-        spec: ArchitectureSpec,
-        grid: CoordinateGrid,
-        filter_op: pipeline.FilterOperator | None = None,
-        projection: pipeline.VolumeBudget | None = None,
-    ):
-        self.spec = spec
-        self.grid = grid
-        self.filter_op = filter_op
-        self.projection = projection
-
-    def forward_with_vjp(self, theta_values: np.ndarray):
-        field, net_vjp = reparam.forward_with_vjp(self.spec, theta_values, self.grid)
-        if self.filter_op is not None:
-            field = self.filter_op.apply(field)
-        if self.projection is None:
-            def vjp_fun(w):
-                if self.filter_op is not None:
-                    w = self.filter_op.vjp(w)
-                return net_vjp(w)
-
-            return field, vjp_fun
-
-        shift = pipeline.find_volume_shift(field, self.projection.target)
-        rho = expit(field + shift)
-
-        def vjp_fun(w, field=field, shift=shift):
-            w = pipeline.shifted_sigmoid_vjp(field, self.projection, w, shift=shift)
-            if self.filter_op is not None:
-                w = self.filter_op.vjp(w)
-            return net_vjp(w)
-
-        return rho, vjp_fun
-
-    def forward(self, theta_values: np.ndarray) -> np.ndarray:
-        rho, _ = self.forward_with_vjp(theta_values)
-        return rho
 
 
 def evaluate_design(problem: ProblemSpec, rho_phys: np.ndarray) -> fem.ObjectiveEval:
@@ -114,10 +72,8 @@ def threshold_and_rescale(problem: ProblemSpec, rho_phys: np.ndarray):
     return rho_bw, value, rescaled, v_th
 
 
-def _grid_setup(problem: ProblemSpec, reparam_spec, optimizer, seed, pretrain, theta0):
+def _grid_setup(problem: ProblemSpec, spec, optimizer, seed, pretrain, theta0):
     use_mma = isinstance(optimizer, MmaConfig)
-    bounding = "sigmoid" if use_mma else "shifted_sigmoid"
-    spec = dataclasses.replace(reparam_spec, output_bounding=bounding)
     grid = reparam.coordinate_grid(problem.nx, problem.ny)
     if theta0 is None:
         theta = reparam.init_params(spec, problem.nx, problem.ny, seed)
@@ -126,21 +82,21 @@ def _grid_setup(problem: ProblemSpec, reparam_spec, optimizer, seed, pretrain, t
     else:
         layout = reparam.param_layout(spec, problem.nx, problem.ny)
         theta = ParamVector(values=np.asarray(theta0, dtype=float), layout=layout)
+    v0 = problem.volume_target
+    projection = None if use_mma else pipeline.VolumeBudget(target=v0)
     pretrain_mse = None
     if pretrain:
-        result = reparam.pretrain_uniform(spec, theta, grid, problem.volume_target)
+        result = reparam.pretrain_uniform(DesignMap(spec, grid, None, projection), theta, v0)
         theta, pretrain_mse = result.theta, result.mse
 
     filter_op = pipeline.build_filter(problem.nx, problem.ny, problem.filter_radius)
-    v0 = problem.volume_target
+    design_map = DesignMap(spec, grid, filter_op, projection)
     n = problem.n_elements
     if use_mma:
-        design_map = DesignMap(spec, grid, filter_op, None)
         b = optimizer.theta_bound
         box = (0.0, 1.0) if spec.kind == "direct" else (-b, b)
         cotangent = np.full(n, 1.0 / (n * v0))  # of the volume constraint
     else:
-        design_map = DesignMap(spec, grid, filter_op, pipeline.VolumeBudget(target=v0))
         box = cotangent = None
 
     def evaluate(values):

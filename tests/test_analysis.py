@@ -130,15 +130,15 @@ def test_expressivity_reports_worst_case_across_targets():
     )
     row = rows[0]
     assert len(row.worst_psnr) == 2
-    grid = reparam.coordinate_grid(8, 4)
+    design_map = reparam.DesignMap(row.spec, reparam.coordinate_grid(8, 4))
     for repeat, worst in enumerate(row.worst_psnr):
         theta0 = reparam.init_params(row.spec, 8, 4, seed=0 + 1000 * repeat)
         fits = [
-            reparam.fit_to_density(row.spec, theta0, grid, t.values, iteration_cap=150)
+            reparam.fit_to_density(design_map, theta0, t.values, iteration_cap=150)
             for t in (easy, hard)
         ]
         scores = [
-            psnr(reparam.forward(row.spec, f.theta, grid), t.values)
+            psnr(design_map.forward(f.theta.values), t.values)
             for f, t in zip(fits, (easy, hard))
         ]
         assert worst == pytest.approx(min(scores), rel=1e-9)

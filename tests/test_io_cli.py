@@ -54,18 +54,11 @@ def test_trajectory_csv_roundtrip(tmp_path):
         traj.record(10.0 - i, 0.4, 0.0, rng.standard_normal(3), np.zeros(2))
     path = tmp_path / "trajectory.csv"
     io.write_trajectory_csv(path, traj)
-    columns = io.read_trajectory_csv(path)
-    assert list(columns["iteration"]) == [0, 1, 2, 3, 4]
-    assert np.array_equal(columns["objective"], np.asarray(traj.objective))
-    assert np.isnan(columns["grad_angle_rad"][0])
-
-
-def test_displacement_csv_blocks(tmp_path):
-    u = np.arange(2 * 6, dtype=float)
-    path = tmp_path / "disp.csv"
-    io.write_displacement_csv(path, u, 2, 1, dofs_per_node=2)
-    blocks = path.read_text().strip().split("\n\n")
-    assert len(blocks) == 2  # x block then y block
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["iteration"]) for row in rows] == [0, 1, 2, 3, 4]
+    assert [float(row["objective"]) for row in rows] == traj.objective
+    assert np.isnan(float(rows[0]["grad_angle_rad"]))
 
 
 def run_cli(*argv):
@@ -279,11 +272,11 @@ def test_cli_landscape_missing_reference_fails(tmp_path):
 def test_cli_trajectory_metrics(tmp_path):
     out = tmp_path / "run"
     assert run_cli("optimize", "--preset", "twobar-siren-fast", "--out", str(out)) == 0
-    metrics_out = tmp_path / "tm"
-    assert run_cli("trajectory", "--run", str(out), "--out", str(metrics_out)) == 0
-    lines = (metrics_out / "trajectory_metrics.csv").read_text().strip().splitlines()
-    assert lines[0] == "iteration,grad_norm,grad_angle_rad"
-    assert len(lines) == 22  # header + budget 20 + initial evaluation
+    with open(out / "trajectory.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 21  # budget 20 + initial evaluation
+    assert {"grad_norm", "grad_angle_rad"} <= set(rows[0])
+    assert all(float(row["grad_norm"]) > 0.0 for row in rows)
 
 
 def test_cli_profile_single_run_is_unity(tmp_path):
@@ -336,6 +329,101 @@ def test_cli_search_skips_failing_trial(tmp_path):
         "failed: ValueError: move limit and asymptote initialization must be positive"
     )
     assert status["2.0"] == "ok"
+
+
+def _rejected(tmp_path, capsys, command, cfg, key):
+    """Run ``command`` on ``cfg``; it must exit 2 naming ``key`` and write nothing."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
+def test_cli_search_rejects_unknown_config_keys_before_any_run(tmp_path, capsys, monkeypatch):
+    # "trails" and "budgt" used to run the default 10 trials and exit 0.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a trial ran before the config was validated")
+
+    monkeypatch.setattr(cli, "run_optimization", no_run)
+    base = {
+        "problem": {"name": "twobar"},
+        "reparam": {"kind": "direct"},
+        "optimizer": {"kind": "mma", "move_limit": 2.0, "asyinit": 0.1},
+    }
+    search = {"mode": "random", "parameters": {"move_limit": {"low": 0.5, "high": 2.0}}}
+    for cfg, key in (
+        ({"base": base, "search": search, "sed": 1}, "sed"),
+        ({"base": {**base, "budgt": 1}, "search": search}, "budgt"),
+        ({"base": base, "search": {**search, "trails": 2}}, "trails"),
+        ({"base": {**base, "reparam": {"kind": "siren", "omega": 5}}, "search": search}, "omega"),
+    ):
+        _rejected(tmp_path, capsys, "search", cfg, key)
+
+
+def test_cli_landscape_rejects_unknown_config_keys_before_any_fit(tmp_path, capsys, monkeypatch):
+    # A misspelt fit option used to die in a TypeError traceback, and a
+    # misspelt n_alpha was ignored.
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the config was validated")
+
+    monkeypatch.setattr(reparam, "fit_to_density", no_fit)
+    cfg = {
+        "problem": {"name": "mbb", "nx": 16, "ny": 8, "v0": 0.5},
+        "reparams": [{"kind": "mlp", "width": 4, "hidden_layers": 1}],
+        "rho_ref_1": "uniform",
+        "rho_ref_2": {"random_seed": 0},
+    }
+    for extra, key in (
+        ({"fit": {"iteraton_cap": 5}}, "iteraton_cap"),
+        ({"nalpha": 3}, "nalpha"),
+        ({"reparams": [{"kind": "mlp"}, {"kind": "siren", "widht": 4}]}, "widht"),
+    ):
+        _rejected(tmp_path, capsys, "landscape", {**cfg, **extra}, key)
+
+
+def test_cli_expressivity_rejects_unknown_config_keys_before_any_fit(
+    tmp_path, capsys, monkeypatch
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the config was validated")
+
+    monkeypatch.setattr(reparam, "fit_to_density", no_fit)
+    target = tmp_path / "target.csv"
+    io.write_field_csv(target, np.full(128, 0.5), 16, 8)
+    cfg = {"targets": [str(target)], "architectures": [{"kind": "mlp", "width": 4}]}
+    for extra, key in (
+        ({"repeat": 2}, "repeat"),
+        ({"fit": {"learning_rte": 0.1}}, "learning_rte"),
+        ({"architectures": [{"kind": "mlp", "widht": 4}]}, "widht"),
+    ):
+        _rejected(tmp_path, capsys, "expressivity", {**cfg, **extra}, key)
+
+
+def test_cli_optimize_rejects_volume_target_outside_unit_interval_before_pretraining(
+    tmp_path, capsys, monkeypatch
+):
+    # 1.5 and -0.2 used to run the whole budget and fail only when
+    # thresholding, without a manifest; 0 divided by zero in the set-up.
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before the config was validated")
+
+    monkeypatch.setattr(reparam, "pretrain_uniform", no_pretraining)
+    for v0 in (1.5, -0.2, 0.0):
+        cfg = {
+            "problem": {"name": "michell", "nx": 16, "ny": 8, "v0": v0},
+            "reparam": {"kind": "mlp"},
+            "optimizer": {"kind": "mma", "move_limit": 0.1, "asyinit": 0.2},
+            "budget": 1,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli("optimize", "--config", str(cfg_path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: volume target must lie in (0, 1]\n"
+        assert not out.exists()
 
 
 def test_csv_table_quotes_only_cells_with_commas(tmp_path):

@@ -59,6 +59,16 @@ def test_default_volume_targets():
     assert make_problem("mbb", (8, 4)).volume_target == 0.3
 
 
+@pytest.mark.parametrize("v0", [1.5, -0.2, 0.0, float("nan")])
+def test_volume_target_outside_unit_interval_rejected(v0):
+    with pytest.raises(ValueError, match=r"volume target must lie in \(0, 1\]"):
+        make_problem("michell", (16, 8), v0=v0)
+
+
+def test_full_volume_target_accepted():
+    assert make_problem("michell", (16, 8), v0=1.0).volume_target == 1.0
+
+
 def test_every_catalog_problem_feasible_at_uniform_density():
     for name in problems.CATALOG:
         res = (16, 16) if name == "thermal" else (16, 8)

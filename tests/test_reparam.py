@@ -12,7 +12,8 @@ import pytest
 
 import topokit as tk
 from topokit import reparam
-from topokit.reparam import ArchitectureSpec, NumericError
+from topokit.pipeline import VolumeBudget
+from topokit.reparam import ArchitectureSpec, DesignMap, NumericError
 
 
 def all_specs(small_grid=False):
@@ -79,29 +80,13 @@ def test_cnn_upsample_mismatch_rejected():
         reparam.param_count(ArchitectureSpec(kind="cnn"), 60, 32)
 
 
-def test_direct_forward_is_clamped_identity():
+def test_direct_forward_is_the_identity():
     grid = reparam.coordinate_grid(4, 2)
-    theta = np.array([-0.5, 0.0, 0.3, 0.7, 1.0, 1.5, 0.2, 0.9])
-    out = reparam.forward(ArchitectureSpec(kind="direct"), theta, grid)
-    assert np.array_equal(out, np.clip(theta, 0.0, 1.0))
-
-
-def test_direct_vjp_masks_clamped_entries():
-    grid = reparam.coordinate_grid(4, 2)
-    theta = np.array([-0.5, 0.0, 0.3, 0.7, 1.0, 1.5, 0.2, 0.9])
-    w = np.ones(8)
-    grad = reparam.vjp(ArchitectureSpec(kind="direct"), theta, grid, w)
-    assert np.array_equal(grad, np.array([0.0, 1, 1, 1, 1, 0, 1, 1]))
-
-
-def test_sigmoid_bounded_output_strictly_inside_unit_interval():
-    grid = reparam.coordinate_grid(16, 8)
-    for spec in all_specs(small_grid=True):
-        if spec.kind == "direct":
-            continue
-        theta = reparam.init_params(spec, 16, 8, seed=2)
-        out = reparam.forward(spec, theta, grid)
-        assert out.min() > 0.0 and out.max() < 1.0
+    theta = np.array([0.0, 0.1, 0.3, 0.7, 1.0, 0.5, 0.2, 0.9])
+    out, vjp_fun = reparam.forward_with_vjp(ArchitectureSpec(kind="direct"), theta, grid)
+    assert np.array_equal(out, theta) and out is not theta
+    w = np.arange(8.0)
+    assert np.array_equal(vjp_fun(w), w)
 
 
 def test_forward_deterministic_and_pure():
@@ -129,11 +114,6 @@ def test_vjp_matches_directional_finite_differences(kind):
         ),
     }[kind]
     check_vjp(spec, nx=nx, ny=ny, trials=5, seed=11)
-
-
-def test_vjp_raw_output_mode():
-    spec = ArchitectureSpec(kind="siren", width=8, hidden_layers=2, output_bounding="shifted_sigmoid")
-    check_vjp(spec, nx=16, ny=8, trials=5, seed=12)
 
 
 def test_vjp_of_zero_cotangent_is_zero():
@@ -235,7 +215,7 @@ def sample_major_siren(spec, params, coords, d_raw):
 @pytest.mark.parametrize("nx, ny", [(64, 32), (7, 3)])
 @pytest.mark.parametrize("kind", ["mlp", "siren"])
 def test_feature_major_networks_match_sample_major_reference(kind, nx, ny):
-    spec = ArchitectureSpec(kind=kind, width=20, output_bounding="shifted_sigmoid")
+    spec = ArchitectureSpec(kind=kind, width=20)
     reference = {"mlp": sample_major_mlp, "siren": sample_major_siren}[kind]
     grid = reparam.coordinate_grid(nx, ny)
     layout = reparam.param_layout(spec, nx, ny)
@@ -277,47 +257,47 @@ def test_nonfinite_parameters_raise_numeric_error():
 def test_pretrain_direct_is_exact_and_immediate():
     spec = ArchitectureSpec(kind="direct")
     theta0 = reparam.init_params(spec, 8, 4, seed=10)
-    result = reparam.pretrain_uniform(spec, theta0, reparam.coordinate_grid(8, 4), 0.3)
+    result = reparam.pretrain_uniform(DesignMap(spec, reparam.coordinate_grid(8, 4)), theta0, 0.3)
     assert result.iterations == 0
     assert result.mse == 0.0
     assert np.all(result.theta.values == 0.3)
 
 
 def test_pretrain_projected_mode_reaches_target():
-    spec = ArchitectureSpec(kind="mlp", width=8, hidden_layers=2, output_bounding="shifted_sigmoid")
-    grid = reparam.coordinate_grid(16, 8)
+    spec = ArchitectureSpec(kind="mlp", width=8, hidden_layers=2)
+    design_map = DesignMap(spec, reparam.coordinate_grid(16, 8), projection=VolumeBudget(0.3))
     theta0 = reparam.init_params(spec, 16, 8, seed=11)
-    result = reparam.pretrain_uniform(spec, theta0, grid, 0.3)
+    result = reparam.pretrain_uniform(design_map, theta0, 0.3)
     assert result.converged
     assert result.mse < 1e-4
 
 
 def test_pretrain_sigmoid_mode_reaches_target():
     spec = ArchitectureSpec(kind="mlp", width=8, hidden_layers=2)
-    grid = reparam.coordinate_grid(16, 8)
+    design_map = DesignMap(spec, reparam.coordinate_grid(16, 8))
     theta0 = reparam.init_params(spec, 16, 8, seed=11)
-    result = reparam.pretrain_uniform(spec, theta0, grid, 0.6)
+    result = reparam.pretrain_uniform(design_map, theta0, 0.6)
     assert result.converged
     assert result.mse < 1e-4
+    assert np.sqrt(np.mean((design_map.forward(result.theta.values) - 0.6) ** 2)) < 1e-2
 
 
-def test_pretrain_warns_when_cap_insufficient():
+def test_pretrain_warns_when_cap_insufficient(monkeypatch):
+    monkeypatch.setattr(reparam, "PRETRAIN_ITERATION_CAP", 2)
     spec = ArchitectureSpec(kind="siren", width=8, hidden_layers=2)
-    grid = reparam.coordinate_grid(16, 8)
     theta0 = reparam.init_params(spec, 16, 8, seed=12)
     with pytest.warns(reparam.PretrainWarning):
-        result = reparam.pretrain_uniform(
-            spec, theta0, grid, 0.3, max_iters=2, iteration_cap=2
-        )
+        result = reparam.pretrain_uniform(DesignMap(spec, reparam.coordinate_grid(16, 8)), theta0, 0.3)
+    assert result.iterations == 2
     assert not result.converged
     assert result.mse > 0.0
 
 
 def test_fit_direct_is_exact():
     spec = ArchitectureSpec(kind="direct")
-    grid = reparam.coordinate_grid(8, 4)
+    design_map = DesignMap(spec, reparam.coordinate_grid(8, 4))
     target = np.random.default_rng(13).uniform(0, 1, 32)
-    fit = reparam.fit_to_density(spec, reparam.init_params(spec, 8, 4, seed=0), grid, target)
+    fit = reparam.fit_to_density(design_map, reparam.init_params(spec, 8, 4, seed=0), target)
     assert fit.mse == 0.0
     assert fit.iterations == 0
 
@@ -325,13 +305,12 @@ def test_fit_direct_is_exact():
 def test_fit_reduces_error_below_initial():
     spec = ArchitectureSpec(kind="siren", width=8, hidden_layers=2)
     grid = reparam.coordinate_grid(16, 8)
-    rng = np.random.default_rng(14)
+    design_map = DesignMap(spec, grid)
     target = np.clip(0.5 + 0.3 * np.sin(4 * grid.coords[:, 0]), 0, 1)
     theta0 = reparam.init_params(spec, 16, 8, seed=15)
-    initial = float(np.mean((reparam.forward(spec, theta0, grid) - target) ** 2))
-    fit = reparam.fit_to_density(spec, theta0, grid, target, iteration_cap=500)
+    initial = float(np.mean((design_map.forward(theta0.values) - target) ** 2))
+    fit = reparam.fit_to_density(design_map, theta0, target, iteration_cap=500)
     assert fit.mse < 0.1 * initial
-    del rng
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from topokit import pipeline, reparam, runner
 from topokit.optimizers import AdamConfig, MmaConfig
 from topokit.problems import make_problem
-from topokit.reparam import ArchitectureSpec
-from topokit.runner import DesignMap, run_optimization, threshold_and_rescale
+from topokit.reparam import ArchitectureSpec, DesignMap
+from topokit.runner import run_optimization, threshold_and_rescale
 
 
 @pytest.fixture(scope="module")
@@ -61,21 +61,26 @@ def test_mma_baseline_respects_volume_and_improves(small_problem):
 
 
 def test_mma_network_iterates_stay_in_theta_box(small_problem):
-    spec = ArchitectureSpec(kind="siren", width=6, hidden_layers=2)
-    result = run_optimization(
-        small_problem,
-        spec,
-        MmaConfig(move_limit=0.05, asyinit=0.2, theta_bound=1.5),
-        budget=15,
-        seed=1,
-    )
-    assert np.abs(result.theta.values).max() <= 1.5 + 1e-12
+    # Direct densities are not clipped by their mapping: the [0, 1] box is
+    # their only bound, so every iterate must stay inside it.
+    for spec, (lo, hi) in (
+        (ArchitectureSpec(kind="siren", width=6, hidden_layers=2), (-1.5, 1.5)),
+        (ArchitectureSpec(kind="direct"), (0.0, 1.0)),
+    ):
+        result = run_optimization(
+            small_problem,
+            spec,
+            MmaConfig(move_limit=0.2, asyinit=0.2, theta_bound=1.5),
+            budget=15,
+            seed=1,
+            theta0=np.linspace(-0.5, 1.5, 128) if spec.kind == "direct" else None,
+        )
+        assert result.theta.values.min() >= lo and result.theta.values.max() <= hi
+        assert all(design.min() >= 0.0 and design.max() <= 1.0 for design in result.trajectory.designs)
 
 
 def test_design_map_chains_filter_and_projection_vjps(small_problem):
-    spec = ArchitectureSpec(
-        kind="siren", width=6, hidden_layers=2, output_bounding="shifted_sigmoid"
-    )
+    spec = ArchitectureSpec(kind="siren", width=6, hidden_layers=2)
     grid = reparam.coordinate_grid(16, 8)
     filt = pipeline.build_filter(16, 8, 1.6)
     dm = DesignMap(spec, grid, filt, pipeline.VolumeBudget(0.4))
