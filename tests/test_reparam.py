@@ -83,10 +83,25 @@ def test_cnn_upsample_mismatch_rejected():
 def test_direct_forward_is_the_identity():
     grid = reparam.coordinate_grid(4, 2)
     theta = np.array([0.0, 0.1, 0.3, 0.7, 1.0, 0.5, 0.2, 0.9])
-    out, vjp_fun = reparam.forward_with_vjp(ArchitectureSpec(kind="direct"), theta, grid)
+    out, _ = reparam.forward_with_vjp(ArchitectureSpec(kind="direct"), theta, grid)
     assert np.array_equal(out, theta) and out is not theta
+
+
+def test_direct_vjp_is_the_identity():
+    grid = reparam.coordinate_grid(4, 2)
+    theta = np.array([0.0, 0.1, 0.3, 0.7, 1.0, 0.5, 0.2, 0.9])
     w = np.arange(8.0)
-    assert np.array_equal(vjp_fun(w), w)
+    assert np.array_equal(reparam.vjp(ArchitectureSpec(kind="direct"), theta, grid, w), w)
+
+
+def test_sigmoid_bounded_output_strictly_inside_unit_interval():
+    grid = reparam.coordinate_grid(16, 8)
+    for spec in all_specs(small_grid=True):
+        if spec.kind == "direct":
+            continue
+        theta = reparam.init_params(spec, 16, 8, seed=2)
+        out = DesignMap(spec, grid).forward(theta.values)
+        assert out.min() > 0.0 and out.max() < 1.0
 
 
 def test_forward_deterministic_and_pure():
@@ -114,6 +129,11 @@ def test_vjp_matches_directional_finite_differences(kind):
         ),
     }[kind]
     check_vjp(spec, nx=nx, ny=ny, trials=5, seed=11)
+
+
+def test_vjp_raw_output_mode():
+    spec = ArchitectureSpec(kind="siren", width=8, hidden_layers=2)
+    check_vjp(spec, nx=16, ny=8, trials=5, seed=12)
 
 
 def test_vjp_of_zero_cotangent_is_zero():
