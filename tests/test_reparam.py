@@ -253,6 +253,174 @@ def test_feature_major_networks_match_sample_major_reference(kind, nx, ny):
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
 
+def allocating_mlp(spec, params, grid, d_raw):
+    """Reference feature-major MLP with fresh arrays per layer: raw output and grads.
+
+    Leaky-ReLU is ``np.maximum`` forward and ``np.where`` backward, and the
+    first layer's input gradient is computed; shares nothing with ``reparam``
+    but the constants.
+    """
+    z, tape = grid.coords.T, []
+    for i in range(spec.hidden_layers):
+        scale, shift = params[f"bn_scale{i}"], params[f"bn_shift{i}"]
+        act = params[f"w{i}"] @ z + params[f"b{i}"][:, None]
+        xhat = act - act.mean(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(np.mean(xhat * xhat, axis=1) + reparam.NORM_EPS)
+        xhat *= inv_std[:, None]
+        pre = scale[:, None] * xhat + shift[:, None]
+        tape.append((z, xhat, inv_std, pre))
+        z = np.maximum(pre, reparam.LEAKY_SLOPE * pre)
+    raw = (params["w_out"] @ z + params["b_out"][:, None]).ravel()
+    g_out = d_raw.reshape(1, -1)
+    grads = {"w_out": g_out @ z.T, "b_out": g_out.sum(axis=1)}
+    gz = params["w_out"].T * g_out
+    for i in reversed(range(spec.hidden_layers)):
+        z_in, xhat, inv_std, pre = tape[i]
+        ga = np.where(pre > 0.0, gz, reparam.LEAKY_SLOPE * gz)
+        g_scale = (ga * xhat).sum(axis=1)
+        g_shift = ga.sum(axis=1)
+        grads[f"bn_scale{i}"], grads[f"bn_shift{i}"] = g_scale, g_shift
+        da = ga - (g_shift / grid.size)[:, None] - xhat * (g_scale / grid.size)[:, None]
+        da *= (params[f"bn_scale{i}"] * inv_std)[:, None]
+        grads[f"w{i}"] = da @ z_in.T
+        grads[f"b{i}"] = da.sum(axis=1)
+        gz = params[f"w{i}"].T @ da
+    return raw, grads
+
+
+def allocating_siren(spec, params, grid, d_raw):
+    """Reference feature-major SIREN with fresh arrays per layer: raw output and grads."""
+    z, tape = grid.coords.T, []
+    for i in range(spec.hidden_layers):
+        freq = spec.omega0 if i == 0 else 1.0
+        phase = freq * (params[f"w{i}"] @ z + params[f"b{i}"][:, None])
+        tape.append((z, phase, freq))
+        z = np.sin(phase)
+    raw = (params["w_out"] @ z + params["b_out"][:, None]).ravel()
+    g_out = d_raw.reshape(1, -1)
+    grads = {"w_out": g_out @ z.T, "b_out": g_out.sum(axis=1)}
+    gz = params["w_out"].T * g_out
+    for i in reversed(range(spec.hidden_layers)):
+        z_in, phase, freq = tape[i]
+        dpre = gz * freq * np.cos(phase)
+        grads[f"w{i}"] = dpre @ z_in.T
+        grads[f"b{i}"] = dpre.sum(axis=1)
+        gz = params[f"w{i}"].T @ dpre
+    return raw, grads
+
+
+def with_zero_preactivations(spec, theta, layout):
+    """Give one neuron per hidden layer pre-activations of exactly +0 and -0."""
+    params = {name: segment.copy() for name, segment in reparam.unpack(theta, layout).items()}
+    for i in range(spec.hidden_layers):
+        if spec.kind == "mlp":
+            # 0 * xhat is +0 or -0 by the sign of xhat, and -0 keeps it
+            params[f"bn_scale{i}"][0], params[f"bn_shift{i}"][0] = 0.0, -0.0
+        else:
+            params[f"w{i}"][0], params[f"b{i}"][0] = 0.0, -0.0
+    return reparam.pack(params, layout)
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 32), (7, 3)])
+@pytest.mark.parametrize("kind", ["mlp", "siren"])
+def test_workspace_networks_are_bit_equal_to_allocating_reference(kind, nx, ny):
+    spec = ArchitectureSpec(kind=kind, width=20)
+    reference = {"mlp": allocating_mlp, "siren": allocating_siren}[kind]
+    grid = reparam.coordinate_grid(nx, ny)
+    layout = reparam.param_layout(spec, nx, ny)
+    rng = np.random.default_rng(19)
+    for seed in range(4):
+        theta = reparam.init_params(spec, nx, ny, seed=seed).values
+        theta = theta + 0.3 * rng.standard_normal(theta.size)
+        if seed % 2:
+            theta = with_zero_preactivations(spec, theta, layout)
+        raw, vjp_fun = reparam.forward_with_vjp(spec, theta, grid)
+        for d_raw in (rng.standard_normal(grid.size), np.full(grid.size, -0.5)):
+            ref_raw, ref_grads = reference(spec, reparam.unpack(theta, layout), grid, d_raw)
+            assert raw.tobytes() == ref_raw.tobytes()
+            assert vjp_fun(d_raw).tobytes() == reparam.pack(ref_grads, layout).tobytes()
+        assert np.array_equal(reparam.forward(spec, theta, grid), raw)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "siren"])
+def test_stale_vjp_closure_raises(kind):
+    spec = ArchitectureSpec(kind=kind, width=6, hidden_layers=2)
+    grid = reparam.coordinate_grid(8, 4)
+    theta = reparam.init_params(spec, 8, 4, seed=20).values
+    w = np.ones(grid.size)
+    _, first = reparam.forward_with_vjp(spec, theta, grid)
+    expected = first(w)
+    reparam.forward(spec, 2.0 * theta, grid)  # a private workspace: first stays valid
+    assert np.array_equal(first(w), expected)
+    _, second = reparam.forward_with_vjp(spec, 2.0 * theta, grid)
+    with pytest.raises(RuntimeError, match="stale"):
+        first(w)
+    assert not np.array_equal(second(w), expected)
+
+
+def test_maps_sharing_a_workspace_match_fresh_maps():
+    spec = ArchitectureSpec(kind="mlp", width=8, hidden_layers=3)
+    grid = reparam.coordinate_grid(16, 8)
+    filter_op = tk.pipeline.build_filter(16, 8, 1.5)
+    maps = {"pretrain": (None, None), "filtered": (filter_op, None)}
+    rng = np.random.default_rng(21)
+    theta0 = reparam.init_params(spec, 16, 8, seed=21).values
+    steps = [
+        (name, theta0 + 0.2 * rng.standard_normal(theta0.size), rng.standard_normal((2, grid.size)))
+        for _ in range(3)
+        for name in maps
+    ]
+
+    def evaluate(design_map, theta, cotangents):
+        rho, vjp_fun = design_map.forward_with_vjp(theta)
+        return [rho] + [vjp_fun(w) for w in cotangents]
+
+    shared = {name: DesignMap(spec, grid, *maps[name]) for name in maps}
+    alternating = [evaluate(shared[name], theta, w) for name, theta, w in steps]
+    for (name, theta, w), got in zip(steps, alternating):
+        reparam._shared_workspace.cache_clear()
+        expected = evaluate(DesignMap(spec, grid, *maps[name]), theta, w)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mlp", "siren", "cnn"])
+def test_nonfinite_parameter_names_its_layer(kind):
+    spec = ArchitectureSpec(kind=kind, width=6, hidden_layers=3, cnn_upsample=(2, 2))
+    grid = reparam.coordinate_grid(8, 4)
+    theta = reparam.init_params(spec, 8, 4, seed=22)
+    for name, _ in theta.layout:
+        digits = name[len(name.rstrip("0123456789")):]
+        if not digits:
+            continue
+        for bad in (np.inf, -np.inf, np.nan):
+            values = theta.values.copy()
+            segment = reparam.unpack(values, theta.layout)[name]
+            segment.flat[-1] = bad
+            with pytest.raises(NumericError, match=rf"{name!r} of the {kind} hidden layer {digits}$"):
+                reparam.forward_with_vjp(spec, values, grid)
+    values = theta.values.copy()
+    values[-1] = np.inf
+    last = "offset1" if kind == "cnn" else "b_out"
+    owner = "cnn hidden layer 1" if kind == "cnn" else f"{kind} output layer"
+    with pytest.raises(NumericError, match=rf"{last!r} of the {owner}$"):
+        reparam.forward(spec, values, grid)
+
+
+def test_finite_activations_with_overflowing_sum_do_not_raise():
+    spec = ArchitectureSpec(kind="mlp", width=20, hidden_layers=2)
+    grid = reparam.coordinate_grid(16, 8)
+    theta = reparam.init_params(spec, 16, 8, seed=23)
+    segments = reparam.unpack(theta.values.copy(), theta.layout)
+    # the last hidden layer emits about 1e307 for all 20 x 128 activations,
+    # whose sum exceeds the largest double; the output layer scales them back
+    segments["bn_shift1"][:] = 1e307
+    segments["w_out"] *= 1e-10
+    values = reparam.pack(segments, theta.layout)
+    raw, _ = reparam.forward_with_vjp(spec, values, grid)
+    assert np.all(np.isfinite(raw)) and np.abs(raw).max() > 1e290
+
+
 def test_batchnorm_standardizes_every_hidden_layer():
     spec = ArchitectureSpec(kind="mlp", width=20)
     grid = reparam.coordinate_grid(64, 32)
