@@ -504,12 +504,12 @@ def evaluate_objective(
     if physics.kind == "mechanism":
         if domain.output_vector is None:
             raise ValueError("mechanism problems require an output vector")
-        value = float(domain.output_vector @ u)
+        value = float(np.einsum("i,i->", domain.output_vector, u))
         lam = solver.solve(-domain.output_vector)
         lam_e = lam[edof]
         grad = dmod * np.einsum("ei,ij,ej->e", lam_e, ke, u_e)
     else:
-        value = float(domain.load @ u)
+        value = float(np.einsum("i,i->", domain.load, u))
         grad = -dmod * np.einsum("ei,ij,ej->e", u_e, ke, u_e)
 
     if domain.passive_solid.size:

@@ -13,7 +13,9 @@ products are m-by-n with m of 1 to 3, too thin for BLAS to gain anything,
 and at n of 10k and more OpenBLAS hands them to its worker threads. On a
 2-core VM, the first MMA step on 12 800 direct densities took 0.87 s in
 1 of 12 fresh processes with BLAS products (42-67 ms in the other 11);
-without them it took 23-36 ms in all 12.
+without them it took 23-36 ms in all 12. Adam's global-norm clip and the
+trajectory's gradient norms and angles reduce without BLAS for the same
+reason.
 
 Adam is the standard bias-corrected variant, preceded by global-norm
 gradient clipping.
@@ -338,8 +340,13 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), t=0)
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector without BLAS."""
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
+
+
 def clip_by_global_norm(grad: np.ndarray, threshold: float) -> np.ndarray:
-    norm = float(np.linalg.norm(grad))
+    norm = _norm(grad)
     if np.isfinite(threshold) and norm > threshold:
         return grad * (threshold / norm)
     return grad
@@ -366,11 +373,11 @@ FEASIBLE_TOL = 1e-6
 
 def gradient_angle(current: np.ndarray, previous: np.ndarray) -> float:
     """Angle in [0, pi] between successive gradients; NaN if either is zero."""
-    norm_c = np.linalg.norm(current)
-    norm_p = np.linalg.norm(previous)
+    norm_c = _norm(current)
+    norm_p = _norm(previous)
     if norm_c == 0.0 or norm_p == 0.0:
         return float("nan")
-    cosine = float(current @ previous) / (norm_c * norm_p)
+    cosine = float(np.einsum("i,i->", current, previous)) / (norm_c * norm_p)
     return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
 
 
@@ -405,7 +412,7 @@ class Trajectory:
         self.objective.append(float(objective))
         self.volume.append(float(volume))
         self.constraint_violation.append(float(violation))
-        self.grad_norm.append(float(np.linalg.norm(gradient)))
+        self.grad_norm.append(_norm(gradient))
         self.grad_angle.append(angle)
         self.gradients.append(gradient)
         design = np.asarray(design, dtype=float).copy()

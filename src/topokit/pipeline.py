@@ -176,7 +176,7 @@ def shifted_sigmoid_vjp(
     rho = expit(raw + shift)
     ds = rho * (1.0 - rho)
     total = ds.sum()
-    return w * ds - ds * (w @ ds) / total
+    return w * ds - ds * np.einsum("i,i->", w, ds) / total
 
 
 def threshold_count(n: int, target: float) -> int:

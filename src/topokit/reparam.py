@@ -728,7 +728,7 @@ class PretrainWarning(UserWarning):
 def _mse_and_grad(design_map: DesignMap, theta_values, target):
     rho, vjp_fun = design_map.forward_with_vjp(theta_values)
     err = rho - target
-    mse = float(err @ err) / err.size
+    mse = float(np.einsum("i,i->", err, err)) / err.size
     grad = vjp_fun(2.0 * err / err.size)
     return mse, grad
 
