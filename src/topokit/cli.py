@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, io, presets, reparam
+from . import __version__, analysis, io, pipeline, presets, reparam
 from .problems import ProblemSpec, TwoBarProblem
 from .runner import run_optimization, threshold_and_rescale
 
@@ -63,6 +64,27 @@ def _outdir(args) -> Path:
     return out
 
 
+def _check_projection(problem, optimizer_cfg: dict) -> None:
+    """Adam runs a grid problem through the exact-volume projection."""
+    if optimizer_cfg.get("kind") == "adam" and isinstance(problem, ProblemSpec):
+        pipeline.check_projection_target(problem.volume_target)
+
+
+def _check_random_range(name: str, bounds) -> None:
+    """A random-mode range: finite numbers ``low`` < ``high``, ``low`` > 0 if ``log``."""
+    if not isinstance(bounds, dict):
+        raise ValueError(f"search range {name!r} must be an object with 'low' and 'high'")
+    presets._reject_unknown_keys(bounds, {"low", "high", "log"}, f"search range {name!r}")
+    for key in ("low", "high"):
+        value = bounds.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"search range {name!r} needs a finite number {key!r}, got {value!r}")
+    if not bounds["low"] < bounds["high"]:
+        raise ValueError(f"search range {name!r} needs 'low' < 'high'")
+    if bounds.get("log", False) and not bounds["low"] > 0:
+        raise ValueError(f"search range {name!r} is log-scaled and needs 'low' > 0")
+
+
 def _manifest_skeleton(command: str, cfg: dict) -> dict:
     return {"command": command, "config": cfg, "version": __version__}
 
@@ -74,6 +96,7 @@ def cmd_optimize(args) -> int:
         problem = presets.problem_from_config(cfg["problem"])
         spec = presets.spec_from_config(cfg.get("reparam", {"kind": "direct"}))
         optimizer = presets.optimizer_from_config(cfg["optimizer"])
+        _check_projection(problem, cfg["optimizer"])
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -319,19 +342,31 @@ def cmd_search(args) -> int:
         presets._reject_unknown_keys(search, _SEARCH_SECTION_KEYS, "search section")
         problem = presets.problem_from_config(base["problem"])
         spec = presets.spec_from_config(base.get("reparam", {"kind": "direct"}))
+        _check_projection(problem, base["optimizer"])
+        if not isinstance(search.get("parameters"), dict):
+            raise ValueError("the search section needs a 'parameters' object")
+        mode = search.get("mode", "grid")
+        if mode == "grid":
+            for name, values in search["parameters"].items():
+                if not isinstance(values, list) or not values:
+                    raise ValueError(f"grid parameter {name!r} needs a non-empty list of values")
+        elif mode == "random":
+            for name, bounds in search["parameters"].items():
+                _check_random_range(name, bounds)
+        else:
+            raise ValueError(f"unknown search mode {mode!r}")
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _outdir(args)
     budget = int(search.get("budget", 60))
     seed = int(cfg.get("seed", base.get("seed", 0)))
-    mode = search.get("mode", "grid")
     names = sorted(search["parameters"])
 
     if mode == "grid":
         grids = [search["parameters"][n] for n in names]
         combos = [dict(zip(names, values)) for values in itertools.product(*grids)]
-    elif mode == "random":
+    else:
         trials = int(search.get("trials", 10))
         if trials < 1:
             print("error: need at least one trial", file=sys.stderr)
@@ -348,9 +383,6 @@ def cmd_search(args) -> int:
                 else:
                     combo[name] = float(rng.uniform(low, high))
             combos.append(combo)
-    else:
-        print(f"error: unknown search mode {mode!r}", file=sys.stderr)
-        return 2
 
     rows = []
     best_value, best_combo = np.inf, None

@@ -123,6 +123,16 @@ def build_filter(nx: int, ny: int, rmin: float) -> FilterOperator:
     return FilterOperator(kernel=kernel, row_sums=row_sums)
 
 
+def check_projection_target(target: float) -> None:
+    """The exact-volume projection needs a target strictly inside (0, 1).
+
+    Its densities are sigmoids, which average to 1 only at an infinite
+    shift, so it is stricter than :class:`VolumeBudget`, which admits 1.
+    """
+    if not 0.0 < target < 1.0:
+        raise ValueError("volume target must lie strictly in (0, 1) for projection")
+
+
 def find_volume_shift(raw: np.ndarray, target: float) -> float:
     """Bisection for b such that mean(sigmoid(raw + b)) equals the target.
 
@@ -133,8 +143,7 @@ def find_volume_shift(raw: np.ndarray, target: float) -> float:
     raw = np.asarray(raw, dtype=float).ravel()
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw field must be finite")
-    if not 0.0 < target < 1.0:
-        raise ValueError("volume target must lie strictly in (0, 1) for projection")
+    check_projection_target(target)
     lo = -float(raw.max()) - 40.0
     hi = -float(raw.min()) + 40.0
     if expit(raw + lo).mean() > target or expit(raw + hi).mean() < target:

@@ -426,6 +426,111 @@ def test_cli_optimize_rejects_volume_target_outside_unit_interval_before_pretrai
         assert not out.exists()
 
 
+_TWOBAR_SEARCH_BASE = {
+    "problem": {"name": "twobar"},
+    "reparam": {"kind": "direct"},
+    "optimizer": {"kind": "mma", "move_limit": 2.0, "asyinit": 0.1},
+}
+
+
+@pytest.mark.parametrize(
+    "search, key",
+    [
+        ({"mode": "random", "trials": 2}, "parameters"),
+        ({"mode": "random", "parameters": {"move_limit": {"lo": 0.5, "high": 2.0}}}, "lo"),
+        ({"mode": "random", "parameters": {"move_limit": {"low": 0.5}}}, "high"),
+        ({"mode": "random", "parameters": {"move_limit": {"low": "0.5", "high": 2.0}}}, "low"),
+        ({"mode": "random", "parameters": {"move_limit": {"low": 2.0, "high": 2.0}}}, "low"),
+        (
+            {"mode": "random", "parameters": {"move_limit": {"low": 0.0, "high": 2.0, "log": True}}},
+            "low",
+        ),
+        ({"mode": "grid", "parameters": {"move_limit": 2.0}}, "move_limit"),
+        ({"mode": "grid", "parameters": {"move_limit": []}}, "move_limit"),
+        ({"mode": "sweep", "parameters": {"move_limit": [2.0]}}, "sweep"),
+    ],
+    ids=[
+        "no-parameters",
+        "misspelt-low",
+        "missing-high",
+        "non-numeric",
+        "empty-range",
+        "log-at-zero",
+        "grid-scalar",
+        "grid-empty",
+        "unknown-mode",
+    ],
+)
+def test_cli_search_validates_ranges_before_any_trial(
+    tmp_path, capsys, monkeypatch, search, key
+):
+    # A misspelt range key, a missing parameters section or a grid value
+    # that is not a list used to die in a traceback with no manifest.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a trial ran before the config was validated")
+
+    monkeypatch.setattr(cli, "run_optimization", no_run)
+    _rejected(tmp_path, capsys, "search", {"base": _TWOBAR_SEARCH_BASE, "search": search}, key)
+
+
+def _adam_at_full_volume():
+    return {
+        "problem": {"name": "michell", "nx": 16, "ny": 8, "v0": 1.0},
+        "reparam": {"kind": "mlp", "width": 4, "hidden_layers": 1},
+        "optimizer": {"kind": "adam", "learning_rate": 0.01},
+    }
+
+
+def test_cli_optimize_rejects_adam_at_full_volume_before_pretraining(
+    tmp_path, capsys, monkeypatch
+):
+    # The exact-volume projection of the Adam pipeline needs v0 < 1; v0 = 1
+    # used to fail in pretraining with a traceback and exit 1.
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before the config was validated")
+
+    monkeypatch.setattr(reparam, "pretrain_uniform", no_pretraining)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_adam_at_full_volume(), "budget": 1}))
+    out = tmp_path / "o"
+    assert run_cli("optimize", "--config", str(cfg_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: volume target must lie strictly in (0, 1) for projection\n"
+    assert not out.exists()
+
+
+def test_cli_optimize_accepts_mma_at_full_volume(tmp_path):
+    cfg = {
+        **_adam_at_full_volume(),
+        "optimizer": {"kind": "mma", "move_limit": 0.1, "asyinit": 0.2},
+        "budget": 1,
+        "pretrain": False,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("optimize", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 0
+
+
+def test_cli_search_rejects_adam_base_at_full_volume_before_any_trial(
+    tmp_path, capsys, monkeypatch
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a trial ran before the config was validated")
+
+    monkeypatch.setattr(cli, "run_optimization", no_run)
+    cfg = {
+        "base": _adam_at_full_volume(),
+        "search": {"mode": "grid", "parameters": {"learning_rate": [0.01]}, "budget": 1},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli("search", "--config", str(cfg_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: volume target must lie strictly in (0, 1) for projection\n"
+    assert not out.exists()
+
+
 def test_csv_table_quotes_only_cells_with_commas(tmp_path):
     path = tmp_path / "table.csv"
     rows = [[0, 0.1, "ok"], [1, float("inf"), "failed"]]
