@@ -23,20 +23,20 @@ along the contiguous axis. The CNN's bilinear upsampling of a (c, h, w)
 stack is two matrix products, ``ry @ t @ rx.T``, with the adjoint
 ``ry.T @ du @ rx``; the interpolation matrices are cached per size.
 
-The MLP and SIREN write their tapes into one workspace per network shape
-and grid size, cached like the interpolation matrices: every layer's
-activations go into preallocated (width, n) arrays through ``out=`` and
-in-place ufuncs, and the VJP alternates between two more. Allocating them
-per call cost about 5 MB of fresh arrays per forward at 64x32, which the
-allocator maps from and returns to the OS on every call: on a 2-core
-x86-64 machine the 210 Adam steps of one MLP pretraining took some 300k
-minor page faults and 0.8 s of system time in a fresh process, against
-under 1k faults and 0.01 s with the workspace. The Leaky-ReLU slope (1
-where the pre-activation is positive, LEAKY_SLOPE elsewhere) is kept on the
-tape, so the activation is ``pre * slope`` and its VJP ``g * slope``, bit
-for bit what ``np.maximum`` and ``np.where`` give. Every reduction keeps
-its operands and its order, so the workspace changes no bit of a field or
-gradient.
+The MLP and SIREN write their tapes into the workspace of their network
+shape and grid size, cached like the interpolation matrices but one at a
+time: every layer's activations go into preallocated (width, n) arrays
+through ``out=`` and in-place ufuncs, and the VJP alternates between two
+more. Allocating them per call cost about 5 MB of fresh arrays per forward
+at 64x32, which the allocator maps from and returns to the OS on every
+call: on a 2-core x86-64 machine the 210 Adam steps of one MLP pretraining
+took 96k to 313k minor page faults and 0.3 to 0.9 s of system time in a
+fresh process, against under 1k faults and 0.01 s with the workspace. The
+Leaky-ReLU slope (1 where the pre-activation is positive, LEAKY_SLOPE
+elsewhere) is kept on the tape, so the activation is ``pre*slope`` and its
+VJP ``g*slope``, bit for bit what ``np.maximum`` and ``np.where`` give.
+Every reduction keeps its operands and its order, so the workspace changes
+no bit of a field or gradient.
 
 Because the workspace is shared, a VJP closure from :func:`forward_with_vjp`
 is valid only until the next ``forward_with_vjp`` of the same network shape
@@ -310,8 +310,10 @@ class _Workspace:
         self.generation = 0
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _shared_workspace(kind: str, hidden_layers: int, width: int, n: int) -> _Workspace:
+    # One at a time: runs and fits use one network shape on one grid, and a
+    # workspace reaches 1.7 GB for the widest sweep network at 320x160.
     return _Workspace(kind, hidden_layers, width, n)
 
 
