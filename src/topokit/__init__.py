@@ -29,11 +29,9 @@ from .reparam import (
     ParamVector,
     coordinate_grid,
     fit_to_density,
-    forward,
     init_params,
     param_count,
     pretrain_uniform,
-    vjp,
 )
 from .optimizers import (
     AdamConfig,

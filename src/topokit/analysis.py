@@ -43,10 +43,6 @@ class LandscapeResult:
         return np.array([s.objective for s in self.samples])
 
     @property
-    def alphas(self) -> np.ndarray:
-        return np.array([s.alpha for s in self.samples])
-
-    @property
     def n_violations(self) -> int:
         return sum(s.violation for s in self.samples)
 
@@ -66,8 +62,6 @@ def landscape_1d(
     problem: ProblemSpec,
     seed: int = 0,
     fit_kwargs: dict | None = None,
-    fit_warn_threshold: float = FIT_WARN_THRESHOLD,
-    violation_tol: float = VIOLATION_TOL,
 ) -> LandscapeResult:
     """Objective and constraint along the decision-space line between two
     density-space reference points.
@@ -89,7 +83,7 @@ def landscape_1d(
     fit2 = reparam.fit_to_density(design_map, theta0, rho2, **kwargs)
     warnings_list = []
     for label, fit in (("rho_ref_1", fit1), ("rho_ref_2", fit2)):
-        if fit.mse > fit_warn_threshold:
+        if fit.mse > FIT_WARN_THRESHOLD:
             warnings_list.append(f"fit of {label} reached MSE {fit.mse:.3e} above threshold")
 
     samples = []
@@ -103,7 +97,7 @@ def landscape_1d(
                 alpha=float(alpha),
                 objective=objective,
                 constraint=constraint,
-                violation=constraint > violation_tol,
+                violation=constraint > VIOLATION_TOL,
             )
         )
     return LandscapeResult(samples=samples, fit_mse=(fit1.mse, fit2.mse), warnings=warnings_list)

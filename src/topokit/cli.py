@@ -39,8 +39,9 @@ _FIT_KEYS = {
     "learning_rate", "iteration_cap", "plateau_iters", "plateau_rtol", "lr_decay", "min_learning_rate"
 }
 #: Keys of a ``search`` config, of its ``base`` run and of its ``search`` section.
+#: A trial's budget comes from the search section, and trials write no snapshots.
 _SEARCH_KEYS = {"base", "search", "seed"}
-_SEARCH_BASE_KEYS = {"problem", "reparam", "optimizer", "seed", "pretrain", "theta0"}
+_SEARCH_BASE_KEYS = _OPTIMIZE_KEYS - {"budget", "snapshot_every"}
 _SEARCH_SECTION_KEYS = {"mode", "parameters", "budget", "trials"}
 
 

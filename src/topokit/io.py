@@ -31,7 +31,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_field_csv(path, values: np.ndarray, nx: int, ny: int) -> None:
+def write_density_csv(path, values: np.ndarray, nx: int, ny: int) -> None:
     image = np.asarray(values, dtype=float).reshape(ny, nx)
     lines = [",".join(_fmt(v) for v in row) for row in image]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -43,13 +43,6 @@ def read_field_csv(path) -> DensityField:
         rows.append([float(tok) for tok in line.split(",")])
     image = np.asarray(rows, dtype=float)
     return DensityField.from_image(image)
-
-
-def write_density_csv(path, rho, nx: int | None = None, ny: int | None = None) -> None:
-    if isinstance(rho, DensityField):
-        write_field_csv(path, rho.values, rho.nx, rho.ny)
-    else:
-        write_field_csv(path, rho, nx, ny)
 
 
 def write_pgm(path, values: np.ndarray, nx: int, ny: int) -> None:

@@ -164,25 +164,18 @@ def shifted_sigmoid_project(raw: np.ndarray, budget: VolumeBudget) -> np.ndarray
     return expit(raw + shift)
 
 
-def shifted_sigmoid_vjp(
-    raw: np.ndarray,
-    budget: VolumeBudget,
-    w: np.ndarray,
-    shift: float | None = None,
-) -> np.ndarray:
-    """VJP of the projection, including the implicit shift sensitivity.
+def shifted_sigmoid_vjp(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """VJP of the projection at its output ``rho``, with the implicit shift sensitivity.
 
     With rho_i = s(raw_i + b(raw)) and the volume constraint pinning b, the
     implicit function theorem gives db/draw_j = -s'_j / sum_k s'_k, hence
-    (w^T drho/draw)_j = w_j s'_j - s'_j * sum_i(w_i s'_i) / sum_i s'_i.
+    (w^T drho/draw)_j = w_j s'_j - s'_j * sum_i(w_i s'_i) / sum_i s'_i,
+    where s'_i = rho_i (1 - rho_i).
     """
-    raw = np.asarray(raw, dtype=float).ravel()
+    rho = np.asarray(rho, dtype=float).ravel()
     w = np.asarray(w, dtype=float).ravel()
-    if w.size != raw.size:
+    if w.size != rho.size:
         raise ValueError("vector length mismatch")
-    if shift is None:
-        shift = find_volume_shift(raw, budget.target)
-    rho = expit(raw + shift)
     ds = rho * (1.0 - rho)
     total = ds.sum()
     return w * ds - ds * np.einsum("i,i->", w, ds) / total

@@ -38,12 +38,15 @@ VJP ``g*slope``, bit for bit what ``np.maximum`` and ``np.where`` give.
 Every reduction keeps its operands and its order, so the workspace changes
 no bit of a field or gradient.
 
-Because the workspace is shared, a VJP closure from :func:`forward_with_vjp`
-is valid only until the next ``forward_with_vjp`` of the same network shape
-on the same grid; called after that, it raises instead of differentiating
-the newer forward. The optimization loop takes every VJP of an evaluation
-before the next evaluation. :func:`forward` and :meth:`DesignMap.forward`
-run in a private workspace and leave closures valid.
+:func:`forward_with_vjp` is the one way from parameters to a field, and
+every forward of a coordinate network writes into that one cached
+workspace: :meth:`DesignMap.forward` is the densities of
+:meth:`DesignMap.forward_with_vjp`. Each network VJP returns the flat
+parameter gradient itself, written segment by segment into one array. A VJP
+closure is valid until the next forward of the same network shape on the
+same grid, :meth:`DesignMap.forward` included; called after that, it raises
+instead of differentiating the newer forward. The optimization loop takes
+every VJP of an evaluation before the next evaluation.
 """
 
 from __future__ import annotations
@@ -285,7 +288,7 @@ def _values(theta: ParamVector | np.ndarray) -> np.ndarray:
 
 
 def _direct_forward_vjp(spec, values, grid, ws):
-    return values.copy(), lambda d_raw: {"rho": d_raw}
+    return values.copy(), lambda d_raw: d_raw.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +320,9 @@ def _shared_workspace(kind: str, hidden_layers: int, width: int, n: int) -> _Wor
     return _Workspace(kind, hidden_layers, width, n)
 
 
-def _workspace(spec: ArchitectureSpec, grid: CoordinateGrid, shared: bool) -> _Workspace:
-    """The cached workspace of the spec's shape and grid, or a private one."""
-    key = (spec.kind, spec.hidden_layers, spec.width, grid.size)
-    ws = _shared_workspace(*key) if shared else _Workspace(*key)
+def _workspace(spec: ArchitectureSpec, grid: CoordinateGrid) -> _Workspace:
+    """The cached workspace of the spec's shape and grid, for one more forward."""
+    ws = _shared_workspace(spec.kind, spec.hidden_layers, spec.width, grid.size)
     ws.generation += 1
     return ws
 
@@ -365,7 +367,8 @@ def _mlp_hidden(spec, params, grid, ws):
 
 
 def _mlp_forward_vjp(spec, values, grid, ws):
-    params = unpack(values, param_layout(spec, grid.nx, grid.ny))
+    layout = param_layout(spec, grid.nx, grid.ny)
+    params = unpack(values, layout)
     tape, z = _mlp_hidden(spec, params, grid, ws)
     raw = (params["w_out"] @ z + params["b_out"][:, None]).ravel()
     _check_finite(raw, "mlp output layer")
@@ -373,10 +376,11 @@ def _mlp_forward_vjp(spec, values, grid, ws):
 
     def vjp_fun(d_raw):
         _check_current(ws, generation)
-        grads: dict[str, np.ndarray] = {}
-        g_out = np.asarray(d_raw, dtype=float).reshape(1, -1)
-        grads["w_out"] = g_out @ z.T
-        grads["b_out"] = g_out.sum(axis=1)
+        grad = np.empty(values.size)
+        grads = unpack(grad, layout)  # views that each segment's gradient fills
+        g_out = d_raw.reshape(1, -1)
+        grads["w_out"][...] = g_out @ z.T
+        grads["b_out"][...] = g_out.sum(axis=1)
         gz, scratch = ws.work
         np.multiply(params["w_out"].T, g_out, out=gz)
         for i in reversed(range(spec.hidden_layers)):
@@ -384,23 +388,24 @@ def _mlp_forward_vjp(spec, values, grid, ws):
             gz *= slope
             g_scale = np.multiply(gz, xhat, out=scratch).sum(axis=1)
             g_shift = gz.sum(axis=1)
-            grads[f"bn_scale{i}"] = g_scale
-            grads[f"bn_shift{i}"] = g_shift
+            grads[f"bn_scale{i}"][...] = g_scale
+            grads[f"bn_shift{i}"][...] = g_shift
             # backprop through batch statistics of the full grid
             gz -= (g_shift / grid.size)[:, None]
             gz -= np.multiply(xhat, (g_scale / grid.size)[:, None], out=scratch)
             gz *= (params[f"bn_scale{i}"] * inv_std)[:, None]
-            grads[f"w{i}"] = gz @ z_in.T
-            grads[f"b{i}"] = gz.sum(axis=1)
+            grads[f"w{i}"][...] = gz @ z_in.T
+            grads[f"b{i}"][...] = gz.sum(axis=1)
             if i:  # the input coordinates need no gradient
                 gz, scratch = np.matmul(params[f"w{i}"].T, gz, out=scratch), gz
-        return grads
+        return grad
 
     return raw, vjp_fun
 
 
 def _siren_forward_vjp(spec, values, grid, ws):
-    params = unpack(values, param_layout(spec, grid.nx, grid.ny))
+    layout = param_layout(spec, grid.nx, grid.ny)
+    params = unpack(values, layout)
     z = grid.coords.T
     tape = []
     for i in range(spec.hidden_layers):
@@ -419,21 +424,22 @@ def _siren_forward_vjp(spec, values, grid, ws):
 
     def vjp_fun(d_raw):
         _check_current(ws, generation)
-        grads: dict[str, np.ndarray] = {}
-        g_out = np.asarray(d_raw, dtype=float).reshape(1, -1)
-        grads["w_out"] = g_out @ z.T
-        grads["b_out"] = g_out.sum(axis=1)
+        grad = np.empty(values.size)
+        grads = unpack(grad, layout)  # views that each segment's gradient fills
+        g_out = d_raw.reshape(1, -1)
+        grads["w_out"][...] = g_out @ z.T
+        grads["b_out"][...] = g_out.sum(axis=1)
         gz, scratch = ws.work
         np.multiply(params["w_out"].T, g_out, out=gz)
         for i in reversed(range(spec.hidden_layers)):
             z_in, phase, freq = tape[i]
             gz *= freq
             gz *= np.cos(phase, out=scratch)
-            grads[f"w{i}"] = gz @ z_in.T
-            grads[f"b{i}"] = gz.sum(axis=1)
+            grads[f"w{i}"][...] = gz @ z_in.T
+            grads[f"b{i}"][...] = gz.sum(axis=1)
             if i:  # the input coordinates need no gradient
                 gz, scratch = np.matmul(params[f"w{i}"].T, gz, out=scratch), gz
-        return grads
+        return grad
 
     return raw, vjp_fun
 
@@ -519,23 +525,24 @@ def _cnn_forward_vjp(spec, values, grid, ws):
     raw = x[0].ravel()
 
     def vjp_fun(d_raw):
-        grads: dict[str, np.ndarray] = {}
-        gx = np.asarray(d_raw, dtype=float).reshape(1, grid.ny, grid.nx)
+        grad = np.empty(values.size)
+        grads = unpack(grad, layout)  # views that each segment's gradient fills
+        gx = d_raw.reshape(1, grid.ny, grid.nx)
         for l in reversed(range(len(spec.cnn_upsample))):
             t, v, inv_std, conv_w = tape[l]
-            grads[f"offset{l}"] = gx.copy()
+            grads[f"offset{l}"][...] = gx
             dv, dw, db = _conv3x3_backward(gx, v, conv_w)
-            grads[f"conv_w{l}"] = dw
-            grads[f"conv_b{l}"] = db
+            grads[f"conv_w{l}"][...] = dw
+            grads[f"conv_b{l}"][...] = db
             # backprop through whole-image normalization
             du = inv_std * (dv - dv.mean() - v * (dv * v).mean())
             dt = _upsample_adjoint(du, spec.cnn_upsample[l])
             gx = dt * (1.0 - t**2)
         dd = gx.ravel()
-        grads["dense_w"] = np.outer(dd, params["z"])
-        grads["dense_b"] = dd
-        grads["z"] = params["dense_w"].T @ dd
-        return grads
+        grads["dense_w"][...] = np.outer(dd, params["z"])
+        grads["dense_b"][...] = dd
+        grads["z"][...] = params["dense_w"].T @ dd
+        return grad
 
     return raw, vjp_fun
 
@@ -553,7 +560,7 @@ def batchnorm_standardized_stats(
     if spec.kind != "mlp":
         raise ValueError("batch statistics exist only for the mlp kind")
     params = unpack(_values(theta), param_layout(spec, grid.nx, grid.ny))
-    tape, _ = _mlp_hidden(spec, params, grid, _workspace(spec, grid, shared=False))
+    tape, _ = _mlp_hidden(spec, params, grid, _workspace(spec, grid))
     return [(xhat.mean(axis=1), xhat.var(axis=1)) for _, xhat, _, _ in tape]
 
 
@@ -581,8 +588,19 @@ def _segment_owner(kind: str, name: str) -> str:
     return f"{kind} hidden layer {name[len(name.rstrip('0123456789')):]}"
 
 
-def _evaluate(spec, theta, grid, shared: bool):
-    """Validated forward of the spec's mapping; returns (raw field, segment-dict vjp)."""
+def forward_with_vjp(
+    spec: ArchitectureSpec,
+    theta: ParamVector | np.ndarray,
+    grid: CoordinateGrid,
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Evaluate the mapping's raw field and return (field, vjp) sharing one tape.
+
+    The field is unbounded; :class:`DesignMap` bounds it. The vjp closure
+    maps a flat float cotangent on the field to the flat gradient w.r.t. the
+    parameters. A coordinate network's tape lives in the workspace of its
+    shape and grid, so the closure raises once a later forward has
+    overwritten it.
+    """
     values = _values(theta)
     layout = param_layout(spec, grid.nx, grid.ny)
     expected = layout_size(layout)
@@ -595,54 +613,8 @@ def _evaluate(spec, theta, grid, shared: bool):
         raise NumericError(
             f"non-finite parameter in segment {name!r} of the {_segment_owner(spec.kind, name)}"
         )
-    ws = _workspace(spec, grid, shared) if spec.kind in ("mlp", "siren") else None
+    ws = _workspace(spec, grid) if spec.kind in ("mlp", "siren") else None
     return _FORWARD_VJP[spec.kind](spec, values, grid, ws)
-
-
-def forward_with_vjp(
-    spec: ArchitectureSpec,
-    theta: ParamVector | np.ndarray,
-    grid: CoordinateGrid,
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Evaluate the mapping's raw field and return (field, vjp) sharing one tape.
-
-    The field is unbounded; :class:`DesignMap` bounds it. The vjp closure
-    maps a cotangent on the field to a flat gradient w.r.t. the parameters.
-    A coordinate network's tape lives in the workspace of its shape and
-    grid, so the closure raises once a later call has overwritten it.
-    """
-    raw, net_vjp = _evaluate(spec, theta, grid, shared=True)
-    layout = param_layout(spec, grid.nx, grid.ny)
-
-    def vjp_fun(w):
-        return pack(net_vjp(np.asarray(w, dtype=float).ravel()), layout)
-
-    return raw, vjp_fun
-
-
-def forward(
-    spec: ArchitectureSpec, theta: ParamVector | np.ndarray, grid: CoordinateGrid
-) -> np.ndarray:
-    """Map decision variables to the mapping's raw field.
-
-    Runs in a private workspace, so it leaves every VJP closure valid.
-    """
-    raw, _ = _evaluate(spec, theta, grid, shared=False)
-    return raw
-
-
-def vjp(
-    spec: ArchitectureSpec,
-    theta: ParamVector | np.ndarray,
-    grid: CoordinateGrid,
-    w: np.ndarray,
-) -> np.ndarray:
-    """w^T (d raw field / d theta) by reverse-mode accumulation."""
-    w = np.asarray(w, dtype=float).ravel()
-    if not np.all(np.isfinite(w)):
-        raise ValueError("cotangent vector must be finite")
-    _, vjp_fun = forward_with_vjp(spec, theta, grid)
-    return vjp_fun(w)
 
 
 class DesignMap:
@@ -668,33 +640,33 @@ class DesignMap:
         self.sigmoid = projection is None and spec.kind != "direct"
 
     def forward_with_vjp(self, theta_values: np.ndarray):
-        return self._bound(*forward_with_vjp(self.spec, theta_values, self.grid))
-
-    def forward(self, theta_values: np.ndarray) -> np.ndarray:
-        """The densities alone; leaves every VJP closure valid."""
-        rho, _ = self._bound(forward(self.spec, theta_values, self.grid), None)
-        return rho
-
-    def _bound(self, field, net_vjp):
+        """The densities and their VJP closure, valid until the next forward
+        of the same network shape and grid."""
+        field, net_vjp = forward_with_vjp(self.spec, theta_values, self.grid)
         if self.sigmoid:
             field = bounded = expit(field)
         if self.filter_op is not None:
             field = self.filter_op.apply(field)
         rho = field
         if self.projection is not None:
-            shift = pipeline.find_volume_shift(field, self.projection.target)
-            rho = expit(field + shift)
+            rho = pipeline.shifted_sigmoid_project(field, self.projection)
 
         def vjp_fun(w):
+            w = np.asarray(w, dtype=float).ravel()
             if self.projection is not None:
-                w = pipeline.shifted_sigmoid_vjp(field, self.projection, w, shift=shift)
+                w = pipeline.shifted_sigmoid_vjp(rho, w)
             if self.filter_op is not None:
                 w = self.filter_op.vjp(w)
             if self.sigmoid:
-                w = np.asarray(w, dtype=float).ravel() * bounded * (1.0 - bounded)
+                w = w * bounded * (1.0 - bounded)
             return net_vjp(w)
 
         return rho, vjp_fun
+
+    def forward(self, theta_values: np.ndarray) -> np.ndarray:
+        """The densities of :meth:`forward_with_vjp`."""
+        rho, _ = self.forward_with_vjp(theta_values)
+        return rho
 
 
 # ---------------------------------------------------------------------------

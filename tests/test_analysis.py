@@ -144,6 +144,31 @@ def test_expressivity_reports_worst_case_across_targets():
         assert worst == pytest.approx(min(scores), rel=1e-9)
 
 
+def test_analysis_tools_build_one_network_workspace(monkeypatch, small_problem):
+    """Fits, slice forwards and scoring forwards all share one tape workspace."""
+    built = []
+
+    class CountingWorkspace(reparam._Workspace):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(reparam, "_Workspace", CountingWorkspace)
+    spec = ArchitectureSpec(kind="mlp", width=4, hidden_layers=1)
+    rng = np.random.default_rng(5)
+    targets = [DensityField(rng.uniform(0, 1, 128), 16, 8) for _ in range(2)]
+    fit = {"iteration_cap": 5}
+
+    reparam._shared_workspace.cache_clear()
+    analysis.expressivity_study([spec], targets, fit_kwargs=fit)
+    assert len(built) == 1
+
+    built.clear()
+    reparam._shared_workspace.cache_clear()
+    analysis.landscape_1d(spec, targets[0].values, targets[1].values, 5, small_problem, fit_kwargs=fit)
+    assert len(built) == 1
+
+
 def test_performance_profile_single_solver():
     table = MetricTable(values=np.array([[3.0, 5.0, 1.0]]), solvers=("s",), cases=("a", "b", "c"))
     curves = performance_profile(table, np.array([1.0, 2.0, 10.0]))

@@ -20,7 +20,7 @@ def test_density_csv_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.uniform(0, 1, 24)
     path = tmp_path / "field.csv"
-    io.write_field_csv(path, values, 6, 4)
+    io.write_density_csv(path, values, 6, 4)
     back = io.read_field_csv(path)
     assert (back.nx, back.ny) == (6, 4)
     assert np.array_equal(back.values, values)
@@ -29,7 +29,7 @@ def test_density_csv_roundtrip_exact(tmp_path):
 def test_csv_layout_is_row_major_top_first(tmp_path):
     values = np.arange(6, dtype=float) / 10.0
     path = tmp_path / "field.csv"
-    io.write_field_csv(path, values, 3, 2)
+    io.write_density_csv(path, values, 3, 2)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
     assert [float(v) for v in lines[0].split(",")] == [0.0, 0.1, 0.2]
@@ -240,7 +240,7 @@ def test_cli_runs_with_identical_configs_are_bit_identical(tmp_path):
 
 def test_cli_landscape_flat_for_identical_references(tmp_path):
     ref = tmp_path / "ref.csv"
-    io.write_field_csv(ref, np.full(128, 0.5), 16, 8)
+    io.write_density_csv(ref, np.full(128, 0.5), 16, 8)
     cfg = {
         "problem": {"name": "mbb", "nx": 16, "ny": 8, "v0": 0.5},
         "reparams": [{"kind": "direct"}],
@@ -392,7 +392,7 @@ def test_cli_expressivity_rejects_unknown_config_keys_before_any_fit(
 
     monkeypatch.setattr(reparam, "fit_to_density", no_fit)
     target = tmp_path / "target.csv"
-    io.write_field_csv(target, np.full(128, 0.5), 16, 8)
+    io.write_density_csv(target, np.full(128, 0.5), 16, 8)
     cfg = {"targets": [str(target)], "architectures": [{"kind": "mlp", "width": 4}]}
     for extra, key in (
         ({"repeat": 2}, "repeat"),
@@ -544,7 +544,7 @@ def test_csv_table_quotes_only_cells_with_commas(tmp_path):
 def test_cli_threshold_command(tmp_path):
     rng = np.random.default_rng(3)
     design = tmp_path / "design.csv"
-    io.write_field_csv(design, rng.uniform(0, 1, 128), 16, 8)
+    io.write_density_csv(design, rng.uniform(0, 1, 128), 16, 8)
     out = tmp_path / "thr"
     assert (
         run_cli(

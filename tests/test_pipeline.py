@@ -147,7 +147,7 @@ def test_projection_vjp_matches_finite_differences():
     budget = VolumeBudget(0.35)
     w = rng.standard_normal(64)
     delta = rng.standard_normal(64)
-    grad = pipeline.shifted_sigmoid_vjp(raw, budget, w)
+    grad = pipeline.shifted_sigmoid_vjp(pipeline.shifted_sigmoid_project(raw, budget), w)
     eps = 1e-6
     fd = (
         pipeline.shifted_sigmoid_project(raw + eps * delta, budget) @ w

@@ -54,8 +54,8 @@ def check_vjp(spec, nx=64, ny=32, trials=20, seed=0, tol=1e-4):
         w = rng.standard_normal(nx * ny)
         delta = rng.standard_normal(base.size)
         delta /= np.linalg.norm(delta)
-        analytic = reparam.vjp(spec, theta, grid, w) @ delta
-        fd = directional_fd(lambda t: reparam.forward(spec, t, grid) @ w, theta, delta)
+        analytic = reparam.forward_with_vjp(spec, theta, grid)[1](w) @ delta
+        fd = directional_fd(lambda t: reparam.forward_with_vjp(spec, t, grid)[0] @ w, theta, delta)
         if fd is None:
             continue
         assert analytic == pytest.approx(fd, rel=tol, abs=1e-10), spec.kind
@@ -91,7 +91,8 @@ def test_direct_vjp_is_the_identity():
     grid = reparam.coordinate_grid(4, 2)
     theta = np.array([0.0, 0.1, 0.3, 0.7, 1.0, 0.5, 0.2, 0.9])
     w = np.arange(8.0)
-    assert np.array_equal(reparam.vjp(ArchitectureSpec(kind="direct"), theta, grid, w), w)
+    _, vjp_fun = reparam.forward_with_vjp(ArchitectureSpec(kind="direct"), theta, grid)
+    assert np.array_equal(vjp_fun(w), w)
 
 
 def test_sigmoid_bounded_output_strictly_inside_unit_interval():
@@ -109,8 +110,8 @@ def test_forward_deterministic_and_pure():
     for spec in all_specs(small_grid=True):
         theta = reparam.init_params(spec, 16, 8, seed=3)
         values_before = theta.values.copy()
-        out1 = reparam.forward(spec, theta, grid)
-        out2 = reparam.forward(spec, theta, grid)
+        out1, _ = reparam.forward_with_vjp(spec, theta, grid)
+        out2, _ = reparam.forward_with_vjp(spec, theta, grid)
         assert np.array_equal(out1, out2)
         assert np.array_equal(theta.values, values_before)
 
@@ -140,7 +141,8 @@ def test_vjp_of_zero_cotangent_is_zero():
     grid = reparam.coordinate_grid(16, 8)
     for spec in all_specs(small_grid=True):
         theta = reparam.init_params(spec, 16, 8, seed=4)
-        assert np.all(reparam.vjp(spec, theta, grid, np.zeros(128)) == 0.0)
+        _, vjp_fun = reparam.forward_with_vjp(spec, theta, grid)
+        assert np.all(vjp_fun(np.zeros(128)) == 0.0)
 
 
 def test_init_deterministic_per_seed():
@@ -339,7 +341,7 @@ def test_workspace_networks_are_bit_equal_to_allocating_reference(kind, nx, ny):
             ref_raw, ref_grads = reference(spec, reparam.unpack(theta, layout), grid, d_raw)
             assert raw.tobytes() == ref_raw.tobytes()
             assert vjp_fun(d_raw).tobytes() == reparam.pack(ref_grads, layout).tobytes()
-        assert np.array_equal(reparam.forward(spec, theta, grid), raw)
+        assert np.array_equal(reparam.forward_with_vjp(spec, theta, grid)[0], raw)
 
 
 @pytest.mark.parametrize("kind", ["mlp", "siren"])
@@ -350,12 +352,14 @@ def test_stale_vjp_closure_raises(kind):
     w = np.ones(grid.size)
     _, first = reparam.forward_with_vjp(spec, theta, grid)
     expected = first(w)
-    reparam.forward(spec, 2.0 * theta, grid)  # a private workspace: first stays valid
-    assert np.array_equal(first(w), expected)
     _, second = reparam.forward_with_vjp(spec, 2.0 * theta, grid)
     with pytest.raises(RuntimeError, match="stale"):
         first(w)
     assert not np.array_equal(second(w), expected)
+    # a design map's forward writes the same workspace
+    DesignMap(spec, grid).forward(theta)
+    with pytest.raises(RuntimeError, match="stale"):
+        second(w)
 
 
 def test_maps_sharing_a_workspace_match_fresh_maps():
@@ -404,7 +408,7 @@ def test_nonfinite_parameter_names_its_layer(kind):
     last = "offset1" if kind == "cnn" else "b_out"
     owner = "cnn hidden layer 1" if kind == "cnn" else f"{kind} output layer"
     with pytest.raises(NumericError, match=rf"{last!r} of the {owner}$"):
-        reparam.forward(spec, values, grid)
+        reparam.forward_with_vjp(spec, values, grid)
 
 
 def test_finite_activations_with_overflowing_sum_do_not_raise():
@@ -439,7 +443,7 @@ def test_nonfinite_parameters_raise_numeric_error():
     theta = reparam.init_params(spec, 8, 4, seed=9).values
     theta[0] = np.inf
     with pytest.raises(NumericError, match="layer"):
-        reparam.forward(spec, theta, grid)
+        reparam.forward_with_vjp(spec, theta, grid)
 
 
 def test_pretrain_direct_is_exact_and_immediate():
