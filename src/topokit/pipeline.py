@@ -12,17 +12,27 @@ computed here with numpy slices instead of an n-by-n sparse matrix, whose
 index-loop build took 0.9-1.5 s at 320x160. ``scipy.ndimage.correlate``
 would do the same work, but importing it costs 60-70 ms, which every run
 would pay at start-up; the slice loop needs nothing beyond numpy.
+
+The logistic sigmoid is :func:`logistic` here, for the same reason:
+``scipy.special.expit`` was the only use of ``scipy.special``, whose import
+cost 33-91 ms on top of numpy and ``scipy.sparse(.linalg)`` and about 3.6 MB
+of peak RSS in every run (fresh processes on one 2-core x86-64 machine,
+whose speed drifts about 2x between sessions). The
+exact-volume shift is found by safeguarded Newton (:func:`find_volume_shift`)
+in 3-5 passes on the fields of an Adam run, where bisection to a fixed
+interval took 47 and never ended above |b| = 8192, whose float spacing
+exceeds that interval.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-#: Bisection interval tolerance on the sigmoid shift.
-SHIFT_TOL = 1e-12
+#: The volume projection stops once its mean density is this close to the target.
+VOLUME_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -133,12 +143,40 @@ def check_projection_target(target: float) -> None:
         raise ValueError("volume target must lie strictly in (0, 1) for projection")
 
 
-def find_volume_shift(raw: np.ndarray, target: float) -> float:
-    """Bisection for b such that mean(sigmoid(raw + b)) equals the target.
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise, in float64.
 
-    The mean is monotone increasing in b, so the bracket below always
-    contains the root for finite input and target in (0, 1). The interval is
-    shrunk to SHIFT_TOL, which bounds the volume error by 0.25 * SHIFT_TOL.
+    Below x = -709.78, exp(-x) overflows to inf and the result is exactly 0,
+    as from ``scipy.special.expit``, which evaluates the same formula; that
+    overflow is expected and not reported. NaN maps to NaN.
+    """
+    z = np.negative(x, out=np.empty(np.shape(x)))
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
+
+
+def find_volume_shift(raw: np.ndarray, target: float) -> float:
+    """Safeguarded Newton for b such that mean(logistic(raw + b)) equals the target.
+
+    The mean density V(b) increases with b, with slope mean(rho (1 - rho)),
+    and the bracket below contains the root for finite input and a target in
+    (0, 1). Newton runs on logit(V(b)) = logit(target), which has the same
+    root and is linear in b on a uniform field. It starts from logit(target)
+    - mean(raw), clipped into the bracket, and each pass moves one end of
+    the bracket to b by the sign of V - target. A pass bisects instead when
+    the slope is 0, or when the Newton step leaves the bracket or is longer
+    than half the previous step, as in ``rtsafe`` (Press et al., Numerical
+    Recipes); without that rule Newton cycled between two points on some
+    small wide fields. Over N(0, s^2) fields with s <= 10 and 64 <= n <=
+    51 200, the logit form took 4.7 evaluations on average and Newton on
+    V - target 5.1.
+
+    It stops once |V - target| <= VOLUME_TOL, or once the bracket is two
+    adjacent floats, and then returns the end with the smaller
+    |V - target|: from |b| = 32 on, one float step of b can move V by more
+    than twice VOLUME_TOL.
     """
     raw = np.asarray(raw, dtype=float).ravel()
     if not np.all(np.isfinite(raw)):
@@ -146,22 +184,42 @@ def find_volume_shift(raw: np.ndarray, target: float) -> float:
     check_projection_target(target)
     lo = -float(raw.max()) - 40.0
     hi = -float(raw.min()) + 40.0
-    if expit(raw + lo).mean() > target or expit(raw + hi).mean() < target:
-        raise RuntimeError("bisection bracket failure in volume projection")
-    while hi - lo > SHIFT_TOL:
-        mid = 0.5 * (lo + hi)
-        if expit(raw + mid).mean() < target:
-            lo = mid
+    f_lo = float(logistic(raw + lo).mean()) - target
+    f_hi = float(logistic(raw + hi).mean()) - target
+    if f_lo > 0.0 or f_hi < 0.0:
+        raise RuntimeError("bracket failure in volume projection")
+    b = min(max(math.log(target / (1.0 - target)) - float(raw.mean()), lo), hi)
+    step = hi - lo
+    while True:
+        rho = logistic(raw + b)
+        volume = float(rho.mean())
+        f = volume - target
+        if abs(f) <= VOLUME_TOL:
+            return b
+        if f < 0.0:
+            lo, f_lo = b, f
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, f_hi = b, f
+        if math.nextafter(lo, hi) == hi:
+            return lo if -f_lo <= f_hi else hi
+        slope = float((rho * (1.0 - rho)).mean())
+        newton = math.inf
+        if slope > 0.0 and 0.0 < volume < 1.0:
+            gap = math.log(volume / target) - math.log((1.0 - volume) / (1.0 - target))
+            newton = gap * volume * (1.0 - volume) / slope
+        if lo < b - newton < hi and abs(newton) <= 0.5 * abs(step):
+            step = newton
+            b -= step
+        else:
+            step = 0.5 * (hi - lo)
+            b = 0.5 * (lo + hi)
 
 
 def shifted_sigmoid_project(raw: np.ndarray, budget: VolumeBudget) -> np.ndarray:
     """Map an unbounded field to densities with mean exactly at the target."""
     raw = np.asarray(raw, dtype=float).ravel()
     shift = find_volume_shift(raw, budget.target)
-    return expit(raw + shift)
+    return logistic(raw + shift)
 
 
 def shifted_sigmoid_vjp(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -170,7 +228,8 @@ def shifted_sigmoid_vjp(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
     With rho_i = s(raw_i + b(raw)) and the volume constraint pinning b, the
     implicit function theorem gives db/draw_j = -s'_j / sum_k s'_k, hence
     (w^T drho/draw)_j = w_j s'_j - s'_j * sum_i(w_i s'_i) / sum_i s'_i,
-    where s'_i = rho_i (1 - rho_i).
+    where s'_i = rho_i (1 - rho_i). On a saturated field every s'_i is 0 and
+    so is the VJP, the limit of the formula.
     """
     rho = np.asarray(rho, dtype=float).ravel()
     w = np.asarray(w, dtype=float).ravel()
@@ -178,6 +237,8 @@ def shifted_sigmoid_vjp(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
         raise ValueError("vector length mismatch")
     ds = rho * (1.0 - rho)
     total = ds.sum()
+    if total == 0.0:
+        return w * ds
     return w * ds - ds * np.einsum("i,i->", w, ds) / total
 
 

@@ -13,7 +13,9 @@ gradient checks against finite differences stay tight in double precision.
 applies a sigmoid and then the density filter; for Adam it filters and then
 applies the shifted-sigmoid exact-volume projection (Hoyer et al. 2019).
 Direct densities get no sigmoid: the [0, 1] MMA box bounds them. Pretraining
-and least-squares fitting train through a map without a filter.
+and least-squares fitting train through a map without a filter. Both
+sigmoids are :func:`pipeline.logistic`, so no run imports ``scipy.special``
+(33-91 ms and about 3.6 MB of peak RSS per process, see :mod:`pipeline`).
 
 Coordinate networks are evaluated on all element centers at once; batch and
 image normalizations therefore use the statistics of the full grid. Their
@@ -59,7 +61,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from . import optimizers, pipeline
 
@@ -644,7 +645,7 @@ class DesignMap:
         of the same network shape and grid."""
         field, net_vjp = forward_with_vjp(self.spec, theta_values, self.grid)
         if self.sigmoid:
-            field = bounded = expit(field)
+            field = bounded = pipeline.logistic(field)
         if self.filter_op is not None:
             field = self.filter_op.apply(field)
         rho = field

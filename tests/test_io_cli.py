@@ -577,11 +577,12 @@ def test_cli_import_loads_no_scipy_signal_or_stats():
     # scipy.signal alone takes most of a second to import; the CLI must not
     # pay for it (or scipy.stats) before a command needs it. scipy.ndimage
     # costs about 70 ms and nothing needs it: the filter is its own
-    # correlation.
+    # correlation. scipy.special costs 33-91 ms for one function, the
+    # logistic, which pipeline defines itself.
     code = (
         "import sys, topokit.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'signal'], ['scipy', 'stats'], ['scipy', 'ndimage'])))"
+        "(['scipy', 'signal'], ['scipy', 'stats'], ['scipy', 'ndimage'], ['scipy', 'special'])))"
     )
     src = str(Path(topokit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

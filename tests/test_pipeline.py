@@ -1,9 +1,19 @@
 """Density filter, exact volume projection, and thresholding."""
 
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import topokit
 from topokit import pipeline
 from topokit.pipeline import VolumeBudget
 
@@ -163,6 +173,102 @@ def test_projection_rejects_bad_target():
         VolumeBudget(0.0)
     with pytest.raises(ValueError):
         pipeline.shifted_sigmoid_project(np.array([np.inf, 0.0]), VolumeBudget(0.5))
+
+
+def test_logistic_matches_expit():
+    from scipy.special import expit
+
+    x = np.linspace(-750.0, 750.0, 3_000_001)
+    ulps = np.abs(pipeline.logistic(x).view(np.int64) - expit(x).view(np.int64))
+    assert (ulps == 0).mean() >= 0.95
+    # Both evaluate 1 / (1 + exp(-x)); numpy's exp and libm's differ by an
+    # ulp at most. Near x = -37, 1 + exp(-x) is about 2**53 and rounds to an
+    # even integer, which makes that up to 4 ulp of the result.
+    assert ulps.max() <= 4
+    assert ulps[np.abs(x + 37.0) > 1.0].max() <= 2
+
+
+def test_logistic_special_values():
+    x = np.array([0.0, -0.0, -750.0, -1e308, -np.inf, 750.0, 1e308, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pipeline.logistic(x)
+    assert np.array_equal(got[:2], [0.5, 0.5])
+    assert np.array_equal(got[2:5], [0.0, 0.0, 0.0])
+    assert np.array_equal(got[5:8], [1.0, 1.0, 1.0])
+    assert np.isnan(got[8])
+    assert pipeline.logistic(0.0) == 0.5
+
+
+def shift_error_bound(shift):
+    """How far the projected volume may miss its target at this shift.
+
+    VOLUME_TOL, unless one float step of the shift moves a density by more:
+    then the root-find ends on two adjacent shifts and returns the closer.
+    """
+    return max(pipeline.VOLUME_TOL, 0.25 * np.spacing(abs(shift)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    log_scale=st.floats(-6.0, 1.0),
+    n=st.integers(1, 51_200),
+    v0=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projection_volume_is_exact_in_few_passes(log_scale, n, v0, seed):
+    raw = 10.0**log_scale * np.random.default_rng(seed).standard_normal(n)
+    passes = 0
+    logistic = pipeline.logistic
+
+    def counted(x):
+        nonlocal passes
+        passes += 1
+        return logistic(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "logistic", counted)
+        shift = pipeline.find_volume_shift(raw, v0)
+    error = abs(pipeline.shifted_sigmoid_project(raw, VolumeBudget(v0)).mean() - v0)
+    assert error <= shift_error_bound(shift)
+    if abs(shift) < 16.0:
+        assert error <= 4 * np.finfo(float).eps
+    # Two passes check the bracket ends. A field of a few elements spread
+    # wider than the sigmoid has a mean volume like a staircase, whose flat
+    # steps leave Newton nothing to follow: below n = 256 up to 17 passes
+    # were seen, above it at most 10.
+    assert passes <= (12 if n >= 256 else 20)
+
+
+def test_volume_shift_returns_at_large_shifts():
+    # Above |b| = 8192 the float spacing of the shift exceeds 1e-12, where a
+    # fixed-width bisection never ended; run in a child so a hang fails.
+    code = (
+        "import json, numpy as np; from topokit import pipeline; "
+        "cases = [(np.full(64, 8200.0), 0.3), (np.array([-1e4] * 4 + [1e4] * 6), 0.6), "
+        "(np.full(64, -3e5), 0.7), (np.full(64, 8000.0), 0.3)]; "
+        "shifts = [pipeline.find_volume_shift(raw, v0) for raw, v0 in cases]; "
+        "vols = [pipeline.logistic(raw + b).mean() for (raw, _), b in zip(cases, shifts)]; "
+        "print(json.dumps([shifts, vols]))"
+    )
+    src = str(Path(topokit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    shifts, vols = json.loads(done.stdout)
+    for shift, vol, v0 in zip(shifts, vols, (0.3, 0.6, 0.7, 0.3)):
+        assert abs(vol - v0) <= shift_error_bound(shift)
+    assert shifts[0] == pytest.approx(np.log(0.3 / 0.7) - 8200.0, abs=1e-9)
+    assert shifts[2] == pytest.approx(np.log(0.7 / 0.3) + 3e5, abs=1e-9)
+    assert vols[1] == 0.6
+
+
+def test_projection_vjp_is_zero_on_saturated_field():
+    raw = np.array([-1000.0] * 4 + [1000.0] * 6)
+    rho = pipeline.shifted_sigmoid_project(raw, VolumeBudget(0.6))
+    assert np.array_equal(rho, [0.0] * 4 + [1.0] * 6)
+    grad = pipeline.shifted_sigmoid_vjp(rho, np.arange(1.0, 11.0))
+    assert np.array_equal(grad, np.zeros(10))
 
 
 def test_threshold_count_formula():
