@@ -147,11 +147,18 @@ def expressivity_study(
     """Worst-case reconstruction quality of each architecture.
 
     Every spec fits every target; the per-repeat score is the minimum PSNR
-    across targets, and repeats restart from fresh seeds.
+    across targets, and repeats restart from fresh seeds. All targets must
+    be on the first target's grid.
     """
     if not targets:
         raise ValueError("need at least one target design")
     nx, ny = targets[0].nx, targets[0].ny
+    for index, target in enumerate(targets):
+        if (target.nx, target.ny) != (nx, ny):
+            raise ValueError(
+                f"target {index} is {target.nx}x{target.ny}, but target 0 is {nx}x{ny}: "
+                "every target must share one grid"
+            )
     grid = reparam.coordinate_grid(nx, ny)
     kwargs = fit_kwargs or {}
     rows = []

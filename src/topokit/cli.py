@@ -6,11 +6,24 @@ JSON config or a named preset, reject unknown config keys with exit status 2
 before any run, and write their artifacts into an output directory together
 with a manifest that is sufficient to re-run the experiment. Every command
 returns a nonzero exit status on failure.
+
+:func:`main` moves every object that exists when it is entered into the
+collector's permanent generation (``gc.freeze``), once per process. Those
+are the ~42k objects that importing this module leaves behind: numpy,
+``scipy.sparse`` and the numpy submodules scipy's array-API layer pulls in.
+Without the freeze the interpreter's exit-time collections walk them all:
+from ``main``'s return to process exit, a ``michell-p3-mlp-mma`` run took a
+median 133 ms, against 27 ms with the freeze (10 fresh processes each;
+Python 3.11, numpy 2.4, scipy 1.17, 2-core x86-64). A full collection right
+after the import finds none of them unreachable, so freezing them leaks
+nothing. Importing topokit leaves the collector alone; only the command
+line freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -516,6 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -33,7 +33,7 @@ def _fmt(x: float) -> str:
 
 def write_density_csv(path, values: np.ndarray, nx: int, ny: int) -> None:
     image = np.asarray(values, dtype=float).reshape(ny, nx)
-    lines = [",".join(_fmt(v) for v in row) for row in image]
+    lines = [",".join(map(repr, row)) for row in image.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -78,20 +78,18 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
+    table = np.array(
+        [
+            trajectory.objective,
+            trajectory.volume,
+            trajectory.constraint_violation,
+            trajectory.grad_norm,
+            trajectory.grad_angle,
+        ],
+        dtype=float,
+    ).T
     lines = [",".join(TRAJECTORY_COLUMNS)]
-    for i in range(trajectory.iterations):
-        lines.append(
-            ",".join(
-                [
-                    str(i),
-                    _fmt(trajectory.objective[i]),
-                    _fmt(trajectory.volume[i]),
-                    _fmt(trajectory.constraint_violation[i]),
-                    _fmt(trajectory.grad_norm[i]),
-                    _fmt(trajectory.grad_angle[i]),
-                ]
-            )
-        )
+    lines += [",".join(map(repr, [i, *row])) for i, row in enumerate(table.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

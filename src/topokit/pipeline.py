@@ -33,6 +33,12 @@ import numpy as np
 
 #: The volume projection stops once its mean density is this close to the target.
 VOLUME_TOL = 4.0 * np.finfo(float).eps
+#: Largest |raw| the volume projection accepts. Up to it, the bracket ends
+#: -max(raw) - 40 and -min(raw) + 40 round by at most 0.5 and no sum overflows.
+RAW_LIMIT = 2.0**52
+#: Least volume target of the projection. Every density at the lower bracket
+#: end is at most logistic(-39.5) = 7.0e-18, so the mean there lies below it.
+MIN_PROJECTION_TARGET = 1e-17
 
 
 @dataclass(frozen=True)
@@ -134,13 +140,17 @@ def build_filter(nx: int, ny: int, rmin: float) -> FilterOperator:
 
 
 def check_projection_target(target: float) -> None:
-    """The exact-volume projection needs a target strictly inside (0, 1).
+    """The exact-volume projection needs a target in [MIN_PROJECTION_TARGET, 1).
 
     Its densities are sigmoids, which average to 1 only at an infinite
     shift, so it is stricter than :class:`VolumeBudget`, which admits 1.
+    The lower end is the least target that :func:`find_volume_shift`'s
+    bracket is known to contain.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("volume target must lie strictly in (0, 1) for projection")
+    if target < MIN_PROJECTION_TARGET:
+        raise ValueError(f"volume target must be at least {MIN_PROJECTION_TARGET:g} for projection")
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -160,11 +170,17 @@ def logistic(x: np.ndarray) -> np.ndarray:
 def find_volume_shift(raw: np.ndarray, target: float) -> float:
     """Safeguarded Newton for b such that mean(logistic(raw + b)) equals the target.
 
-    The mean density V(b) increases with b, with slope mean(rho (1 - rho)),
-    and the bracket below contains the root for finite input and a target in
-    (0, 1). Newton runs on logit(V(b)) = logit(target), which has the same
-    root and is linear in b on a uniform field. It starts from logit(target)
-    - mean(raw), clipped into the bracket, and each pass moves one end of
+    The mean density V(b) increases with b, with slope mean(rho (1 - rho)).
+    The bracket [-max(raw) - 40, -min(raw) + 40] contains the root for |raw|
+    up to RAW_LIMIT and a target allowed by :func:`check_projection_target`:
+    its ends round by at most 0.5, so every density is at most
+    logistic(-39.5) at the lower end and exactly 1 at the upper end. A field
+    beyond RAW_LIMIT, or not finite, raises ``ValueError`` before any
+    arithmetic that could overflow.
+
+    Newton runs on logit(V(b)) = logit(target), which has the same root and
+    is linear in b on a uniform field. It starts from logit(target) -
+    mean(raw), clipped into the bracket, and each pass moves one end of
     the bracket to b by the sign of V - target. A pass bisects instead when
     the slope is 0, or when the Newton step leaves the bracket or is longer
     than half the previous step, as in ``rtsafe`` (Press et al., Numerical
@@ -179,15 +195,14 @@ def find_volume_shift(raw: np.ndarray, target: float) -> float:
     than twice VOLUME_TOL.
     """
     raw = np.asarray(raw, dtype=float).ravel()
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("raw field must be finite")
     check_projection_target(target)
-    lo = -float(raw.max()) - 40.0
-    hi = -float(raw.min()) + 40.0
-    f_lo = float(logistic(raw + lo).mean()) - target
-    f_hi = float(logistic(raw + hi).mean()) - target
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise RuntimeError("bracket failure in volume projection")
+    top, bottom = float(raw.max()), float(raw.min())
+    if not (top <= RAW_LIMIT and -bottom <= RAW_LIMIT):  # nan fails both comparisons
+        raise ValueError(f"raw field must be finite with |raw| <= {RAW_LIMIT:g}")
+    lo = -top - 40.0
+    hi = -bottom + 40.0
+    # Each end's V - target is evaluated only if the adjacent-floats exit needs it.
+    f_lo = f_hi = None
     b = min(max(math.log(target / (1.0 - target)) - float(raw.mean()), lo), hi)
     step = hi - lo
     while True:
@@ -201,6 +216,10 @@ def find_volume_shift(raw: np.ndarray, target: float) -> float:
         else:
             hi, f_hi = b, f
         if math.nextafter(lo, hi) == hi:
+            if f_lo is None:
+                f_lo = float(logistic(raw + lo).mean()) - target
+            if f_hi is None:
+                f_hi = float(logistic(raw + hi).mean()) - target
             return lo if -f_lo <= f_hi else hi
         slope = float((rho * (1.0 - rho)).mean())
         newton = math.inf

@@ -548,23 +548,6 @@ def _cnn_forward_vjp(spec, values, grid, ws):
     return raw, vjp_fun
 
 
-def batchnorm_standardized_stats(
-    spec: ArchitectureSpec, theta: ParamVector | np.ndarray, grid: CoordinateGrid
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (mean, variance) of the standardized MLP pre-activations.
-
-    Batch normalization standardizes each hidden neuron over the coordinate
-    grid, so the returned means should vanish and the variances should be 1
-    up to the normalization epsilon, for any parameter vector. The
-    activations come from the same hidden-layer pass the MLP forward runs.
-    """
-    if spec.kind != "mlp":
-        raise ValueError("batch statistics exist only for the mlp kind")
-    params = unpack(_values(theta), param_layout(spec, grid.nx, grid.ny))
-    tape, _ = _mlp_hidden(spec, params, grid, _workspace(spec, grid))
-    return [(xhat.mean(axis=1), xhat.var(axis=1)) for _, xhat, _, _ in tape]
-
-
 # ---------------------------------------------------------------------------
 # public surface
 

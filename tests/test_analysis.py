@@ -144,6 +144,17 @@ def test_expressivity_reports_worst_case_across_targets():
         assert worst == pytest.approx(min(scores), rel=1e-9)
 
 
+def test_expressivity_rejects_targets_on_another_grid_before_any_fit(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the grid check")
+
+    monkeypatch.setattr(reparam, "fit_to_density", no_fit)
+    wide = DensityField(np.full(128, 0.5), 16, 8)
+    tall = DensityField(np.full(128, 0.5), 8, 16)
+    with pytest.raises(ValueError, match="target 2 is 8x16, but target 0 is 16x8"):
+        analysis.expressivity_study([ArchitectureSpec(kind="direct")], [wide, wide, tall])
+
+
 def test_analysis_tools_build_one_network_workspace(monkeypatch, small_problem):
     """Fits, slice forwards and scoring forwards all share one tape workspace."""
     built = []

@@ -61,6 +61,40 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.isnan(float(rows[0]["grad_angle_rad"]))
 
 
+def repr_rows(rows):
+    """Each row's floats joined by commas, one ``repr(float(v))`` at a time."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize(
+    "values, nx, ny",
+    [
+        (np.array(SPECIAL_FLOATS + [1.0]), 4, 3),
+        (np.random.default_rng(10).uniform(0.0, 1.0, 160 * 80), 160, 80),
+    ],
+)
+def test_density_csv_bytes_are_repr_of_each_float(tmp_path, values, nx, ny):
+    path = tmp_path / "field.csv"
+    io.write_density_csv(path, values, nx, ny)
+    assert path.read_text(encoding="utf-8") == repr_rows(values.reshape(ny, nx))
+
+
+def test_trajectory_csv_bytes_are_repr_of_each_float(tmp_path):
+    traj = Trajectory()
+    columns = ("objective", "volume", "constraint_violation", "grad_norm", "grad_angle")
+    for name in columns:
+        getattr(traj, name).extend(SPECIAL_FLOATS)
+    path = tmp_path / "trajectory.csv"
+    io.write_trajectory_csv(path, traj)
+    rows = zip(*(getattr(traj, name) for name in columns))
+    expected = ",".join(io.TRAJECTORY_COLUMNS) + "\n"
+    expected += "".join(f"{i}," + repr_rows([row]) for i, row in enumerate(rows))
+    assert path.read_text(encoding="utf-8") == expected
+
+
 def run_cli(*argv):
     return cli.main(list(argv))
 
@@ -589,3 +623,36 @@ def test_cli_import_loads_no_scipy_signal_or_stats():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_main_freezes_the_import_heap_once(tmp_path):
+    # Exit-time collections skip frozen objects; importing topokit must leave
+    # the collector alone, and a second main call must not freeze again.
+    cfg = {
+        "problem": {"name": "mbb", "nx": 8, "ny": 4, "v0": 0.5},
+        "reparam": {"kind": "direct"},
+        "optimizer": {"kind": "mma", "move_limit": 0.2, "asyinit": 0.5},
+        "budget": 2,
+        "seed": 0,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = (
+        "import gc, json, sys, topokit.cli as cli; "
+        "counts = [gc.isenabled(), gc.get_freeze_count()]; "
+        "argv = ['optimize', '--config', sys.argv[1], '--out', sys.argv[2]]; "
+        "assert cli.main(argv) == 0; counts.append(gc.get_freeze_count()); "
+        "assert cli.main(argv) == 0; counts.append(gc.get_freeze_count()); "
+        "print(json.dumps(counts))"
+    )
+    src = str(Path(topokit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(cfg_path), str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    enabled, at_import, after_first, after_second = json.loads(done.stdout.strip().splitlines()[-1])
+    assert enabled and at_import == 0
+    assert after_first > 1000
+    assert after_second == after_first

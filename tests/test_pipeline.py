@@ -233,11 +233,11 @@ def test_projection_volume_is_exact_in_few_passes(log_scale, n, v0, seed):
     assert error <= shift_error_bound(shift)
     if abs(shift) < 16.0:
         assert error <= 4 * np.finfo(float).eps
-    # Two passes check the bracket ends. A field of a few elements spread
-    # wider than the sigmoid has a mean volume like a staircase, whose flat
-    # steps leave Newton nothing to follow: below n = 256 up to 17 passes
-    # were seen, above it at most 10.
-    assert passes <= (12 if n >= 256 else 20)
+    # The bracket costs no pass. A field of a few elements spread wider than
+    # the sigmoid has a mean volume like a staircase, whose flat steps leave
+    # Newton nothing to follow: below n = 256 up to 15 passes were seen,
+    # above it at most 8.
+    assert passes <= (10 if n >= 256 else 18)
 
 
 def test_volume_shift_returns_at_large_shifts():
@@ -261,6 +261,33 @@ def test_volume_shift_returns_at_large_shifts():
     assert shifts[0] == pytest.approx(np.log(0.3 / 0.7) - 8200.0, abs=1e-9)
     assert shifts[2] == pytest.approx(np.log(0.7 / 0.3) + 3e5, abs=1e-9)
     assert vols[1] == 0.6
+
+
+@pytest.mark.parametrize("raw", [np.array([1e308, -1e308]), np.full(4, 1.7e308), np.array([0.0, 2.0**53])])
+def test_volume_shift_rejects_fields_beyond_the_limit(raw):
+    # Their bracket ends or their mean would overflow, or round by more than 0.5.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="4.5036e\\+15"):
+            pipeline.find_volume_shift(raw, 0.5)
+
+
+def test_volume_shift_at_the_limit_and_the_least_target():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pipeline.find_volume_shift(np.array([pipeline.RAW_LIMIT, -pipeline.RAW_LIMIT]), 0.5) == 0.0
+        least = pipeline.MIN_PROJECTION_TARGET
+        raw = np.linspace(-3.0, 3.0, 64)
+        shift = pipeline.find_volume_shift(raw, least)
+        assert abs(pipeline.logistic(raw + shift).mean() - least) <= pipeline.VOLUME_TOL
+
+
+def test_volume_shift_rejects_a_target_below_the_bracket():
+    # The lower bracket end holds every density at or below about logistic(-40).
+    below = float(pipeline.logistic(np.array(-40.0))) * 0.5
+    for target in (below, float(pipeline.logistic(np.array(-40.0)))):
+        with pytest.raises(ValueError, match="1e-17"):
+            pipeline.find_volume_shift(np.zeros(8), target)
 
 
 def test_projection_vjp_is_zero_on_saturated_field():
