@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .fields import DensityField
 from .fem import (
     GridDomain,
     ObjectiveEval,

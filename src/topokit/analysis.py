@@ -11,7 +11,6 @@ from typing import Sequence
 import numpy as np
 
 from . import reparam
-from .fields import DensityField
 from .problems import ProblemSpec
 from .runner import evaluate_design
 
@@ -48,7 +47,7 @@ class LandscapeResult:
 
 
 def _field_values(target, n_expected: int) -> np.ndarray:
-    values = target.values if isinstance(target, DensityField) else np.asarray(target, dtype=float).ravel()
+    values = np.asarray(target, dtype=float).ravel()
     if values.size != n_expected:
         raise ValueError(f"field has {values.size} entries, expected {n_expected}")
     return values
@@ -118,8 +117,8 @@ def count_interior_maxima(objectives: np.ndarray, noise_floor: float = NOISE_FLO
 
 def psnr(fit, target) -> float:
     """Peak signal-to-noise ratio in decibels for unit-range images."""
-    a = fit.values if isinstance(fit, DensityField) else np.asarray(fit, dtype=float).ravel()
-    b = target.values if isinstance(target, DensityField) else np.asarray(target, dtype=float).ravel()
+    a = np.asarray(fit, dtype=float).ravel()
+    b = np.asarray(target, dtype=float).ravel()
     if a.size != b.size:
         raise ValueError("field sizes differ")
     mse = float(np.mean((a - b) ** 2))
@@ -137,9 +136,14 @@ class ExpressivityRow:
     std_psnr: float
 
 
+def _grid_name(shape: tuple[int, ...]) -> str:
+    """``nx x ny`` of an (ny, nx) image shape."""
+    return "x".join(map(str, reversed(shape)))
+
+
 def expressivity_study(
     specs: Sequence[reparam.ArchitectureSpec],
-    targets: Sequence[DensityField],
+    targets: Sequence[np.ndarray],
     repeats: int = 1,
     seed: int = 0,
     fit_kwargs: dict | None = None,
@@ -147,18 +151,21 @@ def expressivity_study(
     """Worst-case reconstruction quality of each architecture.
 
     Every spec fits every target; the per-repeat score is the minimum PSNR
-    across targets, and repeats restart from fresh seeds. All targets must
-    be on the first target's grid.
+    across targets, and repeats restart from fresh seeds. Targets are
+    (ny, nx) density images, all on the first target's grid.
     """
     if not targets:
         raise ValueError("need at least one target design")
-    nx, ny = targets[0].nx, targets[0].ny
+    shape = np.shape(targets[0])
+    if len(shape) != 2:
+        raise ValueError(f"target 0 has shape {shape}; targets are (ny, nx) images")
     for index, target in enumerate(targets):
-        if (target.nx, target.ny) != (nx, ny):
+        if np.shape(target) != shape:
             raise ValueError(
-                f"target {index} is {target.nx}x{target.ny}, but target 0 is {nx}x{ny}: "
-                "every target must share one grid"
+                f"target {index} is {_grid_name(np.shape(target))}, but target 0 is "
+                f"{_grid_name(shape)}: every target must share one grid"
             )
+    ny, nx = shape
     grid = reparam.coordinate_grid(nx, ny)
     kwargs = fit_kwargs or {}
     rows = []
@@ -169,8 +176,8 @@ def expressivity_study(
             theta0 = reparam.init_params(spec, nx, ny, seed + 1000 * repeat)
             scores = []
             for target in targets:
-                fit = reparam.fit_to_density(design_map, theta0, target.values, **kwargs)
-                scores.append(psnr(design_map.forward(fit.theta.values), target.values))
+                fit = reparam.fit_to_density(design_map, theta0, target, **kwargs)
+                scores.append(psnr(design_map.forward(fit.theta.values), target))
             worst_scores.append(min(scores))
         finite = [s for s in worst_scores if np.isfinite(s)]
         rows.append(

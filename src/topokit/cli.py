@@ -45,7 +45,7 @@ _OPTIMIZE_KEYS = {
 }
 #: Top-level keys of a ``landscape`` and of an ``expressivity`` config, and
 #: the keys of the ``fit`` section they share: the options of
-#: ``reparam.fit_to_density``.
+#: ``reparam.fit_to_density`` but ``target_mse``, which only pretraining sets.
 _LANDSCAPE_KEYS = {"problem", "reparams", "rho_ref_1", "rho_ref_2", "n_alpha", "seed", "fit"}
 _EXPRESSIVITY_KEYS = {"targets", "architectures", "repeats", "seed", "fit"}
 _FIT_KEYS = {
@@ -198,7 +198,13 @@ def _reference_field(ref, problem: ProblemSpec) -> np.ndarray:
     path = Path(ref)
     if not path.exists():
         raise FileNotFoundError(f"reference design not found: {path}")
-    return io.read_field_csv(path).values
+    image = io.read_field_csv(path)
+    if image.shape != (problem.ny, problem.nx):
+        raise ValueError(
+            f"{path}: a {image.shape[1]}x{image.shape[0]} design, "
+            f"but the problem is {problem.nx}x{problem.ny}"
+        )
+    return image
 
 
 def cmd_landscape(args) -> int:
@@ -252,14 +258,23 @@ def cmd_expressivity(args) -> int:
         presets._reject_unknown_keys(cfg, _EXPRESSIVITY_KEYS, "expressivity")
         presets._reject_unknown_keys(cfg.get("fit") or {}, _FIT_KEYS, "fit")
         target_paths = cfg["targets"]
+        if not target_paths:
+            raise ValueError("expressivity needs at least one target design")
         targets = []
         for path in target_paths:
             if not Path(path).exists():
                 raise FileNotFoundError(f"target design not found: {path}")
             targets.append(io.read_field_csv(path))
+            if targets[-1].shape != targets[0].shape:
+                (ny, nx), (ny0, nx0) = targets[-1].shape, targets[0].shape
+                raise ValueError(
+                    f"{path}: a {nx}x{ny} design, but {target_paths[0]} is {nx0}x{ny0}: "
+                    "every target must share one grid"
+                )
         arch_cfg = cfg.get("architectures", "sweep")
         if arch_cfg == "sweep":
-            specs = presets.sweep_specs(targets[0].nx, targets[0].ny)
+            ny, nx = targets[0].shape
+            specs = presets.sweep_specs(nx, ny)
         else:
             specs = [presets.spec_from_config(c) for c in arch_cfg]
     except (KeyError, ValueError, FileNotFoundError) as exc:
@@ -443,13 +458,14 @@ def cmd_threshold(args) -> int:
     if not design_path.exists():
         print(f"error: missing artifact {design_path}", file=sys.stderr)
         return 2
-    field = io.read_field_csv(design_path)
     try:
+        image = io.read_field_csv(design_path)
+        ny, nx = image.shape
         problem = presets.problem_from_config(
             {
                 "name": args.problem,
-                "nx": field.nx,
-                "ny": field.ny,
+                "nx": nx,
+                "ny": ny,
                 "v0": args.v0,
                 "penalty": args.penalty,
             }
@@ -458,9 +474,9 @@ def cmd_threshold(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = _outdir(args)
-    rho_bw, c_th, c_rescaled, v_th = threshold_and_rescale(problem, field.values)
-    io.write_density_csv(out / "thresholded.csv", rho_bw, field.nx, field.ny)
-    io.write_pgm(out / "thresholded.pgm", rho_bw, field.nx, field.ny)
+    rho_bw, c_th, c_rescaled, v_th = threshold_and_rescale(problem, image.ravel())
+    io.write_density_csv(out / "thresholded.csv", rho_bw, nx, ny)
+    io.write_pgm(out / "thresholded.pgm", rho_bw, nx, ny)
     result = {
         "thresholded_objective": c_th,
         "thresholded_objective_rescaled": c_rescaled,

@@ -483,8 +483,8 @@ def evaluate_objective(
     rho = np.asarray(rho_phys, dtype=float).ravel()
     if rho.size != domain.n_elements:
         raise ValueError("density field length must equal the element count")
-    if rho.min() < -1e-12 or rho.max() > 1.0 + 1e-12:
-        raise ValueError("densities must lie in [0, 1] (tolerance 1e-12)")
+    if not (rho.min() >= -1e-12 and rho.max() <= 1.0 + 1e-12):  # NaN fails both
+        raise ValueError("densities must be finite and lie in [0, 1] (tolerance 1e-12)")
     check_penalty(penalty)
     rho = np.clip(rho, 0.0, 1.0)
     if domain.passive_solid.size:

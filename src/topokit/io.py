@@ -3,6 +3,9 @@ parameter checkpoints, and run manifests.
 
 Density CSVs are row-major (ny rows by nx columns, top row first) and use
 ``repr`` formatting so re-reading reproduces the exact float64 values.
+:func:`read_field_csv` returns the (ny, nx) image as a plain float array and
+is the one place a density file is checked: the reading commands trust what
+it returns.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import DensityField
 from .optimizers import Trajectory
 from .reparam import ParamVector
 
@@ -37,12 +39,34 @@ def write_density_csv(path, values: np.ndarray, nx: int, ny: int) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_field_csv(path) -> DensityField:
+def read_field_csv(path) -> np.ndarray:
+    """The (ny, nx) density image of a CSV written by :func:`write_density_csv`.
+
+    Raises ``ValueError``, naming the file and the row, for a file that is
+    not UTF-8 text or holds no rows, rows of unequal length, a token that is
+    not a number, and a value that is not finite or lies outside [0, 1] by
+    more than 1e-12.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a UTF-8 text file ({exc.reason})") from None
+    if not lines:
+        raise ValueError(f"{path}: the file holds no density rows")
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").strip().splitlines():
-        rows.append([float(tok) for tok in line.split(",")])
-    image = np.asarray(rows, dtype=float)
-    return DensityField.from_image(image)
+    for number, line in enumerate(lines, start=1):
+        where = f"{path}, row {number}"
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:  # names the token
+            raise ValueError(f"{where}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{where}: {len(row)} values, but row 1 has {len(rows[0])}")
+        bad = next((v for v in row if not -1e-12 <= v <= 1.0 + 1e-12), None)
+        if bad is not None:
+            raise ValueError(f"{where}: density {bad!r} is not a finite value in [0, 1]")
+        rows.append(row)
+    return np.array(rows)
 
 
 def write_pgm(path, values: np.ndarray, nx: int, ny: int) -> None:

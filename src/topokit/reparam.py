@@ -13,9 +13,11 @@ gradient checks against finite differences stay tight in double precision.
 applies a sigmoid and then the density filter; for Adam it filters and then
 applies the shifted-sigmoid exact-volume projection (Hoyer et al. 2019).
 Direct densities get no sigmoid: the [0, 1] MMA box bounds them. Pretraining
-and least-squares fitting train through a map without a filter. Both
-sigmoids are :func:`pipeline.logistic`, so no run imports ``scipy.special``
-(33-91 ms and about 3.6 MB of peak RSS per process, see :mod:`pipeline`).
+and least-squares fitting are one Adam trainer, :func:`fit_to_density`, run
+through a map without a filter; :func:`pretrain_uniform` is that trainer
+with the pretraining constants and a uniform target. Both sigmoids are
+:func:`pipeline.logistic`, so no run imports ``scipy.special`` (33-91 ms
+and about 3.6 MB of peak RSS per process, see :mod:`pipeline`).
 
 Coordinate networks are evaluated on all element centers at once; batch and
 image normalizations therefore use the statistics of the full grid. Their
@@ -33,12 +35,13 @@ more. Allocating them per call cost about 5 MB of fresh arrays per forward
 at 64x32, which the allocator maps from and returns to the OS on every
 call: on a 2-core x86-64 machine the 210 Adam steps of one MLP pretraining
 took 96k to 313k minor page faults and 0.3 to 0.9 s of system time in a
-fresh process, against under 1k faults and 0.01 s with the workspace. The
-Leaky-ReLU slope (1 where the pre-activation is positive, LEAKY_SLOPE
-elsewhere) is kept on the tape, so the activation is ``pre*slope`` and its
-VJP ``g*slope``, bit for bit what ``np.maximum`` and ``np.where`` give.
-Every reduction keeps its operands and its order, so the workspace changes
-no bit of a field or gradient.
+fresh process, against under 1k faults and 0.01 s with the workspace. An
+MLP layer keeps two tapes, its standardized activations and its Leaky-ReLU
+output ``max(pre, LEAKY_SLOPE*pre)``; the VJP rebuilds the slope (1 where
+the output is positive, LEAKY_SLOPE elsewhere) in its scratch buffer, so
+an L-layer network holds 2L + 2 (width, n) arrays. Every reduction keeps
+its operands and its order, so the workspace changes no bit of a field or
+gradient.
 
 :func:`forward_with_vjp` is the one way from parameters to a field, and
 every forward of a coordinate network writes into that one cached
@@ -299,31 +302,30 @@ def _direct_forward_vjp(spec, values, grid, ws):
 class _Workspace:
     """The tape buffers of one coordinate-network shape on one grid.
 
-    ``layers[i]`` holds hidden layer i's (width, n) tape arrays: for the MLP
-    its standardized activations, its Leaky-ReLU slope and its output, for
-    SIREN its phase and its output. ``work`` is two (width, n) buffers the
-    VJP alternates between; the forward uses the first as scratch.
-    ``generation`` counts the forwards written into the workspace, so a VJP
-    closure can tell whether its tape has been overwritten since.
+    ``layers[i]`` holds hidden layer i's two (width, n) tape arrays: for the
+    MLP its standardized activations and its output, for SIREN its phase and
+    its output. ``work`` is two (width, n) buffers the VJP alternates
+    between; the forward uses the first as scratch. ``generation`` counts
+    the forwards written into the workspace, so a VJP closure can tell
+    whether its tape has been overwritten since.
     """
 
-    def __init__(self, kind: str, hidden_layers: int, width: int, n: int):
-        per_layer = 3 if kind == "mlp" else 2
-        self.layers = np.empty((hidden_layers, per_layer, width, n))
+    def __init__(self, hidden_layers: int, width: int, n: int):
+        self.layers = np.empty((hidden_layers, 2, width, n))
         self.work = np.empty((2, width, n))
         self.generation = 0
 
 
 @lru_cache(maxsize=1)
-def _shared_workspace(kind: str, hidden_layers: int, width: int, n: int) -> _Workspace:
+def _shared_workspace(hidden_layers: int, width: int, n: int) -> _Workspace:
     # One at a time: runs and fits use one network shape on one grid, and a
-    # workspace reaches 1.7 GB for the widest sweep network at 320x160.
-    return _Workspace(kind, hidden_layers, width, n)
+    # workspace reaches 1.2 GB for the widest sweep network at 320x160.
+    return _Workspace(hidden_layers, width, n)
 
 
 def _workspace(spec: ArchitectureSpec, grid: CoordinateGrid) -> _Workspace:
     """The cached workspace of the spec's shape and grid, for one more forward."""
-    ws = _shared_workspace(spec.kind, spec.hidden_layers, spec.width, grid.size)
+    ws = _shared_workspace(spec.hidden_layers, spec.width, grid.size)
     ws.generation += 1
     return ws
 
@@ -341,15 +343,14 @@ def _mlp_hidden(spec, params, grid, ws):
 
     Each layer's tape entry holds its (fan_in, n) input, the standardized
     activations, the per-neuron inverse batch standard deviation and the
-    Leaky-ReLU slope: 1 where the pre-activation is positive, LEAKY_SLOPE
-    elsewhere, so the activation and its VJP are both products with it.
+    Leaky-ReLU output, which is positive exactly where the pre-activation is.
     """
     z = grid.coords.T
     square = ws.work[0]
     tape = []
     for i in range(spec.hidden_layers):
         scale, shift = params[f"bn_scale{i}"], params[f"bn_shift{i}"]
-        xhat, slope, out = ws.layers[i]
+        xhat, out = ws.layers[i]
         np.matmul(params[f"w{i}"], z, out=xhat)
         xhat += params[f"b{i}"][:, None]
         xhat -= xhat.mean(axis=1, keepdims=True)
@@ -357,12 +358,9 @@ def _mlp_hidden(spec, params, grid, ws):
         xhat *= inv_std[:, None]
         pre = np.multiply(scale[:, None], xhat, out=out)
         pre += shift[:, None]
-        np.greater(pre, 0.0, out=slope)
-        slope *= 1.0 - LEAKY_SLOPE
-        slope += LEAKY_SLOPE
-        out *= slope
+        np.maximum(pre, np.multiply(pre, LEAKY_SLOPE, out=square), out=out)
         _check_finite(out, f"mlp hidden layer {i}")
-        tape.append((z, xhat, inv_std, slope))
+        tape.append((z, xhat, inv_std, out))
         z = out
     return tape, z
 
@@ -385,7 +383,10 @@ def _mlp_forward_vjp(spec, values, grid, ws):
         gz, scratch = ws.work
         np.multiply(params["w_out"].T, g_out, out=gz)
         for i in reversed(range(spec.hidden_layers)):
-            z_in, xhat, inv_std, slope = tape[i]
+            z_in, xhat, inv_std, out = tape[i]
+            slope = np.greater(out, 0.0, out=scratch)
+            slope *= 1.0 - LEAKY_SLOPE
+            slope += LEAKY_SLOPE
             gz *= slope
             g_scale = np.multiply(gz, xhat, out=scratch).sum(axis=1)
             g_shift = gz.sum(axis=1)
@@ -665,14 +666,6 @@ PRETRAIN_ITERATION_CAP = 2000
 
 
 @dataclass(frozen=True)
-class PretrainResult:
-    theta: ParamVector
-    mse: float
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
 class FitResult:
     theta: ParamVector
     mse: float
@@ -683,55 +676,37 @@ class PretrainWarning(UserWarning):
     pass
 
 
-def _mse_and_grad(design_map: DesignMap, theta_values, target):
-    rho, vjp_fun = design_map.forward_with_vjp(theta_values)
-    err = rho - target
-    mse = float(np.einsum("i,i->", err, err)) / err.size
-    grad = vjp_fun(2.0 * err / err.size)
-    return mse, grad
-
-
-def pretrain_uniform(design_map: DesignMap, theta0: ParamVector, v0: float) -> PretrainResult:
+def pretrain_uniform(design_map: DesignMap, theta0: ParamVector, v0: float) -> FitResult:
     """Train the mapping to emit a uniform gray field of density v0.
 
     The error is taken on the output of ``design_map``, a map without a
     filter, so it follows the pipeline: a sigmoid-bounded field is regressed
     on the uniform field directly, while under the exact-volume projection
     the shift supplies the mean and only the spatial variation must be
-    trained away. Adam runs at PRETRAIN_LEARNING_RATE until the error falls
-    below PRETRAIN_TARGET_MSE, for at most PRETRAIN_ITERATION_CAP
-    iterations; when the cap comes first it warns and still returns the
+    trained away. This is :func:`fit_to_density` at PRETRAIN_LEARNING_RATE,
+    stopping once the error falls below PRETRAIN_TARGET_MSE, for at most
+    PRETRAIN_ITERATION_CAP iterations and with no learning-rate ladder
+    within them; when the cap comes first it warns and still returns the
     best parameters.
     """
     if design_map.spec.kind == "direct":
-        theta = theta0.replace_values(np.full(len(theta0), v0))
-        return PretrainResult(theta=theta, mse=0.0, iterations=0, converged=True)
-
-    target = np.full(design_map.grid.size, float(v0))
-    values = theta0.values.copy()
-    state = optimizers.AdamState.zeros(values.size)
-    cfg = optimizers.AdamConfig(learning_rate=PRETRAIN_LEARNING_RATE)
-    best_values, best_mse = values.copy(), np.inf
-    iterations = 0
-    for iterations in range(1, PRETRAIN_ITERATION_CAP + 1):
-        mse, grad = _mse_and_grad(design_map, values, target)
-        if mse < best_mse:
-            best_mse, best_values = mse, values.copy()
-        if best_mse < PRETRAIN_TARGET_MSE:
-            break
-        values = optimizers.adam_step(state, values, grad, cfg)
-    converged = best_mse < PRETRAIN_TARGET_MSE
-    if not converged:
+        return FitResult(theta=theta0.replace_values(np.full(len(theta0), v0)), mse=0.0, iterations=0)
+    cap = PRETRAIN_ITERATION_CAP
+    result = fit_to_density(
+        design_map,
+        theta0,
+        np.full(design_map.grid.size, float(v0)),
+        learning_rate=PRETRAIN_LEARNING_RATE,
+        iteration_cap=cap,
+        plateau_iters=cap,  # reset at iteration 1, the plateau count stays below the cap
+        target_mse=PRETRAIN_TARGET_MSE,
+    )
+    if not result.mse < PRETRAIN_TARGET_MSE:
         warnings.warn(
-            f"pretraining stalled at MSE {best_mse:.3e} after {iterations} iterations",
+            f"pretraining stalled at MSE {result.mse:.3e} after {result.iterations} iterations",
             PretrainWarning,
         )
-    return PretrainResult(
-        theta=theta0.replace_values(best_values),
-        mse=best_mse,
-        iterations=iterations,
-        converged=converged,
-    )
+    return result
 
 
 def fit_to_density(
@@ -744,6 +719,7 @@ def fit_to_density(
     plateau_rtol: float = 1e-10,
     lr_decay: float = 0.5,
     min_learning_rate: float = 1e-4,
+    target_mse: float = 0.0,
 ) -> FitResult:
     """Least-squares fit of a map's output to a target density field.
 
@@ -751,8 +727,9 @@ def fit_to_density(
     learning-rate ladder: whenever the best error has not improved by a
     relative ``plateau_rtol`` within ``plateau_iters`` iterations, training
     restarts from the best parameters at a reduced rate, stopping once the
-    rate falls below ``min_learning_rate`` or the iteration cap is hit.
-    Reports the best mean squared pixel error seen.
+    rate falls below ``min_learning_rate``, the best error falls below
+    ``target_mse`` or the iteration cap is hit. Reports the best mean
+    squared pixel error seen.
     """
     target = np.asarray(target, dtype=float).ravel()
     if target.size != design_map.grid.size:
@@ -772,9 +749,13 @@ def fit_to_density(
     iterations = 0
     while iterations < iteration_cap:
         iterations += 1
-        mse, grad = _mse_and_grad(design_map, values, target)
+        rho, vjp_fun = design_map.forward_with_vjp(values)
+        err = rho - target
+        mse = float(np.einsum("i,i->", err, err)) / err.size
         if mse < best_mse:
             best_mse, best_values = mse, values.copy()
+        if best_mse < target_mse:
+            break
         if mse < window_best * (1.0 - plateau_rtol):
             window_best = mse
             since_improvement = 0
@@ -790,5 +771,5 @@ def fit_to_density(
             window_best = best_mse
             since_improvement = 0
             continue
-        values = optimizers.adam_step(state, values, grad, cfg)
+        values = optimizers.adam_step(state, values, vjp_fun(2.0 * err / err.size), cfg)
     return FitResult(theta=theta0.replace_values(best_values), mse=best_mse, iterations=iterations)

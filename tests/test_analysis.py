@@ -5,7 +5,6 @@ import pytest
 
 from topokit import analysis, reparam
 from topokit.analysis import MetricTable, convergence_iteration, performance_profile, psnr
-from topokit.fields import DensityField
 from topokit.optimizers import Trajectory
 from topokit.problems import make_problem
 from topokit.reparam import ArchitectureSpec
@@ -114,7 +113,7 @@ def test_psnr_symmetry():
 
 def test_expressivity_direct_is_exact():
     rng = np.random.default_rng(3)
-    targets = [DensityField(rng.uniform(0, 1, 32), 8, 4) for _ in range(2)]
+    targets = [rng.uniform(0, 1, (4, 8)) for _ in range(2)]
     rows = analysis.expressivity_study([ArchitectureSpec(kind="direct")], targets)
     assert np.isinf(rows[0].worst_psnr[0])
     assert np.isinf(rows[0].mean_psnr)
@@ -122,8 +121,8 @@ def test_expressivity_direct_is_exact():
 
 def test_expressivity_reports_worst_case_across_targets():
     rng = np.random.default_rng(4)
-    easy = DensityField(np.full(32, 0.5), 8, 4)
-    hard = DensityField((rng.uniform(0, 1, 32) > 0.5).astype(float), 8, 4)
+    easy = np.full((4, 8), 0.5)
+    hard = (rng.uniform(0, 1, (4, 8)) > 0.5).astype(float)
     spec = ArchitectureSpec(kind="mlp", width=4, hidden_layers=1)
     rows = analysis.expressivity_study(
         [spec], [easy, hard], repeats=2, seed=0, fit_kwargs={"iteration_cap": 150}
@@ -134,11 +133,11 @@ def test_expressivity_reports_worst_case_across_targets():
     for repeat, worst in enumerate(row.worst_psnr):
         theta0 = reparam.init_params(row.spec, 8, 4, seed=0 + 1000 * repeat)
         fits = [
-            reparam.fit_to_density(design_map, theta0, t.values, iteration_cap=150)
+            reparam.fit_to_density(design_map, theta0, t, iteration_cap=150)
             for t in (easy, hard)
         ]
         scores = [
-            psnr(design_map.forward(f.theta.values), t.values)
+            psnr(design_map.forward(f.theta.values), t)
             for f, t in zip(fits, (easy, hard))
         ]
         assert worst == pytest.approx(min(scores), rel=1e-9)
@@ -149,10 +148,12 @@ def test_expressivity_rejects_targets_on_another_grid_before_any_fit(monkeypatch
         raise AssertionError("a fit ran before the grid check")
 
     monkeypatch.setattr(reparam, "fit_to_density", no_fit)
-    wide = DensityField(np.full(128, 0.5), 16, 8)
-    tall = DensityField(np.full(128, 0.5), 8, 16)
+    wide = np.full((8, 16), 0.5)
+    tall = np.full((16, 8), 0.5)
     with pytest.raises(ValueError, match="target 2 is 8x16, but target 0 is 16x8"):
         analysis.expressivity_study([ArchitectureSpec(kind="direct")], [wide, wide, tall])
+    with pytest.raises(ValueError, match="target 1 is 128, but target 0 is 16x8"):
+        analysis.expressivity_study([ArchitectureSpec(kind="direct")], [wide, wide.ravel()])
 
 
 def test_analysis_tools_build_one_network_workspace(monkeypatch, small_problem):
@@ -167,7 +168,7 @@ def test_analysis_tools_build_one_network_workspace(monkeypatch, small_problem):
     monkeypatch.setattr(reparam, "_Workspace", CountingWorkspace)
     spec = ArchitectureSpec(kind="mlp", width=4, hidden_layers=1)
     rng = np.random.default_rng(5)
-    targets = [DensityField(rng.uniform(0, 1, 128), 16, 8) for _ in range(2)]
+    targets = [rng.uniform(0, 1, (8, 16)) for _ in range(2)]
     fit = {"iteration_cap": 5}
 
     reparam._shared_workspace.cache_clear()
@@ -176,7 +177,7 @@ def test_analysis_tools_build_one_network_workspace(monkeypatch, small_problem):
 
     built.clear()
     reparam._shared_workspace.cache_clear()
-    analysis.landscape_1d(spec, targets[0].values, targets[1].values, 5, small_problem, fit_kwargs=fit)
+    analysis.landscape_1d(spec, targets[0], targets[1], 5, small_problem, fit_kwargs=fit)
     assert len(built) == 1
 
 

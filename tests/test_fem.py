@@ -284,6 +284,16 @@ def test_density_out_of_range_rejected():
         fem.evaluate_objective(problem.domain, problem.physics, rho, 3.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_density_rejected_before_the_solve(bad):
+    # A NaN used to pass the range check and reach the LU as a singular system.
+    problem = make_problem("mbb", (4, 2), 0.5)
+    rho = np.full(8, 0.5)
+    rho[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fem.evaluate_objective(problem.domain, problem.physics, rho, 3.0)
+
+
 def test_singular_system_error_names_physics_and_mesh():
     # no fixed DOFs: rigid modes make the system singular
     domain = GridDomain(nx=2, ny=2, dofs_per_node=2, fixed_dofs=np.zeros(0, dtype=int), load=np.zeros(18))

@@ -12,7 +12,6 @@ import pytest
 
 import topokit
 from topokit import cli, io, presets, reparam
-from topokit.fields import DensityField
 from topokit.optimizers import Trajectory
 
 
@@ -22,8 +21,8 @@ def test_density_csv_roundtrip_exact(tmp_path):
     path = tmp_path / "field.csv"
     io.write_density_csv(path, values, 6, 4)
     back = io.read_field_csv(path)
-    assert (back.nx, back.ny) == (6, 4)
-    assert np.array_equal(back.values, values)
+    assert back.shape == (4, 6)
+    assert np.array_equal(back.ravel(), values)
 
 
 def test_csv_layout_is_row_major_top_first(tmp_path):
@@ -600,11 +599,112 @@ def test_cli_threshold_command(tmp_path):
     )
 
 
-def test_density_field_validation():
-    with pytest.raises(ValueError):
-        DensityField(np.array([0.5, 1.5]), 2, 1)
-    with pytest.raises(ValueError):
-        DensityField(np.zeros(3), 2, 2)
+def test_density_field_validation(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("0.5,1.5\n")
+    with pytest.raises(ValueError, match="row 1: density 1.5 "):
+        io.read_field_csv(path)
+    path.write_text("0,0\n0\n")
+    with pytest.raises(ValueError, match="row 2: 1 values, but row 1 has 2"):
+        io.read_field_csv(path)
+    # values within 1e-12 of [0, 1] are densities
+    path.write_text("-1e-13,1.0000000000001\n")
+    assert io.read_field_csv(path).tolist() == [[-1e-13, 1.0000000000001]]
+
+
+#: A malformed density CSV and the row its error names (None: no row).
+_BAD_CSVS = {
+    "empty": (b"\n\n", None),
+    "binary": (b"\xff\xfe0.5\n", None),
+    "ragged": (b"0.5,0.5\n0.5\n", 2),
+    "non-numeric": (b"0.5,half\n0.5,0.5\n", 1),
+    "nan": (b"0.5,0.5\n0.5,nan\n", 2),
+    "inf": (b"inf,0.5\n0.5,0.5\n", 1),
+    "above-one": (b"0.5,0.5\n0.5,1.5\n", 2),
+    "negative": (b"-0.25,0.5\n0.5,0.5\n", 1),
+}
+
+
+def _bad_csv_argv(command, path, tmp_path):
+    if command == "threshold":
+        return ["threshold", "--design", str(path), "--problem", "mbb", "--v0", "0.5"]
+    if command == "landscape":
+        cfg = {
+            "problem": {"name": "mbb", "nx": 2, "ny": 2, "v0": 0.5},
+            "reparams": [{"kind": "mlp", "width": 4, "hidden_layers": 1}],
+            "rho_ref_1": str(path),
+            "rho_ref_2": "uniform",
+        }
+    else:
+        cfg = {"targets": [str(path)], "architectures": [{"kind": "mlp", "width": 4}]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return [command, "--config", str(cfg_path)]
+
+
+def _no_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a fit or an FE solve ran before the input was validated")
+
+    monkeypatch.setattr(reparam, "fit_to_density", no_run)
+    monkeypatch.setattr(cli, "threshold_and_rescale", no_run)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CSVS))
+@pytest.mark.parametrize("command", ["threshold", "landscape", "expressivity"])
+def test_cli_rejects_bad_density_csv_before_any_run(tmp_path, capsys, monkeypatch, command, case):
+    # A NaN used to pass the range check and threshold exited 0; ragged and
+    # empty files died in a traceback with exit 1.
+    _no_run(monkeypatch)
+    data, row = _BAD_CSVS[case]
+    path = tmp_path / "design.csv"
+    path.write_bytes(data)
+    out = tmp_path / "o"
+    assert run_cli(*_bad_csv_argv(command, path, tmp_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1
+    if row is not None:
+        assert f"row {row}:" in err
+    assert not out.exists()
+
+
+def test_cli_landscape_rejects_reference_on_another_grid(tmp_path, capsys, monkeypatch):
+    # A 2-wide, 4-tall reference passed as the field of a 4x2 problem.
+    _no_run(monkeypatch)
+    ref = tmp_path / "ref.csv"
+    io.write_density_csv(ref, np.full(8, 0.5), 2, 4)
+    cfg = {
+        "problem": {"name": "mbb", "nx": 4, "ny": 2, "v0": 0.5},
+        "reparams": [{"kind": "mlp", "width": 4, "hidden_layers": 1}],
+        "rho_ref_1": str(ref),
+        "rho_ref_2": "uniform",
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli("landscape", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {ref}: a 2x4 design, but the problem is 4x2\n"
+    assert not out.exists()
+
+
+def test_cli_expressivity_rejects_targets_on_two_grids_before_any_fit(tmp_path, capsys, monkeypatch):
+    # The library's check used to fire outside the parse block: traceback, exit 1.
+    _no_run(monkeypatch)
+    wide, tall = tmp_path / "wide.csv", tmp_path / "tall.csv"
+    io.write_density_csv(wide, np.full(8, 0.5), 4, 2)
+    io.write_density_csv(tall, np.full(8, 0.5), 2, 4)
+    cfg = {"targets": [str(wide), str(tall)], "architectures": [{"kind": "mlp", "width": 4}]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli("expressivity", "--config", str(cfg_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tall}: a 2x4 design, but {wide} is 4x2")
+    assert not out.exists()
+    cfg_path.write_text(json.dumps({**cfg, "targets": []}))
+    assert run_cli("expressivity", "--config", str(cfg_path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: expressivity needs at least one target design\n"
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy_signal_or_stats():

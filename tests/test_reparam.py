@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import topokit as tk
-from topokit import reparam
+from topokit import optimizers, reparam
 from topokit.pipeline import VolumeBudget
 from topokit.reparam import ArchitectureSpec, DesignMap, NumericError
 
@@ -473,8 +473,7 @@ def test_pretrain_projected_mode_reaches_target():
     design_map = DesignMap(spec, reparam.coordinate_grid(16, 8), projection=VolumeBudget(0.3))
     theta0 = reparam.init_params(spec, 16, 8, seed=11)
     result = reparam.pretrain_uniform(design_map, theta0, 0.3)
-    assert result.converged
-    assert result.mse < 1e-4
+    assert result.mse < reparam.PRETRAIN_TARGET_MSE
 
 
 def test_pretrain_sigmoid_mode_reaches_target():
@@ -482,8 +481,7 @@ def test_pretrain_sigmoid_mode_reaches_target():
     design_map = DesignMap(spec, reparam.coordinate_grid(16, 8))
     theta0 = reparam.init_params(spec, 16, 8, seed=11)
     result = reparam.pretrain_uniform(design_map, theta0, 0.6)
-    assert result.converged
-    assert result.mse < 1e-4
+    assert result.mse < reparam.PRETRAIN_TARGET_MSE
     assert np.sqrt(np.mean((design_map.forward(result.theta.values) - 0.6) ** 2)) < 1e-2
 
 
@@ -494,8 +492,50 @@ def test_pretrain_warns_when_cap_insufficient(monkeypatch):
     with pytest.warns(reparam.PretrainWarning):
         result = reparam.pretrain_uniform(DesignMap(spec, reparam.coordinate_grid(16, 8)), theta0, 0.3)
     assert result.iterations == 2
-    assert not result.converged
-    assert result.mse > 0.0
+    assert result.mse >= reparam.PRETRAIN_TARGET_MSE
+
+
+def _pretrain_reference(design_map, theta0, v0):
+    """Pretraining as its own Adam loop, with its loss inlined: the reference
+    the shared trainer must reproduce bit for bit."""
+    target = np.full(design_map.grid.size, float(v0))
+    values = theta0.values.copy()
+    state = optimizers.AdamState.zeros(values.size)
+    cfg = optimizers.AdamConfig(learning_rate=reparam.PRETRAIN_LEARNING_RATE)
+    best_values, best_mse = values.copy(), np.inf
+    iterations = 0
+    for iterations in range(1, reparam.PRETRAIN_ITERATION_CAP + 1):
+        rho, vjp_fun = design_map.forward_with_vjp(values)
+        err = rho - target
+        mse = float(np.einsum("i,i->", err, err)) / err.size
+        grad = vjp_fun(2.0 * err / err.size)
+        if mse < best_mse:
+            best_mse, best_values = mse, values.copy()
+        if best_mse < reparam.PRETRAIN_TARGET_MSE:
+            break
+        values = optimizers.adam_step(state, values, grad, cfg)
+    return best_values, best_mse, iterations
+
+
+@pytest.mark.parametrize("projected", [False, True], ids=["sigmoid", "projection"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ArchitectureSpec(kind="mlp"),
+        ArchitectureSpec(kind="siren", width=22, omega0=15.0),
+        ArchitectureSpec(kind="cnn", cnn_upsample=(2, 2)),
+    ],
+    ids=["mlp", "siren", "cnn"],
+)
+def test_pretrain_matches_the_dedicated_loop_bit_for_bit(spec, projected):
+    grid = reparam.coordinate_grid(16, 8)
+    design_map = DesignMap(spec, grid, projection=VolumeBudget(0.6) if projected else None)
+    theta0 = reparam.init_params(spec, 16, 8, seed=3)
+    values, mse, iterations = _pretrain_reference(design_map, theta0, 0.6)
+    result = reparam.pretrain_uniform(design_map, theta0, 0.6)
+    assert result.iterations == iterations
+    assert result.theta.values.tobytes() == values.tobytes()
+    assert result.mse == mse
 
 
 def test_fit_direct_is_exact():
