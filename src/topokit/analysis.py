@@ -46,10 +46,13 @@ class LandscapeResult:
         return sum(s.violation for s in self.samples)
 
 
-def _field_values(target, n_expected: int) -> np.ndarray:
-    values = np.asarray(target, dtype=float).ravel()
+def _field_values(field, n_expected: int, name: str) -> np.ndarray:
+    """``field`` flattened, checked by the rule of :func:`io.read_field_csv`."""
+    values = np.asarray(field, dtype=float).ravel()
     if values.size != n_expected:
-        raise ValueError(f"field has {values.size} entries, expected {n_expected}")
+        raise ValueError(f"{name} has {values.size} entries, expected {n_expected}")
+    if not (values.min() >= -1e-12 and values.max() <= 1.0 + 1e-12):  # NaN fails both
+        raise ValueError(f"{name} must hold finite densities in [0, 1] (tolerance 1e-12)")
     return values
 
 
@@ -72,8 +75,8 @@ def landscape_1d(
     """
     if n_alpha < 2:
         raise ValueError("need at least the two endpoint samples")
-    rho1 = _field_values(rho_ref_1, problem.n_elements)
-    rho2 = _field_values(rho_ref_2, problem.n_elements)
+    rho1 = _field_values(rho_ref_1, problem.n_elements, "rho_ref_1")
+    rho2 = _field_values(rho_ref_2, problem.n_elements, "rho_ref_2")
     design_map = reparam.DesignMap(reparam_spec, reparam.coordinate_grid(problem.nx, problem.ny))
     kwargs = fit_kwargs or {}
 
@@ -121,6 +124,8 @@ def psnr(fit, target) -> float:
     b = np.asarray(target, dtype=float).ravel()
     if a.size != b.size:
         raise ValueError("field sizes differ")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("psnr needs finite fields")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -152,20 +157,22 @@ def expressivity_study(
 
     Every spec fits every target; the per-repeat score is the minimum PSNR
     across targets, and repeats restart from fresh seeds. Targets are
-    (ny, nx) density images, all on the first target's grid.
+    (ny, nx) density images, all on the first target's grid; every target is
+    checked before the first fit.
     """
     if not targets:
         raise ValueError("need at least one target design")
     shape = np.shape(targets[0])
     if len(shape) != 2:
         raise ValueError(f"target 0 has shape {shape}; targets are (ny, nx) images")
+    ny, nx = shape
     for index, target in enumerate(targets):
         if np.shape(target) != shape:
             raise ValueError(
                 f"target {index} is {_grid_name(np.shape(target))}, but target 0 is "
                 f"{_grid_name(shape)}: every target must share one grid"
             )
-    ny, nx = shape
+        _field_values(target, nx * ny, f"target {index}")
     grid = reparam.coordinate_grid(nx, ny)
     kwargs = fit_kwargs or {}
     rows = []

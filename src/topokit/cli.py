@@ -9,12 +9,15 @@ returns a nonzero exit status on failure.
 
 :func:`main` moves every object that exists when it is entered into the
 collector's permanent generation (``gc.freeze``), once per process. Those
-are the ~42k objects that importing this module leaves behind: numpy,
-``scipy.sparse`` and the numpy submodules scipy's array-API layer pulls in.
+are the ~30k objects that importing this module leaves behind: numpy,
+``scipy.sparse(.linalg)`` and scipy's array-API copy of numpy's namespace.
+numpy's unused submodules (``f2py``, ``testing``, ``ma`` and others) are not
+among them: the package defers them, see ``topokit/__init__.py``.
 Without the freeze the interpreter's exit-time collections walk them all:
 from ``main``'s return to process exit, a ``michell-p3-mlp-mma`` run took a
-median 133 ms, against 27 ms with the freeze (10 fresh processes each;
-Python 3.11, numpy 2.4, scipy 1.17, 2-core x86-64). A full collection right
+median 133 ms, against 27 ms with the freeze (10 fresh processes each, when
+the import still left ~42k objects; Python 3.11, numpy 2.4, scipy 1.17,
+2-core x86-64). A full collection right
 after the import finds none of them unreachable, so freezing them leaks
 nothing. Importing topokit leaves the collector alone; only the command
 line freezes.

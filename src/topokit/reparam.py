@@ -303,8 +303,9 @@ class _Workspace:
     """The tape buffers of one coordinate-network shape on one grid.
 
     ``layers[i]`` holds hidden layer i's two (width, n) tape arrays: for the
-    MLP its standardized activations and its output, for SIREN its phase and
-    its output. ``work`` is two (width, n) buffers the VJP alternates
+    MLP its standardized activations and its output, for SIREN its phase
+    (overwritten by its cosine on the first VJP of a forward) and its
+    output. ``work`` is two (width, n) buffers the VJP alternates
     between; the forward uses the first as scratch. ``generation`` counts
     the forwards written into the workspace, so a VJP closure can tell
     whether its tape has been overwritten since.
@@ -423,9 +424,15 @@ def _siren_forward_vjp(spec, values, grid, ws):
     raw = (params["w_out"] @ z + params["b_out"][:, None]).ravel()
     _check_finite(raw, "siren output layer")
     generation = ws.generation
+    cosines_taped = False
 
     def vjp_fun(d_raw):
+        nonlocal cosines_taped
         _check_current(ws, generation)
+        if not cosines_taped:  # MMA takes two VJPs per forward; take the cosines once
+            for _, phase, _ in tape:
+                np.cos(phase, out=phase)
+            cosines_taped = True
         grad = np.empty(values.size)
         grads = unpack(grad, layout)  # views that each segment's gradient fills
         g_out = d_raw.reshape(1, -1)
@@ -434,9 +441,9 @@ def _siren_forward_vjp(spec, values, grid, ws):
         gz, scratch = ws.work
         np.multiply(params["w_out"].T, g_out, out=gz)
         for i in reversed(range(spec.hidden_layers)):
-            z_in, phase, freq = tape[i]
+            z_in, cos_phase, freq = tape[i]
             gz *= freq
-            gz *= np.cos(phase, out=scratch)
+            gz *= cos_phase
             grads[f"w{i}"][...] = gz @ z_in.T
             grads[f"b{i}"][...] = gz.sum(axis=1)
             if i:  # the input coordinates need no gradient

@@ -65,6 +65,15 @@ def test_landscape_warns_on_poor_fit(small_problem):
     assert any("rho_ref_2" in w for w in result.warnings)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5, -0.1])
+@pytest.mark.parametrize("which", [1, 2])
+def test_landscape_rejects_a_reference_outside_the_unit_interval(small_problem, which, bad):
+    refs = [np.full(small_problem.n_elements, 0.5) for _ in range(2)]
+    refs[which - 1][3] = bad
+    with pytest.raises(ValueError, match=f"rho_ref_{which} must hold finite densities"):
+        analysis.landscape_1d(ArchitectureSpec(kind="direct"), *refs, 3, small_problem)
+
+
 def test_count_interior_maxima_with_noise_floor():
     flat = np.zeros(11)
     assert analysis.count_interior_maxima(flat) == 0
@@ -111,6 +120,15 @@ def test_psnr_symmetry():
     assert psnr(a, b) == psnr(b, a)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["fit", "target"])
+def test_psnr_rejects_non_finite_fields(which, bad):
+    fields = {"fit": np.full(10, 0.5), "target": np.full(10, 0.5)}
+    fields[which][4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        psnr(**fields)
+
+
 def test_expressivity_direct_is_exact():
     rng = np.random.default_rng(3)
     targets = [rng.uniform(0, 1, (4, 8)) for _ in range(2)]
@@ -154,6 +172,18 @@ def test_expressivity_rejects_targets_on_another_grid_before_any_fit(monkeypatch
         analysis.expressivity_study([ArchitectureSpec(kind="direct")], [wide, wide, tall])
     with pytest.raises(ValueError, match="target 1 is 128, but target 0 is 16x8"):
         analysis.expressivity_study([ArchitectureSpec(kind="direct")], [wide, wide.ravel()])
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, 1.5])
+def test_expressivity_rejects_a_bad_target_before_any_fit(monkeypatch, bad):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the targets were checked")
+
+    monkeypatch.setattr(reparam, "fit_to_density", no_fit)
+    targets = [np.full((4, 8), 0.5) for _ in range(3)]
+    targets[2][1, 5] = bad
+    with pytest.raises(ValueError, match="target 2 must hold finite densities"):
+        analysis.expressivity_study([ArchitectureSpec(kind="direct")], targets)
 
 
 def test_analysis_tools_build_one_network_workspace(monkeypatch, small_problem):

@@ -707,22 +707,51 @@ def test_cli_expressivity_rejects_targets_on_two_grids_before_any_fit(tmp_path, 
     assert not out.exists()
 
 
-def test_cli_import_loads_no_scipy_signal_or_stats():
+def test_cli_import_loads_no_scipy_signal_or_stats(tmp_path):
     # scipy.signal alone takes most of a second to import; the CLI must not
     # pay for it (or scipy.stats) before a command needs it. scipy.ndimage
     # costs about 70 ms and nothing needs it: the filter is its own
     # correlation. scipy.special costs 33-91 ms for one function, the
-    # logistic, which pipeline defines itself.
+    # logistic, which pipeline defines itself. numpy's f2py, testing, ma and
+    # polynomial, which scipy's array-API layer touches, run their bodies
+    # only when used, and still work when they are.
     code = (
         "import sys, topokit.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'signal'], ['scipy', 'stats'], ['scipy', 'ndimage'], ['scipy', 'special'])))"
+        "(['scipy', 'signal'], ['scipy', 'stats'], ['scipy', 'ndimage'], ['scipy', 'special']) "
+        "or m in ('numpy.f2py.crackfortran', 'numpy.testing._private', 'numpy.ma.core', "
+        "'numpy.polynomial.polynomial'))); "
+        "import numpy; "
+        "numpy.testing.assert_allclose(numpy.ma.masked_array([1.0, 2.0], mask=[0, 1]).sum(), 1.0); "
+        "assert numpy.f2py.get_include()"
     )
     src = str(Path(topokit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+    # A program that imported scipy first keeps numpy's submodules as they are.
+    cfg = {
+        "problem": {"name": "mbb", "nx": 8, "ny": 4, "v0": 0.5},
+        "reparam": {"kind": "direct"},
+        "optimizer": {"kind": "mma", "move_limit": 0.2, "asyinit": 0.5},
+        "budget": 2,
+        "seed": 0,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = (
+        "import sys, scipy.sparse, topokit.cli; "
+        "assert 'numpy.testing._private' in sys.modules; "
+        "assert topokit.cli.main(['optimize', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(cfg_path), str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run" / "trajectory.csv").exists()
 
 
 def test_cli_main_freezes_the_import_heap_once(tmp_path):

@@ -362,6 +362,22 @@ def test_stale_vjp_closure_raises(kind):
         second(w)
 
 
+@pytest.mark.parametrize("kind", ["mlp", "siren"])
+def test_repeated_vjp_calls_match_a_fresh_forward(kind):
+    # MMA takes two VJPs per forward; SIREN's first one turns its phase tape into cosines.
+    spec = ArchitectureSpec(kind=kind, width=6, hidden_layers=2)
+    grid = reparam.coordinate_grid(8, 4)
+    theta = reparam.init_params(spec, 8, 4, seed=21).values
+    w1, w2 = np.random.default_rng(21).standard_normal((2, grid.size))
+    _, vjp_fun = reparam.forward_with_vjp(spec, theta, grid)
+    first, second, again = vjp_fun(w1), vjp_fun(w2), vjp_fun(w1)
+    assert first.tobytes() == again.tobytes()
+    for w, grad in ((w1, first), (w2, second)):
+        assert reparam.forward_with_vjp(spec, theta, grid)[1](w).tobytes() == grad.tobytes()
+    with pytest.raises(RuntimeError, match="stale"):
+        vjp_fun(w1)
+
+
 def test_maps_sharing_a_workspace_match_fresh_maps():
     spec = ArchitectureSpec(kind="mlp", width=8, hidden_layers=3)
     grid = reparam.coordinate_grid(16, 8)
