@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import reparam
+from . import pipeline, reparam
 from .problems import ProblemSpec
 from .runner import evaluate_design
 
@@ -47,12 +47,13 @@ class LandscapeResult:
 
 
 def _field_values(field, n_expected: int, name: str) -> np.ndarray:
-    """``field`` flattened, checked by the rule of :func:`io.read_field_csv`."""
+    """``field`` flattened, checked by :func:`pipeline.first_bad_density`."""
     values = np.asarray(field, dtype=float).ravel()
     if values.size != n_expected:
         raise ValueError(f"{name} has {values.size} entries, expected {n_expected}")
-    if not (values.min() >= -1e-12 and values.max() <= 1.0 + 1e-12):  # NaN fails both
-        raise ValueError(f"{name} must hold finite densities in [0, 1] (tolerance 1e-12)")
+    bad = pipeline.first_bad_density(values)
+    if bad is not None:
+        raise ValueError(f"{name} must hold finite densities in [0, 1]; {bad!r} is not")
     return values
 
 

@@ -2,10 +2,18 @@
 
 Subcommands: optimize, landscape, expressivity, profile, search, threshold.
 The config-driven commands (optimize, landscape, expressivity, search) read a
-JSON config or a named preset, reject unknown config keys with exit status 2
-before any run, and write their artifacts into an output directory together
-with a manifest that is sufficient to re-run the experiment. Every command
-returns a nonzero exit status on failure.
+JSON config or a named preset and write their artifacts into an output
+directory, together with a manifest that is sufficient to re-run the
+experiment.
+
+Each ``cmd_*`` function validates all of its input first: config keys and
+sections, counts, flags, and the reference and target files it reads. It
+then returns a ``run(out) -> int`` closure that does the work. :func:`main`
+owns the exit status: a ``KeyError``, ``ValueError`` or ``FileNotFoundError``
+from a command's validation prints ``error: ...`` and returns 2 before any
+output exists. Only then does ``main`` create the output directory and call
+``run``. A run that fails (a solver error, every search trial failing)
+records the error in its manifest and returns 1.
 
 :func:`main` moves every object that exists when it is entered into the
 collector's permanent generation (``gc.freeze``), once per process. Those
@@ -36,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, io, pipeline, presets, reparam
+from . import __version__, analysis, io, pipeline, presets
 from .problems import ProblemSpec, TwoBarProblem
 from .runner import run_optimization, threshold_and_rescale
 
@@ -75,16 +83,29 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _outdir(args) -> Path:
-    out = Path(getattr(args, "out", None) or "runs/out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _count(cfg: dict, key: str, default: int, least: int) -> int:
+    """``cfg[key]``, or ``default`` if absent: an integer, not a bool, of at least ``least``."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{key!r} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _pretrain(cfg: dict) -> bool:
+    pretrain = cfg.get("pretrain", True)
+    if not isinstance(pretrain, bool):
+        raise ValueError(f"'pretrain' must be true or false, got {pretrain!r}")
+    return pretrain
 
 
 def _check_projection(problem, optimizer_cfg: dict) -> None:
     """Adam runs a grid problem through the exact-volume projection."""
     if optimizer_cfg.get("kind") == "adam" and isinstance(problem, ProblemSpec):
         pipeline.check_projection_target(problem.volume_target)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_random_range(name: str, bounds) -> None:
@@ -94,7 +115,7 @@ def _check_random_range(name: str, bounds) -> None:
     presets._reject_unknown_keys(bounds, {"low", "high", "log"}, f"search range {name!r}")
     for key in ("low", "high"):
         value = bounds.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not (_is_number(value) and math.isfinite(value)):
             raise ValueError(f"search range {name!r} needs a finite number {key!r}, got {value!r}")
     if not bounds["low"] < bounds["high"]:
         raise ValueError(f"search range {name!r} needs 'low' < 'high'")
@@ -102,101 +123,96 @@ def _check_random_range(name: str, bounds) -> None:
         raise ValueError(f"search range {name!r} is log-scaled and needs 'low' > 0")
 
 
-def _manifest_skeleton(command: str, cfg: dict) -> dict:
-    return {"command": command, "config": cfg, "version": __version__}
-
-
-def cmd_optimize(args) -> int:
-    try:
-        cfg = _load_config(args)
-        presets._reject_unknown_keys(cfg, _OPTIMIZE_KEYS, "optimize")
-        problem = presets.problem_from_config(cfg["problem"])
-        spec = presets.spec_from_config(cfg.get("reparam", {"kind": "direct"}))
-        optimizer = presets.optimizer_from_config(cfg["optimizer"])
-        _check_projection(problem, cfg["optimizer"])
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = _outdir(args)
-    manifest = _manifest_skeleton("optimize", cfg)
-    try:
-        result = run_optimization(
-            problem,
-            spec,
-            optimizer,
-            budget=int(cfg.get("budget", 100)),
-            seed=int(cfg.get("seed", 0)),
-            pretrain=bool(cfg.get("pretrain", True)),
-            theta0=cfg.get("theta0"),
-        )
-    except Exception as exc:  # solver failures land in the manifest
-        manifest["outcome"] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-        io.write_manifest(out / "manifest.json", manifest)
-        print(f"error: {exc}", file=sys.stderr)
-        traceback.print_exc()
-        return 1
-
-    traj = result.trajectory
-    io.write_trajectory_csv(out / "trajectory.csv", traj)
-    io.save_params(out / "theta", result.theta)
-
-    outcome = {
-        "status": "ok",
-        "final_objective": traj.objective[-1],
-        "final_constraint_violation": traj.constraint_violation[-1],
-        "best_feasible_objective": traj.best_feasible_objective,
-        "best_feasible_iteration": traj.best_feasible_iteration,
-        "iterations": traj.iterations,
-    }
-    if result.pretrain_mse is not None:
-        outcome["pretrain_mse"] = result.pretrain_mse
-
-    if isinstance(problem, TwoBarProblem):
-        outcome["final_point"] = [float(v) for v in result.design]
-        metrics = {
-            "best_feasible_objective": traj.best_feasible_objective,
-            "converged_iteration": analysis.convergence_iteration(traj.objective),
-            "final_point": [float(v) for v in result.design],
-        }
-    else:
-        best = traj.best_feasible_design
-        note = None
-        if best is None:
-            best = traj.designs[int(np.argmin(traj.constraint_violation))]
-            note = FEASIBLE_FALLBACK_NOTE
-        nx, ny = problem.nx, problem.ny
-        io.write_density_csv(out / "final_design.csv", result.design, nx, ny)
-        io.write_pgm(out / "final_design.pgm", result.design, nx, ny)
-        io.write_density_csv(out / "best_design.csv", best, nx, ny)
-        io.write_pgm(out / "best_design.pgm", best, nx, ny)
-        rho_bw, c_th, c_rescaled, v_th = threshold_and_rescale(problem, best)
-        io.write_density_csv(out / "thresholded.csv", rho_bw, nx, ny)
-        io.write_pgm(out / "thresholded.pgm", rho_bw, nx, ny)
-        snapshot_every = int(getattr(args, "snapshot_every", 0) or cfg.get("snapshot_every", 0))
-        if snapshot_every > 0:
-            for i in range(0, traj.iterations, snapshot_every):
-                io.write_pgm(out / f"design_{i:05d}.pgm", traj.designs[i], nx, ny)
-        metrics = {
-            "best_feasible_objective": traj.best_feasible_objective,
-            "converged_iteration": analysis.convergence_iteration(traj.objective),
-            "thresholded_objective": c_th,
-            "thresholded_objective_rescaled": c_rescaled,
-            "thresholded_volume": v_th,
-        }
-        if note:
-            metrics["note"] = note
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n", encoding="utf-8")
-    manifest["outcome"] = outcome
+def _write_manifest(out: Path, command: str, cfg: dict, outcome: dict) -> None:
+    manifest = {"command": command, "config": cfg, "version": __version__, "outcome": outcome}
     io.write_manifest(out / "manifest.json", manifest)
-    print(f"optimize: objective {traj.objective[-1]:.6g} after {traj.iterations} evaluations -> {out}")
-    return 0
+
+
+def _write_field(out: Path, stem: str, values, nx: int, ny: int) -> None:
+    """A density field as ``<stem>.csv`` and ``<stem>.pgm``."""
+    io.write_density_csv(out / f"{stem}.csv", values, nx, ny)
+    io.write_pgm(out / f"{stem}.pgm", values, nx, ny)
+
+
+def _write_thresholded(out: Path, problem: ProblemSpec, design) -> dict:
+    """Write the black-and-white ``design`` as ``thresholded.*``; return its metrics."""
+    rho_bw, c_th, c_rescaled, v_th = threshold_and_rescale(problem, design)
+    _write_field(out, "thresholded", rho_bw, problem.nx, problem.ny)
+    return {
+        "thresholded_objective": c_th,
+        "thresholded_objective_rescaled": c_rescaled,
+        "thresholded_volume": v_th,
+    }
+
+
+def cmd_optimize(args):
+    cfg = _load_config(args)
+    presets._reject_unknown_keys(cfg, _OPTIMIZE_KEYS, "optimize")
+    problem = presets.problem_from_config(cfg["problem"])
+    spec = presets.spec_from_config(cfg.get("reparam", {"kind": "direct"}))
+    optimizer = presets.optimizer_from_config(cfg["optimizer"])
+    _check_projection(problem, cfg["optimizer"])
+    budget, seed, pretrain = _count(cfg, "budget", 100, 0), _count(cfg, "seed", 0, 0), _pretrain(cfg)
+    snapshot_every = _count(vars(args), "snapshot_every", 0, 0) or _count(cfg, "snapshot_every", 0, 0)
+
+    def run(out: Path) -> int:
+        try:
+            result = run_optimization(
+                problem, spec, optimizer, budget=budget, seed=seed, pretrain=pretrain,
+                theta0=cfg.get("theta0"),
+            )
+        except Exception as exc:  # solver failures land in the manifest
+            outcome = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+            _write_manifest(out, "optimize", cfg, outcome)
+            print(f"error: {exc}", file=sys.stderr)
+            traceback.print_exc()
+            return 1
+
+        traj = result.trajectory
+        io.write_trajectory_csv(out / "trajectory.csv", traj)
+        io.save_params(out / "theta", result.theta)
+        outcome = {
+            "status": "ok",
+            "final_objective": traj.objective[-1],
+            "final_constraint_violation": traj.constraint_violation[-1],
+            "best_feasible_objective": traj.best_feasible_objective,
+            "best_feasible_iteration": traj.best_feasible_iteration,
+            "iterations": traj.iterations,
+        }
+        if result.pretrain_mse is not None:
+            outcome["pretrain_mse"] = result.pretrain_mse
+        metrics = {
+            "best_feasible_objective": traj.best_feasible_objective,
+            "converged_iteration": analysis.convergence_iteration(traj.objective),
+        }
+        if isinstance(problem, TwoBarProblem):
+            outcome["final_point"] = metrics["final_point"] = [float(v) for v in result.design]
+        else:
+            best = traj.best_feasible_design
+            if best is None:
+                best = traj.designs[int(np.argmin(traj.constraint_violation))]
+            nx, ny = problem.nx, problem.ny
+            _write_field(out, "final_design", result.design, nx, ny)
+            _write_field(out, "best_design", best, nx, ny)
+            metrics.update(_write_thresholded(out, problem, best))
+            if snapshot_every:
+                for i in range(0, traj.iterations, snapshot_every):
+                    io.write_pgm(out / f"design_{i:05d}.pgm", traj.designs[i], nx, ny)
+            if traj.best_feasible_design is None:
+                metrics["note"] = FEASIBLE_FALLBACK_NOTE
+        (out / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n", encoding="utf-8")
+        _write_manifest(out, "optimize", cfg, outcome)
+        print(f"optimize: objective {traj.objective[-1]:.6g} after {traj.iterations} evaluations -> {out}")
+        return 0
+
+    return run
 
 
 def _reference_field(ref, problem: ProblemSpec) -> np.ndarray:
     if isinstance(ref, str) and ref == "uniform":
         return np.full(problem.n_elements, problem.volume_target)
     if isinstance(ref, dict) and "random_seed" in ref:
-        rng = np.random.default_rng(int(ref["random_seed"]))
+        rng = np.random.default_rng(_count(ref, "random_seed", 0, 0))
         return rng.uniform(0.0, 1.0, problem.n_elements)
     path = Path(ref)
     if not path.exists():
@@ -210,288 +226,238 @@ def _reference_field(ref, problem: ProblemSpec) -> np.ndarray:
     return image
 
 
-def cmd_landscape(args) -> int:
-    try:
-        cfg = _load_config(args)
-        presets._reject_unknown_keys(cfg, _LANDSCAPE_KEYS, "landscape")
-        presets._reject_unknown_keys(cfg.get("fit") or {}, _FIT_KEYS, "fit")
-        problem = presets.problem_from_config(cfg["problem"])
-        specs = [presets.spec_from_config(c) for c in cfg.get("reparams", [{"kind": "direct"}])]
-        ref1 = _reference_field(cfg["rho_ref_1"], problem)
-        ref2 = _reference_field(cfg["rho_ref_2"], problem)
-    except (KeyError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = _outdir(args)
-    manifest = _manifest_skeleton("landscape", cfg)
-    results = {}
-    for spec in specs:
-        res = analysis.landscape_1d(
-            spec,
-            ref1,
-            ref2,
-            n_alpha=int(cfg.get("n_alpha", 101)),
-            problem=problem,
-            seed=int(cfg.get("seed", 0)),
-            fit_kwargs=cfg.get("fit"),
+def cmd_landscape(args):
+    cfg = _load_config(args)
+    presets._reject_unknown_keys(cfg, _LANDSCAPE_KEYS, "landscape")
+    presets._reject_unknown_keys(cfg.get("fit") or {}, _FIT_KEYS, "fit")
+    problem = presets.problem_from_config(cfg["problem"])
+    if not isinstance(problem, ProblemSpec):
+        raise ValueError("landscape needs a grid problem, not the two-bar truss")
+    specs = [presets.spec_from_config(c) for c in cfg.get("reparams", [{"kind": "direct"}])]
+    kinds = [spec.kind for spec in specs]
+    for kind in kinds:
+        if kinds.count(kind) > 1:
+            raise ValueError(
+                f"landscape config: two reparams of kind {kind!r} would share landscape_{kind}.csv"
+            )
+    ref1 = _reference_field(cfg["rho_ref_1"], problem)
+    ref2 = _reference_field(cfg["rho_ref_2"], problem)
+    n_alpha, seed = _count(cfg, "n_alpha", 101, 2), _count(cfg, "seed", 0, 0)
+
+    def run(out: Path) -> int:
+        results = {}
+        for spec in specs:
+            res = analysis.landscape_1d(
+                spec, ref1, ref2, n_alpha=n_alpha, problem=problem, seed=seed,
+                fit_kwargs=cfg.get("fit"),
+            )
+            rows = [[s.alpha, s.objective, s.constraint, int(s.violation)] for s in res.samples]
+            header = ["alpha", "objective", "constraint", "violation"]
+            io.write_csv_table(out / f"landscape_{spec.kind}.csv", header, rows)
+            results[spec.kind] = {
+                "fit_mse": list(res.fit_mse),
+                "warnings": res.warnings,
+                "interior_maxima": analysis.count_interior_maxima(res.objectives),
+                "violations": res.n_violations,
+            }
+        _write_manifest(out, "landscape", cfg, {"status": "ok", "reparams": results})
+        print(f"landscape: wrote {len(results)} slice(s) -> {out}")
+        return 0
+
+    return run
+
+
+def cmd_expressivity(args):
+    cfg = _load_config(args)
+    presets._reject_unknown_keys(cfg, _EXPRESSIVITY_KEYS, "expressivity")
+    presets._reject_unknown_keys(cfg.get("fit") or {}, _FIT_KEYS, "fit")
+    target_paths = cfg["targets"]
+    if not target_paths:
+        raise ValueError("expressivity needs at least one target design")
+    targets = []
+    for path in target_paths:
+        if not Path(path).exists():
+            raise FileNotFoundError(f"target design not found: {path}")
+        targets.append(io.read_field_csv(path))
+        if targets[-1].shape != targets[0].shape:
+            (ny, nx), (ny0, nx0) = targets[-1].shape, targets[0].shape
+            raise ValueError(
+                f"{path}: a {nx}x{ny} design, but {target_paths[0]} is {nx0}x{ny0}: "
+                "every target must share one grid"
+            )
+    arch_cfg = cfg.get("architectures", "sweep")
+    if arch_cfg == "sweep":
+        ny, nx = targets[0].shape
+        specs = presets.sweep_specs(nx, ny)
+    else:
+        specs = [presets.spec_from_config(c) for c in arch_cfg]
+    repeats, seed = _count(cfg, "repeats", 1, 1), _count(cfg, "seed", 0, 0)
+
+    def run(out: Path) -> int:
+        rows = analysis.expressivity_study(
+            specs, targets, repeats=repeats, seed=seed, fit_kwargs=cfg.get("fit")
         )
-        rows = [
-            [s.alpha, s.objective, s.constraint, int(s.violation)] for s in res.samples
+        table = [
+            [row.spec.kind, row.param_count, row.mean_psnr, row.std_psnr]
+            + [float(v) for v in row.worst_psnr]
+            for row in rows
         ]
-        io.write_csv_table(
-            out / f"landscape_{spec.kind}.csv",
-            ["alpha", "objective", "constraint", "violation"],
-            rows,
-        )
-        results[spec.kind] = {
-            "fit_mse": list(res.fit_mse),
-            "warnings": res.warnings,
-            "interior_maxima": analysis.count_interior_maxima(res.objectives),
-            "violations": res.n_violations,
-        }
-    manifest["outcome"] = {"status": "ok", "reparams": results}
-    io.write_manifest(out / "manifest.json", manifest)
-    print(f"landscape: wrote {len(results)} slice(s) -> {out}")
-    return 0
+        header = ["kind", "params", "mean_worst_psnr", "std_worst_psnr"]
+        header += [f"repeat{r}" for r in range(repeats)]
+        io.write_csv_table(out / "expressivity.csv", header, table)
+        _write_manifest(out, "expressivity", cfg, {"status": "ok", "rows": len(table)})
+        print(f"expressivity: {len(table)} architectures -> {out}")
+        return 0
 
-
-def cmd_expressivity(args) -> int:
-    try:
-        cfg = _load_config(args)
-        presets._reject_unknown_keys(cfg, _EXPRESSIVITY_KEYS, "expressivity")
-        presets._reject_unknown_keys(cfg.get("fit") or {}, _FIT_KEYS, "fit")
-        target_paths = cfg["targets"]
-        if not target_paths:
-            raise ValueError("expressivity needs at least one target design")
-        targets = []
-        for path in target_paths:
-            if not Path(path).exists():
-                raise FileNotFoundError(f"target design not found: {path}")
-            targets.append(io.read_field_csv(path))
-            if targets[-1].shape != targets[0].shape:
-                (ny, nx), (ny0, nx0) = targets[-1].shape, targets[0].shape
-                raise ValueError(
-                    f"{path}: a {nx}x{ny} design, but {target_paths[0]} is {nx0}x{ny0}: "
-                    "every target must share one grid"
-                )
-        arch_cfg = cfg.get("architectures", "sweep")
-        if arch_cfg == "sweep":
-            ny, nx = targets[0].shape
-            specs = presets.sweep_specs(nx, ny)
-        else:
-            specs = [presets.spec_from_config(c) for c in arch_cfg]
-    except (KeyError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = _outdir(args)
-    rows_out = analysis.expressivity_study(
-        specs,
-        targets,
-        repeats=int(cfg.get("repeats", 1)),
-        seed=int(cfg.get("seed", 0)),
-        fit_kwargs=cfg.get("fit"),
-    )
-    table = [
-        [row.spec.kind, row.param_count, row.mean_psnr, row.std_psnr]
-        + [float(v) for v in row.worst_psnr]
-        for row in rows_out
-    ]
-    repeats = int(cfg.get("repeats", 1))
-    header = ["kind", "params", "mean_worst_psnr", "std_worst_psnr"] + [
-        f"repeat{r}" for r in range(repeats)
-    ]
-    io.write_csv_table(out / "expressivity.csv", header, table)
-    manifest = _manifest_skeleton("expressivity", cfg)
-    manifest["outcome"] = {"status": "ok", "rows": len(table)}
-    io.write_manifest(out / "manifest.json", manifest)
-    print(f"expressivity: {len(table)} architectures -> {out}")
-    return 0
+    return run
 
 
 def _run_label(cfg: dict) -> tuple[str, str]:
+    """(solver, case) of an ``optimize`` config; the case names the problem it builds."""
     reparam_kind = cfg.get("reparam", {}).get("kind", "direct")
     solver = ("baseline" if reparam_kind == "direct" else reparam_kind) + "+" + cfg["optimizer"]["kind"]
-    prob = cfg["problem"]
-    case = "{}-{}x{}-v{}-p{}".format(
-        prob.get("name"),
-        prob.get("nx", 64),
-        prob.get("ny", 32),
-        prob.get("v0", "def"),
-        prob.get("penalty", 3.0),
-    )
-    return solver, case
+    problem = presets.problem_from_config(cfg["problem"])
+    if isinstance(problem, TwoBarProblem):
+        return solver, "twobar"
+    return solver, "{0.name}-{0.nx}x{0.ny}-v{0.volume_target!r}-p{0.penalty!r}".format(problem)
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args):
     metric_key = {
         "best_objective": "best_feasible_objective",
         "converged_iteration": "converged_iteration",
         "thresholded_compliance": "thresholded_objective_rescaled",
     }.get(args.metric, args.metric)
-    entries = []
-    for run_dir in args.runs:
-        run_dir = Path(run_dir)
+    runs = {}  # (solver, case) -> (run directory, metric value)
+    for run_dir in map(Path, args.runs):
         manifest_path = run_dir / "manifest.json"
-        metrics_path = run_dir / "metrics.json"
         if not manifest_path.exists():
-            print(f"error: missing artifact {manifest_path}", file=sys.stderr)
-            return 2
-        manifest = io.read_manifest(manifest_path)
-        solver, case = _run_label(manifest["config"])
+            raise FileNotFoundError(f"missing artifact {manifest_path}")
+        label = _run_label(io.read_manifest(manifest_path)["config"])
+        if label in runs:
+            raise ValueError(f"{runs[label][0]} and {run_dir} are both {label[0]} on {label[1]}")
         value = np.inf
+        metrics_path = run_dir / "metrics.json"
         if metrics_path.exists():
             metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
             value = float(metrics.get(metric_key, np.inf))
-        if not np.isfinite(value):
-            value = np.inf
-        entries.append((solver, case, value))
-    solvers = tuple(sorted({e[0] for e in entries}))
-    cases = tuple(sorted({e[1] for e in entries}))
+        runs[label] = (run_dir, value if np.isfinite(value) else np.inf)
+    solvers = tuple(sorted({solver for solver, _ in runs}))
+    cases = tuple(sorted({case for _, case in runs}))
     values = np.full((len(solvers), len(cases)), np.inf)
-    for solver, case, value in entries:
+    for (solver, case), (_, value) in runs.items():
         values[solvers.index(solver), cases.index(case)] = value
     table = analysis.MetricTable(values=values, solvers=solvers, cases=cases, metric=args.metric)
     tau_grid = np.linspace(1.0, args.tau_max, args.tau_points)
-    try:
-        curves = analysis.performance_profile(table, tau_grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = _outdir(args)
-    rows = [[float(tau)] + [float(v) for v in curves[:, i]] for i, tau in enumerate(tau_grid)]
-    io.write_csv_table(out / "profile.csv", ["tau"] + [f"p_{s}" for s in solvers], rows)
-    print(f"profile: {len(solvers)} solvers x {len(cases)} cases -> {out}")
-    return 0
+    curves = analysis.performance_profile(table, tau_grid)
+
+    def run(out: Path) -> int:
+        rows = [[float(tau)] + [float(v) for v in curves[:, i]] for i, tau in enumerate(tau_grid)]
+        io.write_csv_table(out / "profile.csv", ["tau"] + [f"p_{s}" for s in solvers], rows)
+        print(f"profile: {len(solvers)} solvers x {len(cases)} cases -> {out}")
+        return 0
+
+    return run
 
 
-def cmd_search(args) -> int:
-    try:
-        cfg = _load_config(args)
-        presets._reject_unknown_keys(cfg, _SEARCH_KEYS, "search")
-        base = cfg["base"]
-        search = cfg["search"]
-        presets._reject_unknown_keys(base, _SEARCH_BASE_KEYS, "search base")
-        presets._reject_unknown_keys(search, _SEARCH_SECTION_KEYS, "search section")
-        problem = presets.problem_from_config(base["problem"])
-        spec = presets.spec_from_config(base.get("reparam", {"kind": "direct"}))
-        _check_projection(problem, base["optimizer"])
-        if not isinstance(search.get("parameters"), dict):
-            raise ValueError("the search section needs a 'parameters' object")
-        mode = search.get("mode", "grid")
-        if mode == "grid":
-            for name, values in search["parameters"].items():
-                if not isinstance(values, list) or not values:
-                    raise ValueError(f"grid parameter {name!r} needs a non-empty list of values")
-        elif mode == "random":
-            for name, bounds in search["parameters"].items():
-                _check_random_range(name, bounds)
-        else:
-            raise ValueError(f"unknown search mode {mode!r}")
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = _outdir(args)
-    budget = int(search.get("budget", 60))
-    seed = int(cfg.get("seed", base.get("seed", 0)))
+def _search_combos(search: dict, seed: int) -> list[dict]:
+    """Every grid combination, or ``trials`` random draws from ``seed``."""
+    if not isinstance(search.get("parameters"), dict):
+        raise ValueError("the search section needs a 'parameters' object")
+    parameters = search["parameters"]
+    names = sorted(parameters)
+    mode = search.get("mode", "grid")
+    if mode == "grid":
+        for name, values in parameters.items():
+            if not isinstance(values, list) or not values or not all(map(_is_number, values)):
+                raise ValueError(f"grid parameter {name!r} needs a non-empty list of numbers")
+        return [dict(zip(names, values)) for values in itertools.product(*(parameters[n] for n in names))]
+    if mode != "random":
+        raise ValueError(f"unknown search mode {mode!r}")
+    for name, bounds in parameters.items():
+        _check_random_range(name, bounds)
+    trials = _count(search, "trials", 10, 1)
+    rng = np.random.default_rng(seed)
+
+    def draw(bounds: dict) -> float:
+        low, high = float(bounds["low"]), float(bounds["high"])
+        if bounds.get("log", False):
+            return float(np.exp(rng.uniform(np.log(low), np.log(high))))
+        return float(rng.uniform(low, high))
+
+    return [{name: draw(parameters[name]) for name in names} for _ in range(trials)]
+
+
+def cmd_search(args):
+    cfg = _load_config(args)
+    presets._reject_unknown_keys(cfg, _SEARCH_KEYS, "search")
+    base, search = cfg["base"], cfg["search"]
+    presets._reject_unknown_keys(base, _SEARCH_BASE_KEYS, "search base")
+    presets._reject_unknown_keys(search, _SEARCH_SECTION_KEYS, "search section")
+    problem = presets.problem_from_config(base["problem"])
+    spec = presets.spec_from_config(base.get("reparam", {"kind": "direct"}))
+    _check_projection(problem, base["optimizer"])
+    budget, pretrain = _count(search, "budget", 60, 0), _pretrain(base)
+    seed = _count(cfg, "seed", _count(base, "seed", 0, 0), 0)
+    combos = _search_combos(search, seed)
     names = sorted(search["parameters"])
 
-    if mode == "grid":
-        grids = [search["parameters"][n] for n in names]
-        combos = [dict(zip(names, values)) for values in itertools.product(*grids)]
-    else:
-        trials = int(search.get("trials", 10))
-        if trials < 1:
-            print("error: need at least one trial", file=sys.stderr)
-            return 2
-        rng = np.random.default_rng(seed)
-        combos = []
-        for _ in range(trials):
-            combo = {}
-            for name in names:
-                spec_ = search["parameters"][name]
-                low, high = float(spec_["low"]), float(spec_["high"])
-                if spec_.get("log", False):
-                    combo[name] = float(np.exp(rng.uniform(np.log(low), np.log(high))))
-                else:
-                    combo[name] = float(rng.uniform(low, high))
-            combos.append(combo)
+    def run(out: Path) -> int:
+        rows = []
+        best_value, best_combo = np.inf, None
+        for trial, combo in enumerate(combos):
+            status = "ok"
+            value = np.inf
+            try:
+                optimizer = presets.optimizer_from_config({**base["optimizer"], **combo})
+                result = run_optimization(
+                    problem, spec, optimizer, budget=budget, seed=seed, pretrain=pretrain,
+                    theta0=base.get("theta0"),
+                )
+                value = result.trajectory.best_feasible_objective
+                if not np.isfinite(value):
+                    status = "infeasible"
+            except Exception as exc:
+                status = f"failed: {type(exc).__name__}: {exc}"
+            rows.append([trial] + [float(combo[n]) for n in names] + [float(value), status])
+            if value < best_value:
+                best_value, best_combo = value, combo
+        io.write_csv_table(out / "trials.csv", ["trial"] + names + ["objective", "status"], rows)
+        if best_combo is None:
+            _write_manifest(out, "search", cfg, {"status": "error", "error": "all trials failed"})
+            print("error: all trials failed", file=sys.stderr)
+            return 1
+        outcome = {"status": "ok", "best": best_combo, "best_objective": best_value}
+        _write_manifest(out, "search", cfg, outcome)
+        (out / "best.json").write_text(json.dumps(best_combo, indent=2) + "\n", encoding="utf-8")
+        print(f"search: best objective {best_value:.6g} at {best_combo} -> {out}")
+        return 0
 
-    rows = []
-    best_value, best_combo = np.inf, None
-    for trial, combo in enumerate(combos):
-        opt_cfg = dict(base["optimizer"])
-        opt_cfg.update(combo)
-        status = "ok"
-        value = np.inf
-        try:
-            optimizer = presets.optimizer_from_config(opt_cfg)
-            result = run_optimization(
-                problem,
-                spec,
-                optimizer,
-                budget=budget,
-                seed=seed,
-                pretrain=bool(base.get("pretrain", True)),
-                theta0=base.get("theta0"),
-            )
-            value = result.trajectory.best_feasible_objective
-            if not np.isfinite(value):
-                status = "infeasible"
-        except Exception as exc:
-            status = f"failed: {type(exc).__name__}: {exc}"
-        rows.append([trial] + [float(combo[n]) for n in names] + [float(value), status])
-        if value < best_value:
-            best_value, best_combo = value, combo
-    io.write_csv_table(out / "trials.csv", ["trial"] + names + ["objective", "status"], rows)
-    manifest = _manifest_skeleton("search", cfg)
-    if best_combo is None:
-        manifest["outcome"] = {"status": "error", "error": "all trials failed"}
-        io.write_manifest(out / "manifest.json", manifest)
-        print("error: all trials failed", file=sys.stderr)
-        return 1
-    manifest["outcome"] = {"status": "ok", "best": best_combo, "best_objective": best_value}
-    io.write_manifest(out / "manifest.json", manifest)
-    (out / "best.json").write_text(json.dumps(best_combo, indent=2) + "\n", encoding="utf-8")
-    print(f"search: best objective {best_value:.6g} at {best_combo} -> {out}")
-    return 0
+    return run
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args):
     design_path = Path(args.design)
     if not design_path.exists():
-        print(f"error: missing artifact {design_path}", file=sys.stderr)
-        return 2
-    try:
-        image = io.read_field_csv(design_path)
-        ny, nx = image.shape
-        problem = presets.problem_from_config(
-            {
-                "name": args.problem,
-                "nx": nx,
-                "ny": ny,
-                "v0": args.v0,
-                "penalty": args.penalty,
-            }
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = _outdir(args)
-    rho_bw, c_th, c_rescaled, v_th = threshold_and_rescale(problem, image.ravel())
-    io.write_density_csv(out / "thresholded.csv", rho_bw, nx, ny)
-    io.write_pgm(out / "thresholded.pgm", rho_bw, nx, ny)
-    result = {
-        "thresholded_objective": c_th,
-        "thresholded_objective_rescaled": c_rescaled,
-        "thresholded_volume": v_th,
-        "volume_target": problem.volume_target,
-    }
-    (out / "threshold.json").write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    print(
-        f"threshold: objective {c_th:.6g} at volume {v_th:.4f}, "
-        f"rescaled {c_rescaled:.6g} -> {out}"
+        raise FileNotFoundError(f"missing artifact {design_path}")
+    image = io.read_field_csv(design_path)
+    ny, nx = image.shape
+    problem = presets.problem_from_config(
+        {"name": args.problem, "nx": nx, "ny": ny, "v0": args.v0, "penalty": args.penalty}
     )
-    return 0
+
+    def run(out: Path) -> int:
+        result = _write_thresholded(out, problem, image.ravel())
+        result["volume_target"] = problem.volume_target
+        (out / "threshold.json").write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+        print(
+            f"threshold: objective {result['thresholded_objective']:.6g} "
+            f"at volume {result['thresholded_volume']:.4f}, "
+            f"rescaled {result['thresholded_objective_rescaled']:.6g} -> {out}"
+        )
+        return 0
+
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -551,7 +517,14 @@ def main(argv=None) -> int:
     if gc.get_freeze_count() == 0:
         gc.freeze()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        run = args.func(args)
+    except (KeyError, ValueError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out = Path(args.out or "runs/out")
+    out.mkdir(parents=True, exist_ok=True)
+    return run(out)
 
 
 if __name__ == "__main__":

@@ -40,6 +40,8 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from . import pipeline
+
 PHYSICS_KINDS = ("compliance", "thermal", "mechanism")
 
 #: Relative residual accepted from the direct solve.
@@ -483,8 +485,9 @@ def evaluate_objective(
     rho = np.asarray(rho_phys, dtype=float).ravel()
     if rho.size != domain.n_elements:
         raise ValueError("density field length must equal the element count")
-    if not (rho.min() >= -1e-12 and rho.max() <= 1.0 + 1e-12):  # NaN fails both
-        raise ValueError("densities must be finite and lie in [0, 1] (tolerance 1e-12)")
+    bad = pipeline.first_bad_density(rho)
+    if bad is not None:
+        raise ValueError(f"density {bad!r} is not a finite value in [0, 1]")
     check_penalty(penalty)
     rho = np.clip(rho, 0.0, 1.0)
     if domain.passive_solid.size:

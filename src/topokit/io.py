@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import pipeline
 from .optimizers import Trajectory
 from .reparam import ParamVector
 
@@ -44,8 +45,7 @@ def read_field_csv(path) -> np.ndarray:
 
     Raises ``ValueError``, naming the file and the row, for a file that is
     not UTF-8 text or holds no rows, rows of unequal length, a token that is
-    not a number, and a value that is not finite or lies outside [0, 1] by
-    more than 1e-12.
+    not a number, and a density that :func:`pipeline.first_bad_density` rejects.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
@@ -62,7 +62,7 @@ def read_field_csv(path) -> np.ndarray:
             raise ValueError(f"{where}: {exc}") from None
         if rows and len(row) != len(rows[0]):
             raise ValueError(f"{where}: {len(row)} values, but row 1 has {len(rows[0])}")
-        bad = next((v for v in row if not -1e-12 <= v <= 1.0 + 1e-12), None)
+        bad = pipeline.first_bad_density(row)
         if bad is not None:
             raise ValueError(f"{where}: density {bad!r} is not a finite value in [0, 1]")
         rows.append(row)

@@ -39,6 +39,9 @@ RAW_LIMIT = 2.0**52
 #: Least volume target of the projection. Every density at the lower bracket
 #: end is at most logistic(-39.5) = 7.0e-18, so the mean there lies below it.
 MIN_PROJECTION_TARGET = 1e-17
+#: Round-off by which a density may leave [0, 1]; it is clipped before use.
+#: Every density read or evaluated is checked by :func:`first_bad_density`.
+DENSITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,15 @@ def build_filter(nx: int, ny: int, rmin: float) -> FilterOperator:
     kernel = FilterKernel(reach=reach, width=width, taps=taps)
     row_sums = np.ascontiguousarray(_correlate(kernel, np.ones((ny, nx))))
     return FilterOperator(kernel=kernel, row_sums=row_sums)
+
+
+def first_bad_density(values) -> float | None:
+    """The first of ``values`` that is not finite or lies outside [0, 1] by
+    more than :data:`DENSITY_TOL`; None if there is none."""
+    values = np.asarray(values, dtype=float).ravel()
+    if values.min() >= -DENSITY_TOL and values.max() <= 1.0 + DENSITY_TOL:  # NaN fails both
+        return None
+    return float(values[~((values >= -DENSITY_TOL) & (values <= 1.0 + DENSITY_TOL))][0])
 
 
 def check_projection_target(target: float) -> None:

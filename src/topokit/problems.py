@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import GridDomain, Physics, check_penalty
+from .fem import GridDomain, Physics, check_penalty, element_dof_matrix
 from .pipeline import VolumeBudget
 
 CATALOG = ("mbb", "michell", "cantilever", "bridge", "tensile", "thermal", "mechanism")
@@ -160,18 +160,11 @@ def make_problem(
         for iy, w in zip(patch, weights):
             load[2 * _node(nx, nx, iy)] += w
     elif name == "thermal":
-        # Uniform unit heat source over the domain, sink at the middle of
-        # the left edge.
+        # Uniform unit heat source over the domain, a quarter of each
+        # element's share on each corner node (np.add.at sums element by
+        # element, corner by corner); sink at the middle of the left edge.
         element_source = 1.0 / (nx * ny)
-        for iy in range(ny):
-            for ix in range(nx):
-                for node in (
-                    _node(nx, ix, iy),
-                    _node(nx, ix + 1, iy),
-                    _node(nx, ix + 1, iy + 1),
-                    _node(nx, ix, iy + 1),
-                ):
-                    load[node] += element_source / 4.0
+        np.add.at(load, element_dof_matrix(nx, ny, 1), element_source / 4.0)
         fixed = [_node(nx, 0, iy) for iy in _patch_extent(ny, ny // 2)]
     elif name == "mechanism":
         # Force inverter on a half domain: symmetry along the top edge,

@@ -785,3 +785,172 @@ def test_cli_main_freezes_the_import_heap_once(tmp_path):
     assert enabled and at_import == 0
     assert after_first > 1000
     assert after_second == after_first
+
+
+_SMALL_OPTIMIZE = {
+    "problem": {"name": "mbb", "nx": 8, "ny": 4, "v0": 0.5},
+    "reparam": {"kind": "direct"},
+    "optimizer": {"kind": "mma", "move_limit": 0.2, "asyinit": 0.5},
+    "budget": 2,
+}
+_SMALL_LANDSCAPE = {
+    "problem": {"name": "mbb", "nx": 8, "ny": 4, "v0": 0.5},
+    "reparams": [{"kind": "mlp", "width": 4, "hidden_layers": 1}],
+    "rho_ref_1": "uniform",
+    "rho_ref_2": {"random_seed": 0},
+}
+_SMALL_SEARCH = {
+    "base": _TWOBAR_SEARCH_BASE,
+    "search": {"mode": "random", "parameters": {"move_limit": {"low": 0.5, "high": 2.0}}, "budget": 2},
+}
+_SMALL_EXPRESSIVITY = {"architectures": [{"kind": "mlp", "width": 4, "hidden_layers": 1}]}
+
+#: (command, config or None for a missing file, extra flags, text the error
+#: must hold or None for the config path). Each of them used to run, create
+#: the output directory or die in a traceback.
+_BAD_INPUTS = {
+    "optimize-snapshot-every-string": (
+        "optimize", {**_SMALL_OPTIMIZE, "snapshot_every": "x"}, [], "'snapshot_every'"
+    ),
+    "optimize-snapshot-every-flag-negative": (
+        "optimize", _SMALL_OPTIMIZE, ["--snapshot-every", "-1"], "'snapshot_every'"
+    ),
+    "optimize-missing-config": ("optimize", None, [], None),
+    "search-missing-config": ("search", None, [], None),
+    "optimize-budget-flag-negative": ("optimize", _SMALL_OPTIMIZE, ["--budget", "-1"], "'budget'"),
+    "optimize-budget-float": ("optimize", {**_SMALL_OPTIMIZE, "budget": 2.5}, [], "'budget'"),
+    "optimize-seed-bool": ("optimize", {**_SMALL_OPTIMIZE, "seed": True}, [], "'seed'"),
+    "optimize-pretrain-string": ("optimize", {**_SMALL_OPTIMIZE, "pretrain": "false"}, [], "'pretrain'"),
+    "landscape-n-alpha-1": ("landscape", {**_SMALL_LANDSCAPE, "n_alpha": 1}, [], "'n_alpha'"),
+    "landscape-n-alpha-string": ("landscape", {**_SMALL_LANDSCAPE, "n_alpha": "x"}, [], "'n_alpha'"),
+    "search-trials-0": (
+        "search",
+        {**_SMALL_SEARCH, "search": {**_SMALL_SEARCH["search"], "trials": 0}},
+        [],
+        "'trials'",
+    ),
+    "search-budget-negative": (
+        "search",
+        {**_SMALL_SEARCH, "search": {**_SMALL_SEARCH["search"], "budget": -1}},
+        [],
+        "'budget'",
+    ),
+    "search-pretrain-string": (
+        "search",
+        {**_SMALL_SEARCH, "base": {**_TWOBAR_SEARCH_BASE, "pretrain": "false"}},
+        [],
+        "'pretrain'",
+    ),
+    "search-grid-string-value": (
+        "search",
+        {**_SMALL_SEARCH, "search": {"mode": "grid", "parameters": {"move_limit": [2.0, "x"]}}},
+        [],
+        "'move_limit'",
+    ),
+    "expressivity-repeats-0": ("expressivity", {**_SMALL_EXPRESSIVITY, "repeats": 0}, [], "'repeats'"),
+}
+
+
+@pytest.mark.parametrize("command, cfg, flags, named", _BAD_INPUTS.values(), ids=list(_BAD_INPUTS))
+def test_cli_rejects_bad_input_before_any_output(
+    tmp_path, capsys, monkeypatch, command, cfg, flags, named
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the input was validated")
+
+    monkeypatch.setattr(cli, "run_optimization", no_run)
+    monkeypatch.setattr(reparam, "fit_to_density", no_run)
+    cfg_path = tmp_path / "cfg.json"
+    if cfg is not None:
+        if command == "expressivity":
+            target = tmp_path / "target.csv"
+            io.write_density_csv(target, np.full(32, 0.5), 8, 4)
+            cfg = {**cfg, "targets": [str(target)]}
+        cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg_path), *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (str(cfg_path) if named is None else named) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "in_config, flags, written",
+    [
+        (0, [], []),
+        (1, [], [0, 1, 2, 3, 4]),
+        (2, [], [0, 2, 4]),
+        (0, ["--snapshot-every", "3"], [0, 3]),
+        (2, ["--snapshot-every", "3"], [0, 3]),
+    ],
+    ids=["none", "every", "config", "flag", "flag-over-config"],
+)
+def test_cli_optimize_writes_snapshots_every_nth_evaluation(tmp_path, in_config, flags, written):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_SMALL_OPTIMIZE, "budget": 4, "snapshot_every": in_config}))
+    out = tmp_path / "run"
+    assert run_cli("optimize", "--config", str(cfg_path), *flags, "--out", str(out)) == 0
+    assert sorted(path.name for path in out.glob("design_*.pgm")) == [f"design_{i:05d}.pgm" for i in written]
+
+
+def test_cli_landscape_rejects_two_reparams_of_one_kind(tmp_path, capsys, monkeypatch):
+    # They share landscape_mlp.csv and the manifest key: both were fitted,
+    # one was written, and the run reported "wrote 1 slice(s)".
+    _no_run(monkeypatch)
+    reparams = [
+        {"kind": "mlp", "width": 4, "hidden_layers": 1},
+        {"kind": "siren", "width": 4, "hidden_layers": 1},
+        {"kind": "mlp", "width": 8, "hidden_layers": 1},
+    ]
+    _rejected(tmp_path, capsys, "landscape", {**_SMALL_LANDSCAPE, "reparams": reparams}, "mlp")
+
+
+def _profiled_run(path, problem: dict, kind: str, value: float) -> str:
+    """A run directory holding just what ``profile`` reads."""
+    path.mkdir()
+    cfg = {"problem": problem, "reparam": {"kind": kind}, "optimizer": {"kind": "mma"}}
+    io.write_manifest(path / "manifest.json", {"command": "optimize", "config": cfg})
+    (path / "metrics.json").write_text(json.dumps({"best_feasible_objective": value}))
+    return str(path)
+
+
+def test_cli_profile_reads_one_case_per_problem(tmp_path, capsys):
+    # An explicit default penalty or volume target names the same problem as
+    # none; they used to be the cases mbb-8x4-vdef-p3 and mbb-8x4-v0.3-p3.0.
+    runs = [
+        _profiled_run(tmp_path / "a", {"name": "mbb", "nx": 8, "ny": 4, "penalty": 3}, "direct", 1.0),
+        _profiled_run(tmp_path / "b", {"name": "mbb", "nx": 8, "ny": 4, "v0": 0.3}, "mlp", 2.0),
+    ]
+    prof = tmp_path / "prof"
+    argv = ["profile", "--runs", *runs, "--tau-max", "3", "--tau-points", "3", "--out", str(prof)]
+    assert run_cli(*argv) == 0
+    assert "2 solvers x 1 cases" in capsys.readouterr().out
+    assert (prof / "profile.csv").read_text().splitlines() == [
+        "tau,p_baseline+mma,p_mlp+mma", "1.0,1.0,0.0", "2.0,1.0,1.0", "3.0,1.0,1.0"
+    ]
+
+
+@pytest.mark.parametrize("penalty", [3, 3.0], ids=["same-config", "int-and-float-penalty"])
+def test_cli_profile_rejects_two_runs_of_one_solver_on_one_case(tmp_path, capsys, penalty):
+    # The last run silently replaced the first.
+    first = _profiled_run(tmp_path / "a", {"name": "mbb", "nx": 8, "ny": 4, "penalty": 3}, "mlp", 1.0)
+    second = _profiled_run(
+        tmp_path / "b", {"name": "mbb", "nx": 8, "ny": 4, "penalty": penalty}, "mlp", 2.0
+    )
+    prof = tmp_path / "prof"
+    assert run_cli("profile", "--runs", first, second, "--out", str(prof)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and first in err and second in err
+    assert not prof.exists()
+
+
+def test_import_topokit_loads_no_scipy():
+    # The package only defers numpy's unused submodules; its modules import
+    # scipy when they are imported themselves.
+    code = "import sys, topokit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(topokit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

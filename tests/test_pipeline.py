@@ -332,3 +332,39 @@ def test_rescale_thresholded_compliance():
     assert pipeline.rescale_thresholded_compliance(0.0, 0.31, 0.3) == 0.0
     with pytest.raises(ValueError):
         pipeline.rescale_thresholded_compliance(1.0, 0.3, 0.0)
+
+
+@pytest.mark.parametrize(
+    "value, accepted",
+    [
+        (-1e-12, True),
+        (1.0 + 1e-12, True),
+        (-3e-12, False),
+        (1.0 + 3e-12, False),
+        (np.nan, False),
+        (np.inf, False),
+    ],
+)
+def test_every_density_reader_applies_one_range_rule(tmp_path, value, accepted):
+    # The FE evaluation, the density CSV reader and the analysis studies
+    # accept and reject the same densities.
+    from topokit import analysis, fem, io
+    from topokit.problems import make_problem
+
+    field = np.full(8, 0.5)
+    field[5] = value
+    assert (pipeline.first_bad_density(field) is None) == accepted
+    path = tmp_path / "field.csv"
+    io.write_density_csv(path, field, 4, 2)
+    problem = make_problem("mbb", (4, 2), 0.5)
+    calls = [
+        lambda: fem.evaluate_objective(problem.domain, problem.physics, field),
+        lambda: io.read_field_csv(path),
+        lambda: analysis._field_values(field, 8, "field"),
+    ]
+    for call in calls:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(ValueError, match=repr(float(value))):
+                call()

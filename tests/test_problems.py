@@ -190,3 +190,17 @@ def test_twobar_problem_has_no_settable_fields():
     # must not be accepted silently.
     with pytest.raises(TypeError):
         TwoBarProblem(sigma_max=2.0)
+
+
+@pytest.mark.parametrize("resolution", [(1, 1), (7, 3), (64, 32)])
+def test_thermal_load_is_the_element_loop_sum(resolution):
+    # A quarter of each element's heat on each corner, summed element by
+    # element and corner by corner: bit-identical to the plain loop.
+    nx, ny = resolution
+    expected = np.zeros((nx + 1) * (ny + 1))
+    for iy in range(ny):
+        for ix in range(nx):
+            n_a = iy * (nx + 1) + ix
+            for node in (n_a, n_a + 1, n_a + nx + 2, n_a + nx + 1):
+                expected[node] += 1.0 / (nx * ny) / 4.0
+    assert np.array_equal(make_problem("thermal", resolution).domain.load, expected)
