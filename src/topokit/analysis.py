@@ -91,7 +91,7 @@ def landscape_1d(
 
     samples = []
     for alpha in np.linspace(0.0, 1.0, n_alpha):
-        theta_alpha = fit1.theta.values + alpha * (fit2.theta.values - fit1.theta.values)
+        theta_alpha = fit1.theta + alpha * (fit2.theta - fit1.theta)
         rho = design_map.forward(theta_alpha)
         objective = evaluate_design(problem, rho).value
         constraint = float(rho.mean()) - problem.volume_target
@@ -185,7 +185,7 @@ def expressivity_study(
             scores = []
             for target in targets:
                 fit = reparam.fit_to_density(design_map, theta0, target, **kwargs)
-                scores.append(psnr(design_map.forward(fit.theta.values), target))
+                scores.append(psnr(design_map.forward(fit.theta), target))
             worst_scores.append(min(scores))
         finite = [s for s in worst_scores if np.isfinite(s)]
         rows.append(

@@ -7,10 +7,11 @@ directory, together with a manifest that is sufficient to re-run the
 experiment.
 
 Each ``cmd_*`` function validates all of its input first: config keys and
-sections, counts, flags, and the reference and target files it reads. It
-then returns a ``run(out) -> int`` closure that does the work. :func:`main`
-owns the exit status: a ``KeyError``, ``ValueError`` or ``FileNotFoundError``
-from a command's validation prints ``error: ...`` and returns 2 before any
+sections, counts, flags, the start point ``theta0`` against the layout of θ,
+and the reference and target files it reads. It then returns a
+``run(out) -> int`` closure that does the work. :func:`main` owns the exit
+status: a ``KeyError``, ``ValueError`` or ``FileNotFoundError`` from a
+command's validation prints ``error: ...`` and returns 2 before any
 output exists. Only then does ``main`` create the output directory and call
 ``run``. A run that fails (a solver error, every search trial failing)
 records the error in its manifest and returns 1.
@@ -44,9 +45,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, io, pipeline, presets
+from . import __version__, analysis, io, pipeline, presets, reparam
 from .problems import ProblemSpec, TwoBarProblem
-from .runner import run_optimization, threshold_and_rescale
+from .runner import run_optimization, theta_layout, threshold_and_rescale
 
 FEASIBLE_FALLBACK_NOTE = "no feasible iterate; reporting the least-violating design"
 
@@ -73,7 +74,8 @@ def _load_config(args) -> dict:
     if getattr(args, "preset", None):
         cfg = presets.preset_config(args.preset)
     elif getattr(args, "config", None):
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        text = Path(args.config).read_text(encoding="utf-8")
+        cfg = presets._section(json.loads(text), args.config)
     else:
         raise ValueError("provide --config PATH or --preset NAME")
     if getattr(args, "seed", None) is not None:
@@ -100,12 +102,28 @@ def _pretrain(cfg: dict) -> bool:
 
 def _check_projection(problem, optimizer_cfg: dict) -> None:
     """Adam runs a grid problem through the exact-volume projection."""
-    if optimizer_cfg.get("kind") == "adam" and isinstance(problem, ProblemSpec):
+    if presets.optimizer_kind(optimizer_cfg) == "adam" and isinstance(problem, ProblemSpec):
         pipeline.check_projection_target(problem.volume_target)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _theta0(cfg: dict, layout) -> list | None:
+    """``cfg["theta0"]``, if given: a flat list of finite numbers, one per entry of ``layout``."""
+    theta0 = cfg.get("theta0")
+    if theta0 is None:
+        return None
+    size = reparam.layout_size(layout)
+    if not isinstance(theta0, list):
+        raise ValueError(f"'theta0' must be a list of numbers, got {theta0!r:.60}")
+    if len(theta0) != size:
+        raise ValueError(f"'theta0' has {len(theta0)} entries, layout needs {size}")
+    for index, value in enumerate(theta0):
+        if not (_is_number(value) and math.isfinite(value)):
+            raise ValueError(f"'theta0' entry {index} must be a finite number, got {value!r}")
+    return theta0
 
 
 def _check_random_range(name: str, bounds) -> None:
@@ -152,14 +170,15 @@ def cmd_optimize(args):
     spec = presets.spec_from_config(cfg.get("reparam", {"kind": "direct"}))
     optimizer = presets.optimizer_from_config(cfg["optimizer"])
     _check_projection(problem, cfg["optimizer"])
+    layout = theta_layout(problem, spec)
+    theta0 = _theta0(cfg, layout)
     budget, seed, pretrain = _count(cfg, "budget", 100, 0), _count(cfg, "seed", 0, 0), _pretrain(cfg)
     snapshot_every = _count(vars(args), "snapshot_every", 0, 0) or _count(cfg, "snapshot_every", 0, 0)
 
     def run(out: Path) -> int:
         try:
             result = run_optimization(
-                problem, spec, optimizer, budget=budget, seed=seed, pretrain=pretrain,
-                theta0=cfg.get("theta0"),
+                problem, spec, optimizer, budget=budget, seed=seed, pretrain=pretrain, theta0=theta0
             )
         except Exception as exc:  # solver failures land in the manifest
             outcome = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
@@ -170,7 +189,7 @@ def cmd_optimize(args):
 
         traj = result.trajectory
         io.write_trajectory_csv(out / "trajectory.csv", traj)
-        io.save_params(out / "theta", result.theta)
+        io.save_params(out / "theta", result.theta, layout)
         outcome = {
             "status": "ok",
             "final_objective": traj.objective[-1],
@@ -233,7 +252,10 @@ def cmd_landscape(args):
     problem = presets.problem_from_config(cfg["problem"])
     if not isinstance(problem, ProblemSpec):
         raise ValueError("landscape needs a grid problem, not the two-bar truss")
-    specs = [presets.spec_from_config(c) for c in cfg.get("reparams", [{"kind": "direct"}])]
+    reparams = cfg.get("reparams", [{"kind": "direct"}])
+    if not isinstance(reparams, list) or not reparams:
+        raise ValueError(f"'reparams' must be a non-empty list, got {reparams!r:.60}")
+    specs = [presets.spec_from_config(c) for c in reparams]
     kinds = [spec.kind for spec in specs]
     for kind in kinds:
         if kinds.count(kind) > 1:
@@ -313,9 +335,9 @@ def cmd_expressivity(args):
 
 
 def _run_label(cfg: dict) -> tuple[str, str]:
-    """(solver, case) of an ``optimize`` config; the case names the problem it builds."""
-    reparam_kind = cfg.get("reparam", {}).get("kind", "direct")
-    solver = ("baseline" if reparam_kind == "direct" else reparam_kind) + "+" + cfg["optimizer"]["kind"]
+    """(solver, case) of an ``optimize`` config, named from what it builds."""
+    kind = presets.spec_from_config(cfg.get("reparam", {"kind": "direct"})).kind
+    solver = ("baseline" if kind == "direct" else kind) + "+" + presets.optimizer_kind(cfg["optimizer"])
     problem = presets.problem_from_config(cfg["problem"])
     if isinstance(problem, TwoBarProblem):
         return solver, "twobar"
@@ -397,6 +419,7 @@ def cmd_search(args):
     problem = presets.problem_from_config(base["problem"])
     spec = presets.spec_from_config(base.get("reparam", {"kind": "direct"}))
     _check_projection(problem, base["optimizer"])
+    theta0 = _theta0(base, theta_layout(problem, spec))
     budget, pretrain = _count(search, "budget", 60, 0), _pretrain(base)
     seed = _count(cfg, "seed", _count(base, "seed", 0, 0), 0)
     combos = _search_combos(search, seed)
@@ -411,8 +434,7 @@ def cmd_search(args):
             try:
                 optimizer = presets.optimizer_from_config({**base["optimizer"], **combo})
                 result = run_optimization(
-                    problem, spec, optimizer, budget=budget, seed=seed, pretrain=pretrain,
-                    theta0=base.get("theta0"),
+                    problem, spec, optimizer, budget=budget, seed=seed, pretrain=pretrain, theta0=theta0
                 )
                 value = result.trajectory.best_feasible_objective
                 if not np.isfinite(value):

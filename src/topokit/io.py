@@ -1,6 +1,11 @@
 """Serialization: CSV fields, binary PGM images, trajectory tables,
 parameter checkpoints, and run manifests.
 
+A checkpoint is the flat parameter vector θ as raw float64 (``.bin``) beside
+a JSON header (``.json``) with its entry count and the layout the caller
+passes in. topokit writes checkpoints, PGM images and trajectory tables but
+reads back only density CSVs and manifests.
+
 Density CSVs are row-major (ny rows by nx columns, top row first) and use
 ``repr`` formatting so re-reading reproduces the exact float64 values.
 :func:`read_field_csv` returns the (ny, nx) image as a plain float array and
@@ -18,7 +23,6 @@ import numpy as np
 
 from . import pipeline
 from .optimizers import Trajectory
-from .reparam import ParamVector
 
 TRAJECTORY_COLUMNS = (
     "iteration",
@@ -77,30 +81,6 @@ def write_pgm(path, values: np.ndarray, nx: int, ny: int) -> None:
     Path(path).write_bytes(header + pixels.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    fields = []
-    pos = 0
-    # P5 header: magic, width, height, maxval, then one whitespace byte.
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while data[pos : pos + 1] not in (b"\n", b""):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    pos += 1
-    if fields[0] != b"P5":
-        raise ValueError("not a binary PGM file")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    return pixels.reshape(height, width).astype(float) / maxval
-
-
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     table = np.array(
         [
@@ -117,24 +97,17 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def save_params(path, theta: ParamVector) -> None:
-    """Checkpoint: raw little-endian float64 next to a JSON segment header."""
+def save_params(path, values: np.ndarray, layout) -> None:
+    """Checkpoint of a flat θ: raw little-endian float64 next to a JSON header
+    naming the caller's layout, its ``(name, shape)`` segments in packing order."""
     path = Path(path)
     header = {
         "dtype": "<f8",
-        "count": len(theta),
-        "segments": [[name, list(shape)] for name, shape in theta.layout],
+        "count": values.size,
+        "segments": [[name, list(shape)] for name, shape in layout],
     }
     path.with_suffix(".json").write_text(json.dumps(header, indent=2), encoding="utf-8")
-    path.with_suffix(".bin").write_bytes(theta.values.astype("<f8").tobytes())
-
-
-def load_params(path) -> ParamVector:
-    path = Path(path)
-    header = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-    values = np.frombuffer(path.with_suffix(".bin").read_bytes(), dtype=header["dtype"]).astype(float)
-    layout = tuple((name, tuple(shape)) for name, shape in header["segments"])
-    return ParamVector(values=values, layout=layout)
+    path.with_suffix(".bin").write_bytes(values.astype("<f8").tobytes())
 
 
 def write_manifest(path, manifest: dict) -> None:

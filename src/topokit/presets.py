@@ -177,8 +177,15 @@ def preset_config(name: str) -> dict:
     return copy.deepcopy(PRESETS[name])
 
 
+def _section(cfg, what: str) -> dict:
+    """``cfg`` if it is a JSON object; otherwise a ValueError naming ``what``."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{what} config must be a JSON object, got {cfg!r:.60}")
+    return cfg
+
+
 def _reject_unknown_keys(cfg: dict, known: set[str], what: str) -> None:
-    unknown = sorted(set(cfg) - known)
+    unknown = sorted(set(_section(cfg, what)) - known)
     if unknown:
         raise ValueError(
             f"{what} config: unknown key(s) {', '.join(map(repr, unknown))}; "
@@ -188,7 +195,7 @@ def _reject_unknown_keys(cfg: dict, known: set[str], what: str) -> None:
 
 def problem_from_config(cfg: dict):
     """Problem from a config dict; unknown keys raise ValueError."""
-    name = cfg["name"]
+    name = _section(cfg, "problem")["name"]
     if name == "twobar":
         _reject_unknown_keys(cfg, {"name"}, "twobar problem")
         return make_problem("twobar")
@@ -215,7 +222,7 @@ _REPARAM_KEYS = {
 
 def spec_from_config(cfg: dict) -> ArchitectureSpec:
     """Architecture from a config dict; unknown keys raise ValueError."""
-    kind = cfg.get("kind", "direct")
+    kind = _section(cfg, "reparam").get("kind", "direct")
     if kind not in _REPARAM_KEYS:
         raise ValueError(f"unknown reparameterization kind {kind!r}")
     _reject_unknown_keys(cfg, _REPARAM_KEYS[kind] | {"kind"}, f"{kind} reparam")
@@ -236,9 +243,14 @@ def spec_from_config(cfg: dict) -> ArchitectureSpec:
 _OPTIMIZERS = {"mma": MmaConfig, "adam": AdamConfig}
 
 
+def optimizer_kind(cfg: dict) -> str:
+    """The kind an optimizer config section names; ``mma`` if it names none."""
+    return _section(cfg, "optimizer").get("kind", "mma")
+
+
 def optimizer_from_config(cfg: dict) -> MmaConfig | AdamConfig:
     """Validated optimizer config; unknown or missing keys raise ValueError."""
-    kind = cfg.get("kind", "mma")
+    kind = optimizer_kind(cfg)
     if kind not in _OPTIMIZERS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
     params = {key: value for key, value in cfg.items() if key != "kind"}

@@ -43,6 +43,9 @@ an L-layer network holds 2L + 2 (width, n) arrays. Every reduction keeps
 its operands and its order, so the workspace changes no bit of a field or
 gradient.
 
+The parameters θ are one flat float array. :func:`param_layout` names its
+segments in packing order, and :func:`unpack` views them by name.
+
 :func:`forward_with_vjp` is the one way from parameters to a field, and
 every forward of a coordinate network writes into that one cached
 workspace: :meth:`DesignMap.forward` is the densities of
@@ -142,30 +145,6 @@ def coordinate_grid(nx: int, ny: int) -> CoordinateGrid:
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class ParamVector:
-    """Flat decision-variable vector with a named-segment layout."""
-
-    values: np.ndarray
-    layout: Layout
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
-        object.__setattr__(self, "values", values)
-        expected = layout_size(self.layout)
-        if values.size != expected:
-            raise ValueError(f"parameter vector has {values.size} entries, layout needs {expected}")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def segment(self, name: str) -> np.ndarray:
-        return unpack(self.values, self.layout)[name]
-
-    def replace_values(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(values=np.asarray(values, dtype=float), layout=self.layout)
-
-
 @lru_cache(maxsize=None)
 def _segments(layout: Layout) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
     """``(name, start, stop, shape)`` of every segment, in packing order."""
@@ -243,8 +222,9 @@ def param_count(spec: ArchitectureSpec, nx: int, ny: int) -> int:
     return layout_size(param_layout(spec, nx, ny))
 
 
-def init_params(spec: ArchitectureSpec, nx: int, ny: int, seed: int) -> ParamVector:
-    """Deterministic parameter initialization for a given seed."""
+def init_params(spec: ArchitectureSpec, nx: int, ny: int, seed: int) -> np.ndarray:
+    """Deterministic flat parameter vector for a given seed, packed in
+    :func:`param_layout` order."""
     layout = param_layout(spec, nx, ny)
     rng = np.random.default_rng(seed)
     segments: dict[str, np.ndarray] = {}
@@ -273,18 +253,12 @@ def init_params(spec: ArchitectureSpec, nx: int, ny: int, seed: int) -> ParamVec
         else:
             # biases, batch-norm shifts, offsets, dense bias
             segments[name] = np.zeros(shape)
-    return ParamVector(values=pack(segments, layout), layout=layout)
+    return pack(segments, layout)
 
 
 def _check_finite(array: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(array)):
         raise NumericError(f"non-finite activations in {where}")
-
-
-def _values(theta: ParamVector | np.ndarray) -> np.ndarray:
-    if isinstance(theta, ParamVector):
-        return theta.values
-    return np.asarray(theta, dtype=float).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -582,22 +556,23 @@ def _segment_owner(kind: str, name: str) -> str:
 
 def forward_with_vjp(
     spec: ArchitectureSpec,
-    theta: ParamVector | np.ndarray,
+    theta: np.ndarray,
     grid: CoordinateGrid,
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Evaluate the mapping's raw field and return (field, vjp) sharing one tape.
 
+    ``theta`` is the flat parameter vector in :func:`param_layout` order.
     The field is unbounded; :class:`DesignMap` bounds it. The vjp closure
     maps a flat float cotangent on the field to the flat gradient w.r.t. the
     parameters. A coordinate network's tape lives in the workspace of its
     shape and grid, so the closure raises once a later forward has
     overwritten it.
     """
-    values = _values(theta)
+    values = np.asarray(theta, dtype=float)
     layout = param_layout(spec, grid.nx, grid.ny)
     expected = layout_size(layout)
-    if values.size != expected:
-        raise ValueError(f"theta has {values.size} entries, spec needs {expected}")
+    if values.shape != (expected,):
+        raise ValueError(f"theta has shape {values.shape}, spec needs ({expected},)")
     finite = np.isfinite(values)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -631,10 +606,10 @@ class DesignMap:
         self.projection = projection
         self.sigmoid = projection is None and spec.kind != "direct"
 
-    def forward_with_vjp(self, theta_values: np.ndarray):
+    def forward_with_vjp(self, theta: np.ndarray):
         """The densities and their VJP closure, valid until the next forward
         of the same network shape and grid."""
-        field, net_vjp = forward_with_vjp(self.spec, theta_values, self.grid)
+        field, net_vjp = forward_with_vjp(self.spec, theta, self.grid)
         if self.sigmoid:
             field = bounded = pipeline.logistic(field)
         if self.filter_op is not None:
@@ -655,9 +630,9 @@ class DesignMap:
 
         return rho, vjp_fun
 
-    def forward(self, theta_values: np.ndarray) -> np.ndarray:
+    def forward(self, theta: np.ndarray) -> np.ndarray:
         """The densities of :meth:`forward_with_vjp`."""
-        rho, _ = self.forward_with_vjp(theta_values)
+        rho, _ = self.forward_with_vjp(theta)
         return rho
 
 
@@ -674,7 +649,7 @@ PRETRAIN_ITERATION_CAP = 2000
 
 @dataclass(frozen=True)
 class FitResult:
-    theta: ParamVector
+    theta: np.ndarray
     mse: float
     iterations: int
 
@@ -683,7 +658,7 @@ class PretrainWarning(UserWarning):
     pass
 
 
-def pretrain_uniform(design_map: DesignMap, theta0: ParamVector, v0: float) -> FitResult:
+def pretrain_uniform(design_map: DesignMap, theta0: np.ndarray, v0: float) -> FitResult:
     """Train the mapping to emit a uniform gray field of density v0.
 
     The error is taken on the output of ``design_map``, a map without a
@@ -697,7 +672,7 @@ def pretrain_uniform(design_map: DesignMap, theta0: ParamVector, v0: float) -> F
     best parameters.
     """
     if design_map.spec.kind == "direct":
-        return FitResult(theta=theta0.replace_values(np.full(len(theta0), v0)), mse=0.0, iterations=0)
+        return FitResult(theta=np.full(theta0.size, float(v0)), mse=0.0, iterations=0)
     cap = PRETRAIN_ITERATION_CAP
     result = fit_to_density(
         design_map,
@@ -718,7 +693,7 @@ def pretrain_uniform(design_map: DesignMap, theta0: ParamVector, v0: float) -> F
 
 def fit_to_density(
     design_map: DesignMap,
-    theta0: ParamVector,
+    theta0: np.ndarray,
     target: np.ndarray,
     learning_rate: float = 0.02,
     iteration_cap: int = 4000,
@@ -742,12 +717,12 @@ def fit_to_density(
     if target.size != design_map.grid.size:
         raise ValueError("target field does not match the grid")
     if design_map.spec.kind == "direct":
-        theta = theta0.replace_values(np.clip(target, 0.0, 1.0))
-        out = design_map.forward(theta.values)
+        theta = np.clip(target, 0.0, 1.0)
+        out = design_map.forward(theta)
         mse = float(np.mean((out - target) ** 2))
         return FitResult(theta=theta, mse=mse, iterations=0)
 
-    values = theta0.values.copy()
+    values = np.array(theta0, dtype=float)
     state = optimizers.AdamState.zeros(values.size)
     cfg = optimizers.AdamConfig(learning_rate=learning_rate)
     best_values, best_mse = values.copy(), np.inf
@@ -779,4 +754,4 @@ def fit_to_density(
             since_improvement = 0
             continue
         values = optimizers.adam_step(state, values, vjp_fun(2.0 * err / err.size), cfg)
-    return FitResult(theta=theta0.replace_values(best_values), mse=best_mse, iterations=iterations)
+    return FitResult(theta=best_values, mse=best_mse, iterations=iterations)

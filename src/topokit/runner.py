@@ -21,7 +21,8 @@ through the shifted-sigmoid projection, which pins the volume exactly:
 
 Direct densities skip the sigmoid: the MMA box [0, 1] bounds them.
 
-The two-bar truss's decision variables are either the bar areas or the
+The decision variables θ are one flat float array, laid out by
+:func:`theta_layout`. The two-bar truss's are either the bar areas or the
 three weights of the sinusoidal micro-net. Its constraints are the relaxed
 stress constraints with their analytic Jacobian, and it runs under MMA only.
 """
@@ -42,13 +43,13 @@ from .problems import (
     twobar_eval,
     twobar_siren_forward,
 )
-from .reparam import ArchitectureSpec, DesignMap, ParamVector
+from .reparam import ArchitectureSpec, DesignMap
 
 
 @dataclass
 class RunResult:
     trajectory: Trajectory
-    theta: ParamVector
+    theta: np.ndarray
     design: np.ndarray
     pretrain_mse: float | None = None
 
@@ -72,16 +73,26 @@ def threshold_and_rescale(problem: ProblemSpec, rho_phys: np.ndarray):
     return rho_bw, value, rescaled, v_th
 
 
+def theta_layout(problem, spec: ArchitectureSpec) -> reparam.Layout:
+    """The named segments of θ for a problem and reparameterization.
+
+    A grid problem's layout is :func:`reparam.param_layout` on its grid. The
+    two-bar's θ is its two bar areas (direct) or the micro-net's three
+    weights (siren); it refuses the other kinds.
+    """
+    if not isinstance(problem, TwoBarProblem):
+        return reparam.param_layout(spec, problem.nx, problem.ny)
+    if spec.kind == "direct":
+        return (("areas", (2,)),)
+    if spec.kind == "siren":
+        return (("weights", (3,)),)
+    raise ValueError("two-bar supports the direct and siren reparameterizations")
+
+
 def _grid_setup(problem: ProblemSpec, spec, optimizer, seed, pretrain, theta0):
     use_mma = isinstance(optimizer, MmaConfig)
     grid = reparam.coordinate_grid(problem.nx, problem.ny)
-    if theta0 is None:
-        theta = reparam.init_params(spec, problem.nx, problem.ny, seed)
-    elif isinstance(theta0, ParamVector):
-        theta = theta0
-    else:
-        layout = reparam.param_layout(spec, problem.nx, problem.ny)
-        theta = ParamVector(values=np.asarray(theta0, dtype=float), layout=layout)
+    theta = reparam.init_params(spec, problem.nx, problem.ny, seed) if theta0 is None else theta0
     v0 = problem.volume_target
     projection = None if use_mma else pipeline.VolumeBudget(target=v0)
     pretrain_mse = None
@@ -116,23 +127,20 @@ def _grid_setup(problem: ProblemSpec, spec, optimizer, seed, pretrain, theta0):
 def _twobar_setup(reparam_spec: ArchitectureSpec, optimizer, theta0):
     if not isinstance(optimizer, MmaConfig):
         raise ValueError("the two-bar problem is optimized with MMA")
-    if reparam_spec.kind == "direct":
-        layout, start, box = (("areas", (2,)),), (1.0, 1.0), TWOBAR_AREA_BOX
+    if reparam_spec.kind == "direct":  # theta_layout admits direct and siren only
+        start, box = (1.0, 1.0), TWOBAR_AREA_BOX
 
         def areas_and_jacobian(values):
             return np.clip(values, *TWOBAR_AREA_BOX), np.eye(2)
 
-    elif reparam_spec.kind == "siren":
+    else:
         b = optimizer.theta_bound
-        layout, start, box = (("weights", (3,)),), TWOBAR_THETA0, (-b, b)
+        start, box = TWOBAR_THETA0, (-b, b)
 
         def areas_and_jacobian(values):
             return twobar_siren_forward(values, reparam_spec.omega0)
 
-    else:
-        raise ValueError("two-bar supports the direct and siren reparameterizations")
-    values = start if theta0 is None else theta0
-    theta = ParamVector(values=np.asarray(values, dtype=float), layout=layout)
+    theta = np.array(start, dtype=float) if theta0 is None else theta0
 
     def evaluate(values):
         areas, jac = areas_and_jacobian(values)
@@ -156,27 +164,33 @@ def run_optimization(
 ) -> RunResult:
     """Run one optimization for ``budget`` function evaluations past the
     initial one, recording a full trajectory. Deterministic for fixed seed.
-    A start point outside the MMA box is clipped into it.
+    ``theta0``, if given, is the flat start point in :func:`theta_layout`
+    order; one outside the MMA box is clipped into it.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    if not isinstance(problem, (TwoBarProblem, ProblemSpec)):
+        raise TypeError(f"unsupported problem type {type(problem)!r}")
+    size = reparam.layout_size(theta_layout(problem, reparam_spec))
+    if theta0 is not None:
+        theta0 = np.array(theta0, dtype=float)
+        if theta0.shape != (size,):
+            raise ValueError(f"theta0 has shape {theta0.shape}, layout needs {size}")
     if isinstance(problem, TwoBarProblem):
         theta, box, evaluate, pretrain_mse = _twobar_setup(reparam_spec, optimizer, theta0)
-    elif isinstance(problem, ProblemSpec):
+    else:
         theta, box, evaluate, pretrain_mse = _grid_setup(
             problem, reparam_spec, optimizer, seed, pretrain, theta0
         )
-    else:
-        raise TypeError(f"unsupported problem type {type(problem)!r}")
 
     use_mma = isinstance(optimizer, MmaConfig)
     if use_mma:
         lo, hi = box
-        state = MmaState(lower=np.full(len(theta), lo), upper=np.full(len(theta), hi))
-        x = np.clip(theta.values, lo, hi)
+        state = MmaState(lower=np.full(size, lo), upper=np.full(size, hi))
+        x = np.clip(theta, lo, hi)
     else:
-        state = AdamState.zeros(len(theta))
-        x = theta.values
+        state = AdamState.zeros(size)
+        x = theta
     trajectory = Trajectory()
     for it in range(budget + 1):
         if it:
@@ -189,7 +203,7 @@ def run_optimization(
 
     return RunResult(
         trajectory=trajectory,
-        theta=theta.replace_values(x),
+        theta=x,
         design=design,
         pretrain_mse=pretrain_mse,
     )

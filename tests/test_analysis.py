@@ -155,7 +155,7 @@ def test_expressivity_reports_worst_case_across_targets():
             for t in (easy, hard)
         ]
         scores = [
-            psnr(design_map.forward(f.theta.values), t)
+            psnr(design_map.forward(f.theta), t)
             for f, t in zip(fits, (easy, hard))
         ]
         assert worst == pytest.approx(min(scores), rel=1e-9)

@@ -56,7 +56,7 @@ def test_objective_gradient_matches_finite_differences(physics, kind, path):
     projection = pipeline.VolumeBudget(problem.volume_target) if path == "adam" else None
     design_map = DesignMap(spec, reparam.coordinate_grid(NX, NY), filter_op, projection)
     rng = np.random.default_rng(sorted(PROBLEMS).index(physics) * 8 + sorted(SPECS).index(kind))
-    theta = reparam.init_params(spec, NX, NY, seed=1).values
+    theta = reparam.init_params(spec, NX, NY, seed=1)
     if kind == "direct":
         theta = rng.uniform(0.2, 0.8, theta.size)  # inside the MMA box
     else:

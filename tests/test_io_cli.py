@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,31 @@ def test_csv_layout_is_row_major_top_first(tmp_path):
     assert [float(v) for v in lines[0].split(",")] == [0.0, 0.1, 0.2]
 
 
+def read_pgm(path) -> np.ndarray:
+    """The image of a binary (P5) PGM file, scaled to [0, 1]."""
+    data = Path(path).read_bytes()
+    fields = []
+    pos = 0
+    # P5 header: magic, width, height, maxval, then one whitespace byte.
+    while len(fields) < 4:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if data[pos : pos + 1] == b"#":
+            while data[pos : pos + 1] not in (b"\n", b""):
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        fields.append(data[start:pos])
+    pos += 1
+    if fields[0] != b"P5":
+        raise ValueError("not a binary PGM file")
+    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    return pixels.reshape(height, width).astype(float) / maxval
+
+
 def test_pgm_roundtrip_and_header(tmp_path):
     rng = np.random.default_rng(1)
     values = rng.uniform(0, 1, 32)
@@ -41,7 +67,7 @@ def test_pgm_roundtrip_and_header(tmp_path):
     io.write_pgm(path, values, 8, 4)
     data = path.read_bytes()
     assert data.startswith(b"P5\n8 4\n255\n")
-    image = io.read_pgm(path)
+    image = read_pgm(path)
     assert image.shape == (4, 8)
     assert np.abs(image.ravel() - values).max() <= 0.5 / 255 + 1e-12
 
@@ -804,6 +830,12 @@ _SMALL_SEARCH = {
     "search": {"mode": "random", "parameters": {"move_limit": {"low": 0.5, "high": 2.0}}, "budget": 2},
 }
 _SMALL_EXPRESSIVITY = {"architectures": [{"kind": "mlp", "width": 4, "hidden_layers": 1}]}
+_TWOBAR_DIRECT = {**_TWOBAR_SEARCH_BASE, "budget": 2}
+_TWOBAR_SIREN = {
+    **_TWOBAR_DIRECT,
+    "reparam": {"kind": "siren", "omega0": 88.0},
+    "optimizer": {"kind": "mma", "move_limit": 0.31, "asyinit": 0.1, "theta_bound": 3.0},
+}
 
 #: (command, config or None for a missing file, extra flags, text the error
 #: must hold or None for the config path). Each of them used to run, create
@@ -848,6 +880,30 @@ _BAD_INPUTS = {
         "'move_limit'",
     ),
     "expressivity-repeats-0": ("expressivity", {**_SMALL_EXPRESSIVITY, "repeats": 0}, [], "'repeats'"),
+    # A bad theta0 exited 1 after the manifest was written, ran flattened or
+    # died in the two-bar, or failed every search trial.
+    "optimize-theta0-short": ("optimize", {**_TWOBAR_SIREN, "theta0": [0.0, 0.0]}, [], "layout needs 3"),
+    "optimize-theta0-nested": ("optimize", {**_TWOBAR_DIRECT, "theta0": [[1.0, 1.0]]}, [], "layout needs 2"),
+    "optimize-theta0-nested-rows": ("optimize", {**_TWOBAR_DIRECT, "theta0": [[1.0], [1.0]]}, [], "entry 0"),
+    "optimize-theta0-null": ("optimize", {**_TWOBAR_DIRECT, "theta0": [1.0, None]}, [], "entry 1"),
+    "optimize-theta0-bool": ("optimize", {**_TWOBAR_SIREN, "theta0": [0.0, True, -2.9]}, [], "entry 1"),
+    "optimize-theta0-nan": ("optimize", {**_TWOBAR_SIREN, "theta0": [0.0, 0.0, math.nan]}, [], "entry 2"),
+    "optimize-theta0-object": ("optimize", {**_TWOBAR_DIRECT, "theta0": {"areas": [1.0, 1.0]}}, [], "'theta0'"),
+    "optimize-grid-theta0-short": ("optimize", {**_SMALL_OPTIMIZE, "theta0": [0.5] * 31}, [], "layout needs 32"),
+    "optimize-twobar-mlp": ("optimize", {**_TWOBAR_DIRECT, "reparam": {"kind": "mlp"}}, [], "two-bar"),
+    "search-theta0-short": (
+        "search", {**_SMALL_SEARCH, "base": {**_TWOBAR_SEARCH_BASE, "theta0": [1.0]}}, [], "layout needs 2"
+    ),
+    # A config section that is not an object died in a TypeError.
+    "optimize-problem-string": ("optimize", {**_SMALL_OPTIMIZE, "problem": "mbb"}, [], "problem config"),
+    "optimize-reparam-list": ("optimize", {**_SMALL_OPTIMIZE, "reparam": ["direct"]}, [], "reparam config"),
+    "optimize-optimizer-string": ("optimize", {**_SMALL_OPTIMIZE, "optimizer": "mma"}, [], "optimizer config"),
+    "search-base-optimizer-string": (
+        "search", {**_SMALL_SEARCH, "base": {**_TWOBAR_SEARCH_BASE, "optimizer": "mma"}}, [], "optimizer config"
+    ),
+    "landscape-fit-number": ("landscape", {**_SMALL_LANDSCAPE, "fit": 5}, [], "fit config"),
+    # It exited 0 after writing only a manifest.
+    "landscape-reparams-empty": ("landscape", {**_SMALL_LANDSCAPE, "reparams": []}, [], "'reparams'"),
 }
 
 
@@ -906,10 +962,10 @@ def test_cli_landscape_rejects_two_reparams_of_one_kind(tmp_path, capsys, monkey
     _rejected(tmp_path, capsys, "landscape", {**_SMALL_LANDSCAPE, "reparams": reparams}, "mlp")
 
 
-def _profiled_run(path, problem: dict, kind: str, value: float) -> str:
+def _profiled_run(path, problem: dict, kind: str, value: float, optimizer=None) -> str:
     """A run directory holding just what ``profile`` reads."""
     path.mkdir()
-    cfg = {"problem": problem, "reparam": {"kind": kind}, "optimizer": {"kind": "mma"}}
+    cfg = {"problem": problem, "reparam": {"kind": kind}, "optimizer": optimizer or {"kind": "mma"}}
     io.write_manifest(path / "manifest.json", {"command": "optimize", "config": cfg})
     (path / "metrics.json").write_text(json.dumps({"best_feasible_objective": value}))
     return str(path)
@@ -929,6 +985,15 @@ def test_cli_profile_reads_one_case_per_problem(tmp_path, capsys):
     assert (prof / "profile.csv").read_text().splitlines() == [
         "tau,p_baseline+mma,p_mlp+mma", "1.0,1.0,0.0", "2.0,1.0,1.0", "3.0,1.0,1.0"
     ]
+
+
+def test_cli_profile_names_a_run_without_optimizer_kind_as_mma(tmp_path):
+    # optimize runs such a config under MMA; profile exited 2 with "error: 'kind'".
+    optimizer = {"move_limit": 0.1, "asyinit": 0.2}
+    run = _profiled_run(tmp_path / "a", {"name": "mbb", "nx": 8, "ny": 4}, "direct", 1.0, optimizer)
+    prof = tmp_path / "prof"
+    assert run_cli("profile", "--runs", run, "--tau-points", "2", "--out", str(prof)) == 0
+    assert (prof / "profile.csv").read_text().splitlines()[0] == "tau,p_baseline+mma"
 
 
 @pytest.mark.parametrize("penalty", [3, 3.0], ids=["same-config", "int-and-float-penalty"])

@@ -7,6 +7,9 @@ quotient; such directions are detected by comparing two stencil widths and
 resampled deterministically.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,7 +47,7 @@ def directional_fd(func, x, delta, eps=1e-6, rtol=1e-6):
 def check_vjp(spec, nx=64, ny=32, trials=20, seed=0, tol=1e-4):
     grid = reparam.coordinate_grid(nx, ny)
     rng = np.random.default_rng(seed)
-    base = reparam.init_params(spec, nx, ny, seed=seed).values
+    base = reparam.init_params(spec, nx, ny, seed=seed)
     checked = 0
     attempts = 0
     while checked < trials:
@@ -101,7 +104,7 @@ def test_sigmoid_bounded_output_strictly_inside_unit_interval():
         if spec.kind == "direct":
             continue
         theta = reparam.init_params(spec, 16, 8, seed=2)
-        out = DesignMap(spec, grid).forward(theta.values)
+        out = DesignMap(spec, grid).forward(theta)
         assert out.min() > 0.0 and out.max() < 1.0
 
 
@@ -109,11 +112,11 @@ def test_forward_deterministic_and_pure():
     grid = reparam.coordinate_grid(16, 8)
     for spec in all_specs(small_grid=True):
         theta = reparam.init_params(spec, 16, 8, seed=3)
-        values_before = theta.values.copy()
+        values_before = theta.copy()
         out1, _ = reparam.forward_with_vjp(spec, theta, grid)
         out2, _ = reparam.forward_with_vjp(spec, theta, grid)
         assert np.array_equal(out1, out2)
-        assert np.array_equal(theta.values, values_before)
+        assert np.array_equal(theta, values_before)
 
 
 @pytest.mark.parametrize("kind", ["direct", "mlp", "siren", "cnn", "cnn-multichannel"])
@@ -150,17 +153,18 @@ def test_init_deterministic_per_seed():
         a = reparam.init_params(spec, 16, 8, seed=5)
         b = reparam.init_params(spec, 16, 8, seed=5)
         c = reparam.init_params(spec, 16, 8, seed=6)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 def test_siren_init_bounds():
     spec = ArchitectureSpec(kind="siren", width=22)
     theta = reparam.init_params(spec, 64, 32, seed=7)
-    first = theta.segment("w0")
+    segments = reparam.unpack(theta, reparam.param_layout(spec, 64, 32))
+    first = segments["w0"]
     assert np.abs(first).max() <= 1.0 / 2
     for i in range(1, 5):
-        hidden = theta.segment(f"w{i}")
+        hidden = segments[f"w{i}"]
         assert np.abs(hidden).max() <= np.sqrt(6.0 / 22)
 
 
@@ -243,7 +247,7 @@ def test_feature_major_networks_match_sample_major_reference(kind, nx, ny):
     layout = reparam.param_layout(spec, nx, ny)
     rng = np.random.default_rng(18)
     for seed in range(3):
-        theta = reparam.init_params(spec, nx, ny, seed=seed).values
+        theta = reparam.init_params(spec, nx, ny, seed=seed)
         theta = theta + 0.3 * rng.standard_normal(theta.size)
         d_raw = rng.standard_normal(grid.size)
         raw, vjp_fun = reparam.forward_with_vjp(spec, theta, grid)
@@ -332,7 +336,7 @@ def test_workspace_networks_are_bit_equal_to_allocating_reference(kind, nx, ny):
     layout = reparam.param_layout(spec, nx, ny)
     rng = np.random.default_rng(19)
     for seed in range(4):
-        theta = reparam.init_params(spec, nx, ny, seed=seed).values
+        theta = reparam.init_params(spec, nx, ny, seed=seed)
         theta = theta + 0.3 * rng.standard_normal(theta.size)
         if seed % 2:
             theta = with_zero_preactivations(spec, theta, layout)
@@ -348,7 +352,7 @@ def test_workspace_networks_are_bit_equal_to_allocating_reference(kind, nx, ny):
 def test_stale_vjp_closure_raises(kind):
     spec = ArchitectureSpec(kind=kind, width=6, hidden_layers=2)
     grid = reparam.coordinate_grid(8, 4)
-    theta = reparam.init_params(spec, 8, 4, seed=20).values
+    theta = reparam.init_params(spec, 8, 4, seed=20)
     w = np.ones(grid.size)
     _, first = reparam.forward_with_vjp(spec, theta, grid)
     expected = first(w)
@@ -367,7 +371,7 @@ def test_repeated_vjp_calls_match_a_fresh_forward(kind):
     # MMA takes two VJPs per forward; SIREN's first one turns its phase tape into cosines.
     spec = ArchitectureSpec(kind=kind, width=6, hidden_layers=2)
     grid = reparam.coordinate_grid(8, 4)
-    theta = reparam.init_params(spec, 8, 4, seed=21).values
+    theta = reparam.init_params(spec, 8, 4, seed=21)
     w1, w2 = np.random.default_rng(21).standard_normal((2, grid.size))
     _, vjp_fun = reparam.forward_with_vjp(spec, theta, grid)
     first, second, again = vjp_fun(w1), vjp_fun(w2), vjp_fun(w1)
@@ -384,7 +388,7 @@ def test_maps_sharing_a_workspace_match_fresh_maps():
     filter_op = tk.pipeline.build_filter(16, 8, 1.5)
     maps = {"pretrain": (None, None), "filtered": (filter_op, None)}
     rng = np.random.default_rng(21)
-    theta0 = reparam.init_params(spec, 16, 8, seed=21).values
+    theta0 = reparam.init_params(spec, 16, 8, seed=21)
     steps = [
         (name, theta0 + 0.2 * rng.standard_normal(theta0.size), rng.standard_normal((2, grid.size)))
         for _ in range(3)
@@ -409,17 +413,18 @@ def test_nonfinite_parameter_names_its_layer(kind):
     spec = ArchitectureSpec(kind=kind, width=6, hidden_layers=3, cnn_upsample=(2, 2))
     grid = reparam.coordinate_grid(8, 4)
     theta = reparam.init_params(spec, 8, 4, seed=22)
-    for name, _ in theta.layout:
+    layout = reparam.param_layout(spec, 8, 4)
+    for name, _ in layout:
         digits = name[len(name.rstrip("0123456789")):]
         if not digits:
             continue
         for bad in (np.inf, -np.inf, np.nan):
-            values = theta.values.copy()
-            segment = reparam.unpack(values, theta.layout)[name]
+            values = theta.copy()
+            segment = reparam.unpack(values, layout)[name]
             segment.flat[-1] = bad
             with pytest.raises(NumericError, match=rf"{name!r} of the {kind} hidden layer {digits}$"):
                 reparam.forward_with_vjp(spec, values, grid)
-    values = theta.values.copy()
+    values = theta.copy()
     values[-1] = np.inf
     last = "offset1" if kind == "cnn" else "b_out"
     owner = "cnn hidden layer 1" if kind == "cnn" else f"{kind} output layer"
@@ -430,13 +435,13 @@ def test_nonfinite_parameter_names_its_layer(kind):
 def test_finite_activations_with_overflowing_sum_do_not_raise():
     spec = ArchitectureSpec(kind="mlp", width=20, hidden_layers=2)
     grid = reparam.coordinate_grid(16, 8)
-    theta = reparam.init_params(spec, 16, 8, seed=23)
-    segments = reparam.unpack(theta.values.copy(), theta.layout)
+    layout = reparam.param_layout(spec, 16, 8)
+    segments = reparam.unpack(reparam.init_params(spec, 16, 8, seed=23), layout)
     # the last hidden layer emits about 1e307 for all 20 x 128 activations,
     # whose sum exceeds the largest double; the output layer scales them back
     segments["bn_shift1"][:] = 1e307
     segments["w_out"] *= 1e-10
-    values = reparam.pack(segments, theta.layout)
+    values = reparam.pack(segments, layout)
     raw, _ = reparam.forward_with_vjp(spec, values, grid)
     assert np.all(np.isfinite(raw)) and np.abs(raw).max() > 1e290
 
@@ -459,7 +464,7 @@ def test_batchnorm_standardizes_every_hidden_layer():
     grid = reparam.coordinate_grid(64, 32)
     rng = np.random.default_rng(8)
     for trial in range(3):
-        theta = reparam.init_params(spec, 64, 32, seed=trial).values
+        theta = reparam.init_params(spec, 64, 32, seed=trial)
         theta += 0.5 * rng.standard_normal(theta.size)
         for mean, var in batchnorm_standardized_stats(spec, theta, grid):
             assert np.abs(mean).max() < 1e-6
@@ -469,7 +474,7 @@ def test_batchnorm_standardizes_every_hidden_layer():
 def test_nonfinite_parameters_raise_numeric_error():
     spec = ArchitectureSpec(kind="mlp", width=8, hidden_layers=2)
     grid = reparam.coordinate_grid(8, 4)
-    theta = reparam.init_params(spec, 8, 4, seed=9).values
+    theta = reparam.init_params(spec, 8, 4, seed=9)
     theta[0] = np.inf
     with pytest.raises(NumericError, match="layer"):
         reparam.forward_with_vjp(spec, theta, grid)
@@ -481,7 +486,7 @@ def test_pretrain_direct_is_exact_and_immediate():
     result = reparam.pretrain_uniform(DesignMap(spec, reparam.coordinate_grid(8, 4)), theta0, 0.3)
     assert result.iterations == 0
     assert result.mse == 0.0
-    assert np.all(result.theta.values == 0.3)
+    assert np.all(result.theta == 0.3)
 
 
 def test_pretrain_projected_mode_reaches_target():
@@ -498,7 +503,7 @@ def test_pretrain_sigmoid_mode_reaches_target():
     theta0 = reparam.init_params(spec, 16, 8, seed=11)
     result = reparam.pretrain_uniform(design_map, theta0, 0.6)
     assert result.mse < reparam.PRETRAIN_TARGET_MSE
-    assert np.sqrt(np.mean((design_map.forward(result.theta.values) - 0.6) ** 2)) < 1e-2
+    assert np.sqrt(np.mean((design_map.forward(result.theta) - 0.6) ** 2)) < 1e-2
 
 
 def test_pretrain_warns_when_cap_insufficient(monkeypatch):
@@ -515,7 +520,7 @@ def _pretrain_reference(design_map, theta0, v0):
     """Pretraining as its own Adam loop, with its loss inlined: the reference
     the shared trainer must reproduce bit for bit."""
     target = np.full(design_map.grid.size, float(v0))
-    values = theta0.values.copy()
+    values = theta0.copy()
     state = optimizers.AdamState.zeros(values.size)
     cfg = optimizers.AdamConfig(learning_rate=reparam.PRETRAIN_LEARNING_RATE)
     best_values, best_mse = values.copy(), np.inf
@@ -550,7 +555,7 @@ def test_pretrain_matches_the_dedicated_loop_bit_for_bit(spec, projected):
     values, mse, iterations = _pretrain_reference(design_map, theta0, 0.6)
     result = reparam.pretrain_uniform(design_map, theta0, 0.6)
     assert result.iterations == iterations
-    assert result.theta.values.tobytes() == values.tobytes()
+    assert result.theta.tobytes() == values.tobytes()
     assert result.mse == mse
 
 
@@ -569,9 +574,19 @@ def test_fit_reduces_error_below_initial():
     design_map = DesignMap(spec, grid)
     target = np.clip(0.5 + 0.3 * np.sin(4 * grid.coords[:, 0]), 0, 1)
     theta0 = reparam.init_params(spec, 16, 8, seed=15)
-    initial = float(np.mean((design_map.forward(theta0.values) - target) ** 2))
+    initial = float(np.mean((design_map.forward(theta0) - target) ** 2))
     fit = reparam.fit_to_density(design_map, theta0, target, iteration_cap=500)
     assert fit.mse < 0.1 * initial
+
+
+def load_params(path):
+    """The (values, layout) of a checkpoint written by ``io.save_params``."""
+    path = Path(path)
+    header = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
+    values = np.frombuffer(path.with_suffix(".bin").read_bytes(), dtype=header["dtype"]).astype(float)
+    layout = tuple((name, tuple(shape)) for name, shape in header["segments"])
+    assert values.size == header["count"] == reparam.layout_size(layout)
+    return values, layout
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -579,7 +594,8 @@ def test_checkpoint_roundtrip(tmp_path):
 
     spec = ArchitectureSpec(kind="cnn")
     theta = reparam.init_params(spec, 64, 32, seed=16)
-    io.save_params(tmp_path / "theta", theta)
-    loaded = io.load_params(tmp_path / "theta")
-    assert np.array_equal(loaded.values, theta.values)
-    assert loaded.layout == theta.layout
+    layout = reparam.param_layout(spec, 64, 32)
+    io.save_params(tmp_path / "theta", theta, layout)
+    values, loaded_layout = load_params(tmp_path / "theta")
+    assert np.array_equal(values, theta)
+    assert loaded_layout == layout

@@ -75,7 +75,7 @@ def test_mma_network_iterates_stay_in_theta_box(small_problem):
             seed=1,
             theta0=np.linspace(-0.5, 1.5, 128) if spec.kind == "direct" else None,
         )
-        assert result.theta.values.min() >= lo and result.theta.values.max() <= hi
+        assert result.theta.min() >= lo and result.theta.max() <= hi
         assert all(design.min() >= 0.0 and design.max() <= 1.0 for design in result.trajectory.designs)
 
 
@@ -85,7 +85,7 @@ def test_design_map_chains_filter_and_projection_vjps(small_problem):
     filt = pipeline.build_filter(16, 8, 1.6)
     dm = DesignMap(spec, grid, filt, pipeline.VolumeBudget(0.4))
     rng = np.random.default_rng(5)
-    theta = reparam.init_params(spec, 16, 8, seed=5).values
+    theta = reparam.init_params(spec, 16, 8, seed=5)
     rho, vjp_fun = dm.forward_with_vjp(theta)
     assert rho.mean() == pytest.approx(0.4, abs=1e-9)
     w = rng.standard_normal(rho.size)
@@ -153,7 +153,7 @@ def test_twobar_rejects_theta0_of_wrong_length_before_any_step(monkeypatch, kind
 def test_twobar_clips_theta0_into_the_box():
     result = _twobar_run(budget=5, theta0=[0.0, 0.0, -5.0])
     assert result.trajectory.iterations == 6
-    assert np.abs(result.theta.values).max() <= 3.0
+    assert np.abs(result.theta).max() <= 3.0
 
 
 @pytest.mark.parametrize(
