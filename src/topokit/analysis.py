@@ -64,26 +64,25 @@ def landscape_1d(
     n_alpha: int,
     problem: ProblemSpec,
     seed: int = 0,
-    fit_kwargs: dict | None = None,
+    iteration_cap: int = reparam.FIT_ITERATION_CAP,
 ) -> LandscapeResult:
     """Objective and constraint along the decision-space line between two
     density-space reference points.
 
-    Both reference points are regressed into the reparameterization's
-    decision space through its sigmoid-bounded, unfiltered design map, then
-    the objective F(h(theta_alpha)) and volume constraint are evaluated on a
-    uniform alpha grid including both endpoints.
+    Both reference points are regressed into decision space through the
+    sigmoid-bounded, unfiltered design map in at most ``iteration_cap`` Adam
+    iterations; F(h(theta_alpha)) and the volume constraint are then evaluated
+    on a uniform alpha grid including both endpoints.
     """
     if n_alpha < 2:
         raise ValueError("need at least the two endpoint samples")
     rho1 = _field_values(rho_ref_1, problem.n_elements, "rho_ref_1")
     rho2 = _field_values(rho_ref_2, problem.n_elements, "rho_ref_2")
     design_map = reparam.DesignMap(reparam_spec, reparam.coordinate_grid(problem.nx, problem.ny))
-    kwargs = fit_kwargs or {}
 
     theta0 = reparam.init_params(reparam_spec, problem.nx, problem.ny, seed)
-    fit1 = reparam.fit_to_density(design_map, theta0, rho1, **kwargs)
-    fit2 = reparam.fit_to_density(design_map, theta0, rho2, **kwargs)
+    fit1 = reparam.fit_to_density(design_map, theta0, rho1, iteration_cap=iteration_cap)
+    fit2 = reparam.fit_to_density(design_map, theta0, rho2, iteration_cap=iteration_cap)
     warnings_list = []
     for label, fit in (("rho_ref_1", fit1), ("rho_ref_2", fit2)):
         if fit.mse > FIT_WARN_THRESHOLD:
@@ -106,7 +105,7 @@ def landscape_1d(
     return LandscapeResult(samples=samples, fit_mse=(fit1.mse, fit2.mse), warnings=warnings_list)
 
 
-def count_interior_maxima(objectives: np.ndarray, noise_floor: float = NOISE_FLOOR_FRACTION) -> int:
+def count_interior_maxima(objectives: np.ndarray) -> int:
     """Strict interior local maxima with prominence above the noise floor."""
     # scipy.signal costs most of a second to import; only this function needs it.
     from scipy.signal import find_peaks
@@ -115,7 +114,7 @@ def count_interior_maxima(objectives: np.ndarray, noise_floor: float = NOISE_FLO
     value_range = objectives.max() - objectives.min()
     if value_range <= 0.0:
         return 0
-    peaks, _ = find_peaks(objectives, prominence=noise_floor * value_range)
+    peaks, _ = find_peaks(objectives, prominence=NOISE_FLOOR_FRACTION * value_range)
     return int(peaks.size)
 
 
@@ -152,14 +151,14 @@ def expressivity_study(
     targets: Sequence[np.ndarray],
     repeats: int = 1,
     seed: int = 0,
-    fit_kwargs: dict | None = None,
+    iteration_cap: int = reparam.FIT_ITERATION_CAP,
 ) -> list[ExpressivityRow]:
     """Worst-case reconstruction quality of each architecture.
 
-    Every spec fits every target; the per-repeat score is the minimum PSNR
-    across targets, and repeats restart from fresh seeds. Targets are
-    (ny, nx) density images, all on the first target's grid; every target is
-    checked before the first fit.
+    Every spec fits every target within ``iteration_cap`` iterations; the
+    per-repeat score is the minimum PSNR across targets, and repeats
+    restart from fresh seeds. Targets are (ny, nx) density images, all on
+    the first target's grid; every target is checked before the first fit.
     """
     if not targets:
         raise ValueError("need at least one target design")
@@ -175,7 +174,6 @@ def expressivity_study(
             )
         _field_values(target, nx * ny, f"target {index}")
     grid = reparam.coordinate_grid(nx, ny)
-    kwargs = fit_kwargs or {}
     rows = []
     for spec in specs:
         design_map = reparam.DesignMap(spec, grid)
@@ -184,7 +182,7 @@ def expressivity_study(
             theta0 = reparam.init_params(spec, nx, ny, seed + 1000 * repeat)
             scores = []
             for target in targets:
-                fit = reparam.fit_to_density(design_map, theta0, target, **kwargs)
+                fit = reparam.fit_to_density(design_map, theta0, target, iteration_cap=iteration_cap)
                 scores.append(psnr(design_map.forward(fit.theta), target))
             worst_scores.append(min(scores))
         finite = [s for s in worst_scores if np.isfinite(s)]
@@ -207,7 +205,6 @@ class MetricTable:
     values: np.ndarray
     solvers: tuple[str, ...]
     cases: tuple[str, ...]
-    metric: str = "best_objective"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)

@@ -55,14 +55,12 @@ FEASIBLE_FALLBACK_NOTE = "no feasible iterate; reporting the least-violating des
 _OPTIMIZE_KEYS = {
     "problem", "reparam", "optimizer", "budget", "seed", "pretrain", "theta0", "snapshot_every"
 }
-#: Top-level keys of a ``landscape`` and of an ``expressivity`` config, and
-#: the keys of the ``fit`` section they share: the options of
-#: ``reparam.fit_to_density`` but ``target_mse``, which only pretraining sets.
+#: Top-level keys of a ``landscape`` and of an ``expressivity`` config. Their
+#: ``fit`` section holds one key, ``iteration_cap``: the budget of each fit,
+#: a count like ``n_alpha`` and ``repeats``. The rest of the fit is fixed by
+#: ``reparam.fit_to_density`` and the ``FIT_*`` constants beside it.
 _LANDSCAPE_KEYS = {"problem", "reparams", "rho_ref_1", "rho_ref_2", "n_alpha", "seed", "fit"}
 _EXPRESSIVITY_KEYS = {"targets", "architectures", "repeats", "seed", "fit"}
-_FIT_KEYS = {
-    "learning_rate", "iteration_cap", "plateau_iters", "plateau_rtol", "lr_decay", "min_learning_rate"
-}
 #: Keys of a ``search`` config, of its ``base`` run and of its ``search`` section.
 #: A trial's budget comes from the search section, and trials write no snapshots.
 _SEARCH_KEYS = {"base", "search", "seed"}
@@ -100,10 +98,21 @@ def _pretrain(cfg: dict) -> bool:
     return pretrain
 
 
-def _check_projection(problem, optimizer_cfg: dict) -> None:
-    """Adam runs a grid problem through the exact-volume projection."""
-    if presets.optimizer_kind(optimizer_cfg) == "adam" and isinstance(problem, ProblemSpec):
+def _check_optimizer(problem, optimizer_cfg: dict) -> None:
+    """The two-bar runs under MMA only, and Adam runs a grid problem through
+    the exact-volume projection."""
+    kind = presets.optimizer_kind(optimizer_cfg)
+    if isinstance(problem, TwoBarProblem) and kind != "mma":
+        raise ValueError("the two-bar problem is optimized with MMA")
+    if isinstance(problem, ProblemSpec) and kind == "adam":
         pipeline.check_projection_target(problem.volume_target)
+
+
+def _iteration_cap(cfg: dict) -> int:
+    """The ``iteration_cap`` of the config's ``fit`` section, its only key."""
+    fit = cfg.get("fit", {})
+    presets._reject_unknown_keys(fit, {"iteration_cap"}, "fit")
+    return _count(fit, "iteration_cap", reparam.FIT_ITERATION_CAP, 1)
 
 
 def _is_number(value) -> bool:
@@ -169,7 +178,7 @@ def cmd_optimize(args):
     problem = presets.problem_from_config(cfg["problem"])
     spec = presets.spec_from_config(cfg.get("reparam", {"kind": "direct"}))
     optimizer = presets.optimizer_from_config(cfg["optimizer"])
-    _check_projection(problem, cfg["optimizer"])
+    _check_optimizer(problem, cfg["optimizer"])
     layout = theta_layout(problem, spec)
     theta0 = _theta0(cfg, layout)
     budget, seed, pretrain = _count(cfg, "budget", 100, 0), _count(cfg, "seed", 0, 0), _pretrain(cfg)
@@ -248,7 +257,6 @@ def _reference_field(ref, problem: ProblemSpec) -> np.ndarray:
 def cmd_landscape(args):
     cfg = _load_config(args)
     presets._reject_unknown_keys(cfg, _LANDSCAPE_KEYS, "landscape")
-    presets._reject_unknown_keys(cfg.get("fit") or {}, _FIT_KEYS, "fit")
     problem = presets.problem_from_config(cfg["problem"])
     if not isinstance(problem, ProblemSpec):
         raise ValueError("landscape needs a grid problem, not the two-bar truss")
@@ -265,13 +273,14 @@ def cmd_landscape(args):
     ref1 = _reference_field(cfg["rho_ref_1"], problem)
     ref2 = _reference_field(cfg["rho_ref_2"], problem)
     n_alpha, seed = _count(cfg, "n_alpha", 101, 2), _count(cfg, "seed", 0, 0)
+    iteration_cap = _iteration_cap(cfg)
 
     def run(out: Path) -> int:
         results = {}
         for spec in specs:
             res = analysis.landscape_1d(
                 spec, ref1, ref2, n_alpha=n_alpha, problem=problem, seed=seed,
-                fit_kwargs=cfg.get("fit"),
+                iteration_cap=iteration_cap,
             )
             rows = [[s.alpha, s.objective, s.constraint, int(s.violation)] for s in res.samples]
             header = ["alpha", "objective", "constraint", "violation"]
@@ -292,7 +301,6 @@ def cmd_landscape(args):
 def cmd_expressivity(args):
     cfg = _load_config(args)
     presets._reject_unknown_keys(cfg, _EXPRESSIVITY_KEYS, "expressivity")
-    presets._reject_unknown_keys(cfg.get("fit") or {}, _FIT_KEYS, "fit")
     target_paths = cfg["targets"]
     if not target_paths:
         raise ValueError("expressivity needs at least one target design")
@@ -314,10 +322,11 @@ def cmd_expressivity(args):
     else:
         specs = [presets.spec_from_config(c) for c in arch_cfg]
     repeats, seed = _count(cfg, "repeats", 1, 1), _count(cfg, "seed", 0, 0)
+    iteration_cap = _iteration_cap(cfg)
 
     def run(out: Path) -> int:
         rows = analysis.expressivity_study(
-            specs, targets, repeats=repeats, seed=seed, fit_kwargs=cfg.get("fit")
+            specs, targets, repeats=repeats, seed=seed, iteration_cap=iteration_cap
         )
         table = [
             [row.spec.kind, row.param_count, row.mean_psnr, row.std_psnr]
@@ -369,7 +378,7 @@ def cmd_profile(args):
     values = np.full((len(solvers), len(cases)), np.inf)
     for (solver, case), (_, value) in runs.items():
         values[solvers.index(solver), cases.index(case)] = value
-    table = analysis.MetricTable(values=values, solvers=solvers, cases=cases, metric=args.metric)
+    table = analysis.MetricTable(values=values, solvers=solvers, cases=cases)
     tau_grid = np.linspace(1.0, args.tau_max, args.tau_points)
     curves = analysis.performance_profile(table, tau_grid)
 
@@ -418,7 +427,7 @@ def cmd_search(args):
     presets._reject_unknown_keys(search, _SEARCH_SECTION_KEYS, "search section")
     problem = presets.problem_from_config(base["problem"])
     spec = presets.spec_from_config(base.get("reparam", {"kind": "direct"}))
-    _check_projection(problem, base["optimizer"])
+    _check_optimizer(problem, base["optimizer"])
     theta0 = _theta0(base, theta_layout(problem, spec))
     budget, pretrain = _count(search, "budget", 60, 0), _pretrain(base)
     seed = _count(cfg, "seed", _count(base, "seed", 0, 0), 0)
@@ -487,10 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"topokit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", help="JSON config file")
-            p.add_argument("--preset", help="named preset configuration")
+    def add_common(p):
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--preset", help="named preset configuration")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
 

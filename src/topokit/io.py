@@ -92,9 +92,7 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
         ],
         dtype=float,
     ).T
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    lines += [",".join(map(repr, [i, *row])) for i, row in enumerate(table.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv_table(path, TRAJECTORY_COLUMNS, [[i, *row] for i, row in enumerate(table.tolist())])
 
 
 def save_params(path, values: np.ndarray, layout) -> None:

@@ -27,7 +27,7 @@ exceeds that interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,32 +56,22 @@ class VolumeBudget:
 
 
 @dataclass(frozen=True)
-class FilterKernel:
-    """A correlation kernel as taps on images of one width.
+class FilterOperator:
+    """Row-normalized cone filter on an nx-by-ny grid.
 
-    ``taps`` lists every positive kernel entry in row-major order (dy, then
-    dx, ascending) as the flat shift ``dy * width + dx`` of its term in the
-    zero-padded, flattened image, and its weight. ``reach`` is the padding
-    on each side of the image; ``width`` is the padded row length.
+    The cone weights ``max(0, rmin - hypot(dy, dx))`` for offsets in
+    [-reach, reach] on both axes form a correlation kernel. ``taps`` holds
+    its positive weights in row-major order (dy, then dx, ascending) as
+    (shift, weight) pairs, the shift ``dy * width + dx`` locating the term in
+    the zero-padded, flattened image; ``reach`` is the padding on each side
+    and ``width`` the padded row length. ``row_sums`` is the kernel
+    correlated with a field of ones, as an (ny, nx) image. Filtering divides
+    by it, so a uniform field passes through unchanged.
     """
 
     reach: int
     width: int
     taps: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
-class FilterOperator:
-    """Row-normalized cone filter on an nx-by-ny grid.
-
-    ``kernel`` holds the cone weights ``max(0, rmin - hypot(dy, dx))`` for
-    offsets in [-reach, reach] on both axes, as taps; ``row_sums`` is the
-    kernel correlated with a field of ones, as an (ny, nx) image. Filtering
-    divides the correlation by the row sums, so a uniform field passes
-    through unchanged.
-    """
-
-    kernel: FilterKernel
     row_sums: np.ndarray
 
     @property
@@ -92,18 +82,18 @@ class FilterOperator:
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.size:
             raise ValueError(f"field has {x.size} entries, expected {self.size}")
-        return (_correlate(self.kernel, x.reshape(self.row_sums.shape)) / self.row_sums).ravel()
+        return (_correlate(self, x.reshape(self.row_sums.shape)) / self.row_sums).ravel()
 
     def vjp(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float).ravel()
         if w.size != self.size:
             raise ValueError(f"vector has {w.size} entries, expected {self.size}")
         # H = D^-1 W with W symmetric, so H^T w = W (w / row_sums).
-        return _correlate(self.kernel, w.reshape(self.row_sums.shape) / self.row_sums).ravel()
+        return _correlate(self, w.reshape(self.row_sums.shape) / self.row_sums).ravel()
 
 
-def _correlate(kernel: FilterKernel, image: np.ndarray) -> np.ndarray:
-    """Zero-padded correlation of an (ny, nx) image with the kernel's taps.
+def _correlate(filt: FilterOperator, image: np.ndarray) -> np.ndarray:
+    """Zero-padded correlation of an (ny, nx) image with the filter's taps.
 
     Terms are added one tap at a time, offsets in row-major order (dy, then
     dx, ascending): the order in which a CSR matrix of the same weights sums
@@ -112,7 +102,7 @@ def _correlate(kernel: FilterKernel, image: np.ndarray) -> np.ndarray:
     output is computed at the padded width and its padding columns are
     dropped.
     """
-    reach, width = kernel.reach, kernel.width
+    reach, width = filt.reach, filt.width
     ny, nx = image.shape
     # One spare row of zeros keeps the largest shift's slice in bounds.
     padded = np.zeros((ny + 2 * reach + 1, width))
@@ -121,7 +111,7 @@ def _correlate(kernel: FilterKernel, image: np.ndarray) -> np.ndarray:
     m = ny * width
     out = np.zeros(m)
     term = np.empty(m)
-    for shift, weight in kernel.taps:
+    for shift, weight in filt.taps:
         out += np.multiply(flat[shift : shift + m], weight, out=term)
     return out.reshape(ny, width)[:, :nx]
 
@@ -137,9 +127,9 @@ def build_filter(nx: int, ny: int, rmin: float) -> FilterOperator:
     taps = tuple(
         (int(dy * width + dx), float(weights[dy, dx])) for dy, dx in zip(*np.nonzero(weights > 0.0))
     )
-    kernel = FilterKernel(reach=reach, width=width, taps=taps)
-    row_sums = np.ascontiguousarray(_correlate(kernel, np.ones((ny, nx))))
-    return FilterOperator(kernel=kernel, row_sums=row_sums)
+    ones = np.ones((ny, nx))
+    filt = FilterOperator(reach=reach, width=width, taps=taps, row_sums=ones)
+    return replace(filt, row_sums=np.ascontiguousarray(_correlate(filt, ones)))
 
 
 def first_bad_density(values) -> float | None:

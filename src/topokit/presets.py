@@ -113,7 +113,7 @@ def _build_presets() -> dict[str, dict]:
     for (problem, penalty), by_kind in _MMA_TUNED.items():
         for kind, (move, asy, bound, omega) in by_kind.items():
             cfg = _base_config(problem, penalty, 0.6)
-            cfg["reparam"] = {"kind": kind if kind != "direct" else "direct"}
+            cfg["reparam"] = {"kind": kind}
             if omega is not None:
                 cfg["reparam"]["omega0"] = omega
             cfg["optimizer"] = {"kind": "mma", "move_limit": move, "asyinit": asy}
@@ -244,15 +244,16 @@ _OPTIMIZERS = {"mma": MmaConfig, "adam": AdamConfig}
 
 
 def optimizer_kind(cfg: dict) -> str:
-    """The kind an optimizer config section names; ``mma`` if it names none."""
-    return _section(cfg, "optimizer").get("kind", "mma")
+    """The kind an optimizer config section names, ``mma`` if none; an unknown kind raises ValueError."""
+    kind = _section(cfg, "optimizer").get("kind", "mma")
+    if kind not in _OPTIMIZERS:
+        raise ValueError(f"unknown optimizer kind {kind!r}")
+    return kind
 
 
 def optimizer_from_config(cfg: dict) -> MmaConfig | AdamConfig:
     """Validated optimizer config; unknown or missing keys raise ValueError."""
     kind = optimizer_kind(cfg)
-    if kind not in _OPTIMIZERS:
-        raise ValueError(f"unknown optimizer kind {kind!r}")
     params = {key: value for key, value in cfg.items() if key != "kind"}
     try:
         return _OPTIMIZERS[kind](**params)

@@ -218,6 +218,8 @@ TWOBAR_AREA_BOX = (0.0, 2.0)
 #: is exactly zero here, so the areas start at (1, 1) like the baseline
 #: while theta3 already selects the descending branch of the output sine.
 TWOBAR_THETA0 = (0.0, 0.0, -2.9)
+#: The micro-net's one input coordinate.
+TWOBAR_Z1 = 0.5
 
 
 @dataclass(frozen=True)
@@ -279,19 +281,17 @@ def twobar_eval(a1: float, a2: float) -> TwoBarEval:
     )
 
 
-def twobar_siren_forward(
-    theta: np.ndarray, omega0: float, z1: float = 0.5
-) -> tuple[np.ndarray, np.ndarray]:
+def twobar_siren_forward(theta: np.ndarray, omega0: float) -> tuple[np.ndarray, np.ndarray]:
     """Three-weight sinusoidal micro-net mapping theta to the bar areas.
 
-    A_i = sin(theta_{i+1} * sin(omega0 * theta_1 * z1)) + 1, which keeps both
-    areas inside [0, 2]. Returns the areas and the analytic 2x3 Jacobian.
+    A_i = sin(theta_{i+1} * sin(omega0 * theta_1 * TWOBAR_Z1)) + 1, which keeps
+    both areas inside [0, 2]. Returns the areas and the analytic 2x3 Jacobian.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != 3:
         raise ValueError("theta must have three entries")
-    hidden = np.sin(omega0 * theta[0] * z1)
-    d_hidden = omega0 * z1 * np.cos(omega0 * theta[0] * z1)
+    hidden = np.sin(omega0 * theta[0] * TWOBAR_Z1)
+    d_hidden = omega0 * TWOBAR_Z1 * np.cos(omega0 * theta[0] * TWOBAR_Z1)
     areas = np.sin(theta[1:] * hidden) + 1.0
     cos_outer = np.cos(theta[1:] * hidden)
     jac = np.zeros((2, 3))

@@ -645,6 +645,13 @@ PRETRAIN_LEARNING_RATE = 1e-3
 PRETRAIN_TARGET_MSE = 1e-4
 #: Pretraining iterations after which it stops with a warning.
 PRETRAIN_ITERATION_CAP = 2000
+#: A least-squares fit's default iteration budget, and its learning-rate ladder:
+#: the relative improvement that ends a plateau, the rate decay per plateau
+#: and the least rate.
+FIT_ITERATION_CAP = 4000
+FIT_PLATEAU_RTOL = 1e-10
+FIT_LR_DECAY = 0.5
+FIT_MIN_LEARNING_RATE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -696,22 +703,19 @@ def fit_to_density(
     theta0: np.ndarray,
     target: np.ndarray,
     learning_rate: float = 0.02,
-    iteration_cap: int = 4000,
+    iteration_cap: int = FIT_ITERATION_CAP,
     plateau_iters: int = 100,
-    plateau_rtol: float = 1e-10,
-    lr_decay: float = 0.5,
-    min_learning_rate: float = 1e-4,
     target_mse: float = 0.0,
 ) -> FitResult:
     """Least-squares fit of a map's output to a target density field.
 
     ``design_map`` has no filter. Adam with a plateau-triggered
     learning-rate ladder: whenever the best error has not improved by a
-    relative ``plateau_rtol`` within ``plateau_iters`` iterations, training
-    restarts from the best parameters at a reduced rate, stopping once the
-    rate falls below ``min_learning_rate``, the best error falls below
-    ``target_mse`` or the iteration cap is hit. Reports the best mean
-    squared pixel error seen.
+    relative FIT_PLATEAU_RTOL within ``plateau_iters`` iterations, training
+    restarts from the best parameters at FIT_LR_DECAY times the rate,
+    stopping once the rate would fall below FIT_MIN_LEARNING_RATE, the best
+    error falls below ``target_mse`` or the iteration cap is hit. Reports
+    the best mean squared pixel error seen.
     """
     target = np.asarray(target, dtype=float).ravel()
     if target.size != design_map.grid.size:
@@ -738,14 +742,14 @@ def fit_to_density(
             best_mse, best_values = mse, values.copy()
         if best_mse < target_mse:
             break
-        if mse < window_best * (1.0 - plateau_rtol):
+        if mse < window_best * (1.0 - FIT_PLATEAU_RTOL):
             window_best = mse
             since_improvement = 0
         else:
             since_improvement += 1
         if since_improvement >= plateau_iters:
-            new_rate = cfg.learning_rate * lr_decay
-            if new_rate < min_learning_rate:
+            new_rate = cfg.learning_rate * FIT_LR_DECAY
+            if new_rate < FIT_MIN_LEARNING_RATE:
                 break
             cfg = dataclasses.replace(cfg, learning_rate=new_rate)
             state = optimizers.AdamState.zeros(values.size)

@@ -59,9 +59,7 @@ def test_landscape_warns_on_poor_fit(small_problem):
     rng = np.random.default_rng(1)
     rho1 = np.full(small_problem.n_elements, 0.5)
     rho2 = (rng.uniform(0, 1, small_problem.n_elements) > 0.5).astype(float)
-    result = analysis.landscape_1d(
-        spec, rho1, rho2, 3, small_problem, fit_kwargs={"iteration_cap": 50}
-    )
+    result = analysis.landscape_1d(spec, rho1, rho2, 3, small_problem, iteration_cap=50)
     assert any("rho_ref_2" in w for w in result.warnings)
 
 
@@ -81,7 +79,7 @@ def test_count_interior_maxima_with_noise_floor():
     assert analysis.count_interior_maxima(bump) == 2
     # sub-floor jitter is ignored
     jitter = np.array([0.0, 1e-5, 0.0, 10.0, 0.0, 10.0])
-    assert analysis.count_interior_maxima(jitter, noise_floor=1e-3) == 1
+    assert analysis.count_interior_maxima(jitter) == 1
 
 
 def test_trajectory_metrics_reference_angles():
@@ -142,9 +140,7 @@ def test_expressivity_reports_worst_case_across_targets():
     easy = np.full((4, 8), 0.5)
     hard = (rng.uniform(0, 1, (4, 8)) > 0.5).astype(float)
     spec = ArchitectureSpec(kind="mlp", width=4, hidden_layers=1)
-    rows = analysis.expressivity_study(
-        [spec], [easy, hard], repeats=2, seed=0, fit_kwargs={"iteration_cap": 150}
-    )
+    rows = analysis.expressivity_study([spec], [easy, hard], repeats=2, seed=0, iteration_cap=150)
     row = rows[0]
     assert len(row.worst_psnr) == 2
     design_map = reparam.DesignMap(row.spec, reparam.coordinate_grid(8, 4))
@@ -199,15 +195,14 @@ def test_analysis_tools_build_one_network_workspace(monkeypatch, small_problem):
     spec = ArchitectureSpec(kind="mlp", width=4, hidden_layers=1)
     rng = np.random.default_rng(5)
     targets = [rng.uniform(0, 1, (8, 16)) for _ in range(2)]
-    fit = {"iteration_cap": 5}
 
     reparam._shared_workspace.cache_clear()
-    analysis.expressivity_study([spec], targets, fit_kwargs=fit)
+    analysis.expressivity_study([spec], targets, iteration_cap=5)
     assert len(built) == 1
 
     built.clear()
     reparam._shared_workspace.cache_clear()
-    analysis.landscape_1d(spec, targets[0], targets[1], 5, small_problem, fit_kwargs=fit)
+    analysis.landscape_1d(spec, targets[0], targets[1], 5, small_problem, iteration_cap=5)
     assert len(built) == 1
 
 

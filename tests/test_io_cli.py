@@ -902,6 +902,36 @@ _BAD_INPUTS = {
         "search", {**_SMALL_SEARCH, "base": {**_TWOBAR_SEARCH_BASE, "optimizer": "mma"}}, [], "optimizer config"
     ),
     "landscape-fit-number": ("landscape", {**_SMALL_LANDSCAPE, "fit": 5}, [], "fit config"),
+    # 2.5 and true ran a fit of 3 and 1 iterations; "5" died in a TypeError
+    # after the output directory was created; lr_decay was a fit option.
+    **{
+        f"{command}-fit-{name}": (command, {**small, "fit": fit}, [], named)
+        for command, small in (("landscape", _SMALL_LANDSCAPE), ("expressivity", _SMALL_EXPRESSIVITY))
+        for name, fit, named in (
+            ("cap-float", {"iteration_cap": 2.5}, "'iteration_cap'"),
+            ("cap-bool", {"iteration_cap": True}, "'iteration_cap'"),
+            ("cap-string", {"iteration_cap": "5"}, "'iteration_cap'"),
+            ("lr-decay", {"iteration_cap": 5, "lr_decay": 0.5}, "'lr_decay'"),
+        )
+    },
+    # The two-bar runs under MMA only: optimize exited 1 after writing its
+    # manifest, and every search trial failed.
+    "optimize-twobar-adam": (
+        "optimize", {**_TWOBAR_DIRECT, "optimizer": {"kind": "adam", "learning_rate": 0.1}}, [], "with MMA"
+    ),
+    "search-twobar-adam": (
+        "search",
+        {
+            "base": {**_TWOBAR_SEARCH_BASE, "optimizer": {"kind": "adam"}},
+            "search": {"mode": "grid", "parameters": {"learning_rate": [0.1]}, "budget": 2},
+        },
+        [],
+        "with MMA",
+    ),
+    # Every trial failed on the unknown kind, and search exited 1.
+    "search-optimizer-kind-unknown": (
+        "search", {**_SMALL_SEARCH, "base": {**_TWOBAR_SEARCH_BASE, "optimizer": {"kind": "sgd"}}}, [], "'sgd'"
+    ),
     # It exited 0 after writing only a manifest.
     "landscape-reparams-empty": ("landscape", {**_SMALL_LANDSCAPE, "reparams": []}, [], "'reparams'"),
 }

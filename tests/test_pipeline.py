@@ -90,9 +90,9 @@ def test_filter_correlation_sums_in_sparse_row_order():
     rng = np.random.default_rng(9)
     for nx, ny, rmin in ((13, 7, 3.2), (2, 9, 2.5)):
         weights = sparse.csr_matrix(dense_cone_weights(nx, ny, rmin))
-        kernel = pipeline.build_filter(nx, ny, rmin).kernel
+        filt = pipeline.build_filter(nx, ny, rmin)
         x = rng.uniform(0, 1, nx * ny)
-        assert np.array_equal(pipeline._correlate(kernel, x.reshape(ny, nx)).ravel(), weights @ x)
+        assert np.array_equal(pipeline._correlate(filt, x.reshape(ny, nx)).ravel(), weights @ x)
 
 
 def test_filter_adjoint_identity():

@@ -150,7 +150,7 @@ def test_micro_net_constant_at_zero_outer_weights():
 
 
 def test_micro_net_at_published_optimum():
-    areas, _ = twobar_siren_forward(np.array([-1.272, 0.0, -2.901]), omega0=88.0, z1=0.5)
+    areas, _ = twobar_siren_forward(np.array([-1.272, 0.0, -2.901]), omega0=88.0)
     assert areas[0] == pytest.approx(1.0, abs=1e-12)
     assert areas[1] == pytest.approx(0.0, abs=1e-3)
 
