@@ -198,34 +198,23 @@ def expressivity_study(
     return rows
 
 
-@dataclass(frozen=True)
-class MetricTable:
-    """Solver-by-case metric matrix; failed runs are +inf entries."""
-
-    values: np.ndarray
-    solvers: tuple[str, ...]
-    cases: tuple[str, ...]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (len(self.solvers), len(self.cases)):
-            raise ValueError("metric matrix shape does not match solver/case names")
-        if np.any(values < 0.0) or np.any(np.isnan(values)):
-            raise ValueError("metric entries must be non-negative (or +inf for failures)")
-
-
-def performance_profile(table: MetricTable, tau_grid: np.ndarray) -> np.ndarray:
+def performance_profile(values, cases: Sequence[str], tau_grid) -> np.ndarray:
     """Fraction of cases each solver wins within tolerance tau.
 
-    Returns an array of shape (n_solvers, len(tau_grid)); curves are
-    monotone non-decreasing and reach 1 for solvers with all-finite rows.
+    ``values`` is the solver-by-case metric matrix, one column per name in
+    ``cases``, with +inf for a failed run. Returns an array of shape
+    (n_solvers, len(tau_grid)); curves are monotone non-decreasing and reach
+    1 for solvers with all-finite rows.
     """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(cases):
+        raise ValueError(f"metric matrix has shape {values.shape}, expected one column per case")
+    if np.any(values < 0.0) or np.any(np.isnan(values)):
+        raise ValueError("metric entries must be non-negative (or +inf for failures)")
     tau_grid = np.asarray(tau_grid, dtype=float)
-    values = table.values
     col_min = values.min(axis=0)
     if np.any(~np.isfinite(col_min)):
-        bad = [table.cases[j] for j in np.nonzero(~np.isfinite(col_min))[0]]
+        bad = [cases[j] for j in np.nonzero(~np.isfinite(col_min))[0]]
         raise ValueError(f"every solver failed on case(s): {', '.join(bad)}")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(

@@ -186,7 +186,7 @@ def cmd_optimize(args):
 
     def run(out: Path) -> int:
         try:
-            result = run_optimization(
+            traj = run_optimization(
                 problem, spec, optimizer, budget=budget, seed=seed, pretrain=pretrain, theta0=theta0
             )
         except Exception as exc:  # solver failures land in the manifest
@@ -196,9 +196,8 @@ def cmd_optimize(args):
             traceback.print_exc()
             return 1
 
-        traj = result.trajectory
         io.write_trajectory_csv(out / "trajectory.csv", traj)
-        io.save_params(out / "theta", result.theta, layout)
+        io.save_params(out / "theta", traj.theta, layout)
         outcome = {
             "status": "ok",
             "final_objective": traj.objective[-1],
@@ -207,20 +206,20 @@ def cmd_optimize(args):
             "best_feasible_iteration": traj.best_feasible_iteration,
             "iterations": traj.iterations,
         }
-        if result.pretrain_mse is not None:
-            outcome["pretrain_mse"] = result.pretrain_mse
+        if traj.pretrain_mse is not None:
+            outcome["pretrain_mse"] = traj.pretrain_mse
         metrics = {
             "best_feasible_objective": traj.best_feasible_objective,
             "converged_iteration": analysis.convergence_iteration(traj.objective),
         }
         if isinstance(problem, TwoBarProblem):
-            outcome["final_point"] = metrics["final_point"] = [float(v) for v in result.design]
+            outcome["final_point"] = metrics["final_point"] = [float(v) for v in traj.designs[-1]]
         else:
             best = traj.best_feasible_design
             if best is None:
                 best = traj.designs[int(np.argmin(traj.constraint_violation))]
             nx, ny = problem.nx, problem.ny
-            _write_field(out, "final_design", result.design, nx, ny)
+            _write_field(out, "final_design", traj.designs[-1], nx, ny)
             _write_field(out, "best_design", best, nx, ny)
             metrics.update(_write_thresholded(out, problem, best))
             if snapshot_every:
@@ -371,16 +370,17 @@ def cmd_profile(args):
         metrics_path = run_dir / "metrics.json"
         if metrics_path.exists():
             metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
-            value = float(metrics.get(metric_key, np.inf))
+            value = metrics.get(metric_key, np.inf)
+            if not _is_number(value):
+                raise ValueError(f"{run_dir}: metric {metric_key!r} must be a number, got {value!r:.60}")
         runs[label] = (run_dir, value if np.isfinite(value) else np.inf)
     solvers = tuple(sorted({solver for solver, _ in runs}))
     cases = tuple(sorted({case for _, case in runs}))
     values = np.full((len(solvers), len(cases)), np.inf)
     for (solver, case), (_, value) in runs.items():
         values[solvers.index(solver), cases.index(case)] = value
-    table = analysis.MetricTable(values=values, solvers=solvers, cases=cases)
     tau_grid = np.linspace(1.0, args.tau_max, args.tau_points)
-    curves = analysis.performance_profile(table, tau_grid)
+    curves = analysis.performance_profile(values, cases, tau_grid)
 
     def run(out: Path) -> int:
         rows = [[float(tau)] + [float(v) for v in curves[:, i]] for i, tau in enumerate(tau_grid)]
@@ -442,10 +442,10 @@ def cmd_search(args):
             value = np.inf
             try:
                 optimizer = presets.optimizer_from_config({**base["optimizer"], **combo})
-                result = run_optimization(
+                traj = run_optimization(
                     problem, spec, optimizer, budget=budget, seed=seed, pretrain=pretrain, theta0=theta0
                 )
-                value = result.trajectory.best_feasible_objective
+                value = traj.best_feasible_objective
                 if not np.isfinite(value):
                     status = "infeasible"
             except Exception as exc:

@@ -46,6 +46,8 @@ PHYSICS_KINDS = ("compliance", "thermal", "mechanism")
 
 #: Relative residual accepted from the direct solve.
 RESIDUAL_TOL = 1e-8
+#: Poisson's ratio of the plane-stress material.
+POISSON = 0.3
 
 
 class SingularSystemError(RuntimeError):
@@ -59,15 +61,12 @@ class Physics:
     kind: str
     modulus_solid: float = 10.0
     modulus_void: float = 1e-9
-    poisson: float = 0.3
 
     def __post_init__(self):
         if self.kind not in PHYSICS_KINDS:
             raise ValueError(f"unknown physics kind {self.kind!r}, expected one of {PHYSICS_KINDS}")
         if not self.modulus_solid > self.modulus_void > 0.0:
             raise ValueError("need modulus_solid > modulus_void > 0")
-        if not 0.0 <= self.poisson < 0.5:
-            raise ValueError("Poisson ratio must lie in [0, 0.5)")
 
     @property
     def dofs_per_node(self) -> int:
@@ -155,14 +154,13 @@ def _shape_gradients(xi: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def element_stiffness_elastic(poisson: float) -> np.ndarray:
-    """Unit-modulus plane-stress stiffness of the bilinear square element.
+def element_stiffness_elastic() -> np.ndarray:
+    """Unit-modulus plane-stress stiffness of the bilinear square element,
+    Poisson's ratio :data:`POISSON`.
 
     Integrated with 2x2 Gauss quadrature, which is exact for this element.
     """
-    if not 0.0 <= poisson < 0.5:
-        raise ValueError("Poisson ratio must lie in [0, 0.5)")
-    nu = float(poisson)
+    nu = POISSON
     d_mat = np.array(
         [[1.0, nu, 0.0], [nu, 1.0, 0.0], [0.0, 0.0, (1.0 - nu) / 2.0]]
     ) / (1.0 - nu**2)
@@ -199,7 +197,7 @@ def element_conduction() -> np.ndarray:
 def element_matrix(physics: Physics) -> np.ndarray:
     if physics.kind == "thermal":
         return element_conduction()
-    return element_stiffness_elastic(physics.poisson)
+    return element_stiffness_elastic()
 
 
 @lru_cache(maxsize=None)
@@ -473,7 +471,7 @@ def evaluate_objective(
     domain: GridDomain,
     physics: Physics,
     rho_phys: np.ndarray,
-    penalty: float = 3.0,
+    penalty: float,
 ) -> ObjectiveEval:
     """Objective value and adjoint gradient w.r.t. the physical densities.
 

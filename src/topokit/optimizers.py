@@ -383,7 +383,11 @@ def gradient_angle(current: np.ndarray, previous: np.ndarray) -> float:
 
 @dataclass
 class Trajectory:
-    """Per-iteration record of one optimization run."""
+    """Per-iteration record of one optimization run.
+
+    ``theta`` is the run's final point and ``pretrain_mse`` the error its
+    pretraining reached, None for a run that did not pretrain.
+    """
 
     objective: list[float] = field(default_factory=list)
     volume: list[float] = field(default_factory=list)
@@ -395,6 +399,8 @@ class Trajectory:
     best_feasible_objective: float = np.inf
     best_feasible_design: np.ndarray | None = None
     best_feasible_iteration: int = -1
+    theta: np.ndarray | None = None
+    pretrain_mse: float | None = None
 
     def record(
         self,

@@ -45,17 +45,6 @@ DENSITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class VolumeBudget:
-    """Volume fraction target V0 with uniform element volumes."""
-
-    target: float
-
-    def __post_init__(self):
-        if not 0.0 < self.target <= 1.0:
-            raise ValueError("volume target must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class FilterOperator:
     """Row-normalized cone filter on an nx-by-ny grid.
 
@@ -145,7 +134,7 @@ def check_projection_target(target: float) -> None:
     """The exact-volume projection needs a target in [MIN_PROJECTION_TARGET, 1).
 
     Its densities are sigmoids, which average to 1 only at an infinite
-    shift, so it is stricter than :class:`VolumeBudget`, which admits 1.
+    shift, so it is stricter than a problem's volume target, which may be 1.
     The lower end is the least target that :func:`find_volume_shift`'s
     bracket is known to contain.
     """
@@ -236,10 +225,10 @@ def find_volume_shift(raw: np.ndarray, target: float) -> float:
             b = 0.5 * (lo + hi)
 
 
-def shifted_sigmoid_project(raw: np.ndarray, budget: VolumeBudget) -> np.ndarray:
-    """Map an unbounded field to densities with mean exactly at the target."""
+def shifted_sigmoid_project(raw: np.ndarray, target: float) -> np.ndarray:
+    """Map an unbounded field to densities with mean exactly at the volume target."""
     raw = np.asarray(raw, dtype=float).ravel()
-    shift = find_volume_shift(raw, budget.target)
+    shift = find_volume_shift(raw, target)
     return logistic(raw + shift)
 
 
@@ -268,14 +257,14 @@ def threshold_count(n: int, target: float) -> int:
     return int(np.floor(n * (target - 0.001) / (1.0 - 0.001) + 0.5))
 
 
-def threshold(rho: np.ndarray, budget: VolumeBudget) -> np.ndarray:
-    """Project a gray design to black-and-white.
+def threshold(rho: np.ndarray, target: float) -> np.ndarray:
+    """Project a gray design to black-and-white at a volume target.
 
     The densest n_p elements become 1 and the rest 0.001, with ties broken
     in favor of lower element indices.
     """
     rho = np.asarray(rho, dtype=float).ravel()
-    n_p = threshold_count(rho.size, budget.target)
+    n_p = threshold_count(rho.size, target)
     n_p = min(max(n_p, 0), rho.size)
     out = np.full(rho.size, 0.001)
     if n_p > 0:

@@ -14,7 +14,6 @@ from .optimizers import AdamConfig, MmaConfig
 from .problems import CATALOG, TWOBAR_THETA0, make_problem
 from .reparam import ArchitectureSpec
 
-MLP_WIDTH = 20
 SIREN_WIDTH = 22
 
 #: MMA feasibility-penalty constant for the two-bar presets. It must exceed
@@ -211,32 +210,35 @@ def problem_from_config(cfg: dict):
     )
 
 
-#: Config keys each reparameterization kind reads, besides ``kind``.
+#: Config keys each reparameterization kind reads, besides ``kind``, and the
+#: :class:`ArchitectureSpec` field each sets. A key the config leaves out
+#: keeps the spec's default; only SIREN's width has its own, SIREN_WIDTH.
 _REPARAM_KEYS = {
-    "direct": set(),
-    "mlp": {"width", "hidden_layers"},
-    "siren": {"width", "hidden_layers", "omega0"},
-    "cnn": {"input_size", "channels", "filters", "upsample"},
+    "direct": {},
+    "mlp": {"width": "width", "hidden_layers": "hidden_layers"},
+    "siren": {"width": "width", "hidden_layers": "hidden_layers", "omega0": "omega0"},
+    "cnn": {
+        "input_size": "cnn_input_size",
+        "channels": "cnn_channels",
+        "filters": "cnn_filters",
+        "upsample": "cnn_upsample",
+    },
 }
 
 
 def spec_from_config(cfg: dict) -> ArchitectureSpec:
     """Architecture from a config dict; unknown keys raise ValueError."""
     kind = _section(cfg, "reparam").get("kind", "direct")
-    if kind not in _REPARAM_KEYS:
+    if not isinstance(kind, str) or kind not in _REPARAM_KEYS:
         raise ValueError(f"unknown reparameterization kind {kind!r}")
-    _reject_unknown_keys(cfg, _REPARAM_KEYS[kind] | {"kind"}, f"{kind} reparam")
-    kwargs = {}
-    if kind in ("mlp", "siren"):
-        kwargs["width"] = cfg.get("width", MLP_WIDTH if kind == "mlp" else SIREN_WIDTH)
-        kwargs["hidden_layers"] = cfg.get("hidden_layers", 5)
+    fields = _REPARAM_KEYS[kind]
+    _reject_unknown_keys(cfg, set(fields) | {"kind"}, f"{kind} reparam")
+    kwargs = {fields[key]: value for key, value in cfg.items() if key != "kind"}
+    for name in ("cnn_filters", "cnn_upsample"):
+        if name in kwargs:
+            kwargs[name] = tuple(kwargs[name])
     if kind == "siren":
-        kwargs["omega0"] = cfg.get("omega0", 10.0)
-    if kind == "cnn":
-        kwargs["cnn_input_size"] = cfg.get("input_size", 1)
-        kwargs["cnn_channels"] = cfg.get("channels", 1)
-        kwargs["cnn_filters"] = tuple(cfg.get("filters", (2, 1)))
-        kwargs["cnn_upsample"] = tuple(cfg.get("upsample", (4, 8)))
+        kwargs.setdefault("width", SIREN_WIDTH)
     return ArchitectureSpec(kind=kind, **kwargs)
 
 
@@ -246,7 +248,7 @@ _OPTIMIZERS = {"mma": MmaConfig, "adam": AdamConfig}
 def optimizer_kind(cfg: dict) -> str:
     """The kind an optimizer config section names, ``mma`` if none; an unknown kind raises ValueError."""
     kind = _section(cfg, "optimizer").get("kind", "mma")
-    if kind not in _OPTIMIZERS:
+    if not isinstance(kind, str) or kind not in _OPTIMIZERS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
     return kind
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import GridDomain, Physics, check_penalty, element_dof_matrix
-from .pipeline import VolumeBudget
 
 CATALOG = ("mbb", "michell", "cantilever", "bridge", "tensile", "thermal", "mechanism")
 
@@ -97,7 +96,8 @@ def make_problem(
     check_penalty(penalty)
     if v0 is None:
         v0 = DEFAULT_VOLUME.get(name, 0.3)
-    v0 = VolumeBudget(v0).target  # rejects a target outside (0, 1]
+    if not 0.0 < v0 <= 1.0:
+        raise ValueError("volume target must lie in (0, 1]")
     if filter_radius is None:
         filter_radius = FILTER_RADIUS_AT_64 * nx / 64.0
 

@@ -10,8 +10,9 @@ gradient checks against finite differences stay tight in double precision.
 ``direct`` is the identity.
 
 :class:`DesignMap` is the one place the raw field is bounded. For MMA it
-applies a sigmoid and then the density filter; for Adam it filters and then
-applies the shifted-sigmoid exact-volume projection (Hoyer et al. 2019).
+applies a sigmoid and then the density filter; for Adam, given the volume
+target as a float, it filters and then applies the shifted-sigmoid
+exact-volume projection (Hoyer et al. 2019).
 Direct densities get no sigmoid: the [0, 1] MMA box bounds them. Pretraining
 and least-squares fitting are one Adam trainer, :func:`fit_to_density`, run
 through a map without a filter; :func:`pretrain_uniform` is that trainer
@@ -587,10 +588,11 @@ def forward_with_vjp(
 class DesignMap:
     """Composite map from decision variables to physical densities.
 
-    Without a projection (the MMA pipeline) a network's raw field passes a
-    sigmoid and then the filter; with one (the Adam pipeline) it is filtered
-    and then projected onto the exact volume by the shifted sigmoid. Direct
-    densities get no sigmoid. The filter is optional.
+    Without a volume target (the MMA pipeline) a network's raw field passes
+    a sigmoid and then the filter; with one (the Adam pipeline) it is
+    filtered and then projected by the shifted sigmoid onto a mean density
+    of exactly ``volume_target``. Direct densities get no sigmoid. The
+    filter is optional.
     """
 
     def __init__(
@@ -598,13 +600,13 @@ class DesignMap:
         spec: ArchitectureSpec,
         grid: CoordinateGrid,
         filter_op: pipeline.FilterOperator | None = None,
-        projection: pipeline.VolumeBudget | None = None,
+        volume_target: float | None = None,
     ):
         self.spec = spec
         self.grid = grid
         self.filter_op = filter_op
-        self.projection = projection
-        self.sigmoid = projection is None and spec.kind != "direct"
+        self.volume_target = volume_target
+        self.sigmoid = volume_target is None and spec.kind != "direct"
 
     def forward_with_vjp(self, theta: np.ndarray):
         """The densities and their VJP closure, valid until the next forward
@@ -615,12 +617,12 @@ class DesignMap:
         if self.filter_op is not None:
             field = self.filter_op.apply(field)
         rho = field
-        if self.projection is not None:
-            rho = pipeline.shifted_sigmoid_project(field, self.projection)
+        if self.volume_target is not None:
+            rho = pipeline.shifted_sigmoid_project(field, self.volume_target)
 
         def vjp_fun(w):
             w = np.asarray(w, dtype=float).ravel()
-            if self.projection is not None:
+            if self.volume_target is not None:
                 w = pipeline.shifted_sigmoid_vjp(rho, w)
             if self.filter_op is not None:
                 w = self.filter_op.vjp(w)

@@ -6,7 +6,9 @@ objective, volume, violation and objective gradient, the constraint values,
 a zero-argument callable giving the constraint Jacobian, and the design.
 One loop in ``run_optimization`` drives MMA or Adam over any evaluator. It
 calls the Jacobian only right before an MMA step, so no constraint gradient
-is taken after the final evaluation.
+is taken after the final evaluation. A run returns its
+:class:`optimizers.Trajectory`, which is the one run record: every
+evaluation, the final point θ and the pretraining error.
 
 Grid problems run one of two pipelines, both composed by
 :class:`reparam.DesignMap`. With MMA the volume constraint is handed to the
@@ -15,7 +17,8 @@ optimizer explicitly and a network's raw field is sigmoid-bounded:
     theta -> network -> sigmoid -> density filter -> FE analysis
 
 With Adam the problem is unconstrained because the filtered field passes
-through the shifted-sigmoid projection, which pins the volume exactly:
+through the shifted-sigmoid projection, which pins the volume exactly at
+the problem's volume target, a float:
 
     theta -> network -> density filter -> projection -> FE analysis
 
@@ -28,8 +31,6 @@ stress constraints with their analytic Jacobian, and it runs under MMA only.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,14 +47,6 @@ from .problems import (
 from .reparam import ArchitectureSpec, DesignMap
 
 
-@dataclass
-class RunResult:
-    trajectory: Trajectory
-    theta: np.ndarray
-    design: np.ndarray
-    pretrain_mse: float | None = None
-
-
 def evaluate_design(problem: ProblemSpec, rho_phys: np.ndarray) -> fem.ObjectiveEval:
     """Objective of a physical density field under the problem's physics."""
     return fem.evaluate_objective(problem.domain, problem.physics, rho_phys, problem.penalty)
@@ -65,8 +58,7 @@ def threshold_and_rescale(problem: ProblemSpec, rho_phys: np.ndarray):
     Returns (thresholded field, its objective, rescaled objective, its
     volume fraction).
     """
-    budget = pipeline.VolumeBudget(target=problem.volume_target)
-    rho_bw = pipeline.threshold(rho_phys, budget)
+    rho_bw = pipeline.threshold(rho_phys, problem.volume_target)
     value = evaluate_design(problem, rho_bw).value
     v_th = pipeline.volume_fraction(rho_bw)
     rescaled = pipeline.rescale_thresholded_compliance(value, v_th, problem.volume_target)
@@ -94,14 +86,14 @@ def _grid_setup(problem: ProblemSpec, spec, optimizer, seed, pretrain, theta0):
     grid = reparam.coordinate_grid(problem.nx, problem.ny)
     theta = reparam.init_params(spec, problem.nx, problem.ny, seed) if theta0 is None else theta0
     v0 = problem.volume_target
-    projection = None if use_mma else pipeline.VolumeBudget(target=v0)
+    volume_target = None if use_mma else v0  # Adam projects onto it
     pretrain_mse = None
     if pretrain:
-        result = reparam.pretrain_uniform(DesignMap(spec, grid, None, projection), theta, v0)
+        result = reparam.pretrain_uniform(DesignMap(spec, grid, None, volume_target), theta, v0)
         theta, pretrain_mse = result.theta, result.mse
 
     filter_op = pipeline.build_filter(problem.nx, problem.ny, problem.filter_radius)
-    design_map = DesignMap(spec, grid, filter_op, projection)
+    design_map = DesignMap(spec, grid, filter_op, volume_target)
     n = problem.n_elements
     if use_mma:
         b = optimizer.theta_bound
@@ -161,11 +153,12 @@ def run_optimization(
     seed: int = 0,
     pretrain: bool = True,
     theta0=None,
-) -> RunResult:
+) -> Trajectory:
     """Run one optimization for ``budget`` function evaluations past the
-    initial one, recording a full trajectory. Deterministic for fixed seed.
-    ``theta0``, if given, is the flat start point in :func:`theta_layout`
-    order; one outside the MMA box is clipped into it.
+    initial one and return its trajectory, the final point and the
+    pretraining error included. Deterministic for fixed seed. ``theta0``, if
+    given, is the flat start point in :func:`theta_layout` order; one
+    outside the MMA box is clipped into it.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -191,7 +184,7 @@ def run_optimization(
     else:
         state = AdamState.zeros(size)
         x = theta
-    trajectory = Trajectory()
+    trajectory = Trajectory(pretrain_mse=pretrain_mse)
     for it in range(budget + 1):
         if it:
             if use_mma:
@@ -200,10 +193,5 @@ def run_optimization(
                 x = adam_step(state, x, grad, optimizer)
         objective, volume, violation, grad, g, jacobian, design = evaluate(x)
         trajectory.record(objective, volume, violation, grad, design)
-
-    return RunResult(
-        trajectory=trajectory,
-        theta=x,
-        design=design,
-        pretrain_mse=pretrain_mse,
-    )
+    trajectory.theta = x
+    return trajectory

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topokit import analysis, reparam
-from topokit.analysis import MetricTable, convergence_iteration, performance_profile, psnr
+from topokit.analysis import convergence_iteration, performance_profile, psnr
 from topokit.optimizers import Trajectory
 from topokit.problems import make_problem
 from topokit.reparam import ArchitectureSpec
@@ -207,29 +207,25 @@ def test_analysis_tools_build_one_network_workspace(monkeypatch, small_problem):
 
 
 def test_performance_profile_single_solver():
-    table = MetricTable(values=np.array([[3.0, 5.0, 1.0]]), solvers=("s",), cases=("a", "b", "c"))
-    curves = performance_profile(table, np.array([1.0, 2.0, 10.0]))
+    curves = performance_profile(np.array([[3.0, 5.0, 1.0]]), ("a", "b", "c"), np.array([1.0, 2.0, 10.0]))
     assert np.all(curves == 1.0)
 
 
 def test_performance_profile_hand_example():
-    table = MetricTable(values=np.array([[1.0, 2.0], [2.0, 1.0]]), solvers=("s1", "s2"), cases=("a", "b"))
-    curves = performance_profile(table, np.array([1.0, 1.5, 2.0]))
+    curves = performance_profile(np.array([[1.0, 2.0], [2.0, 1.0]]), ("a", "b"), np.array([1.0, 1.5, 2.0]))
     assert np.allclose(curves[:, 0], [0.5, 0.5])
     assert np.allclose(curves[:, 2], [1.0, 1.0])
 
 
 def test_performance_profile_ties_share_the_win():
-    table = MetricTable(values=np.array([[1.0], [1.0]]), solvers=("s1", "s2"), cases=("a",))
-    curves = performance_profile(table, np.array([1.0]))
+    curves = performance_profile(np.array([[1.0], [1.0]]), ("a",), np.array([1.0]))
     assert np.all(curves == 1.0)
 
 
 def test_performance_profile_failures_and_monotonicity():
     values = np.array([[1.0, np.inf, 2.0], [1.5, 1.0, np.inf], [3.0, 4.0, 1.0]])
-    table = MetricTable(values=values, solvers=("a", "b", "c"), cases=("x", "y", "z"))
     tau = np.linspace(1, 10, 40)
-    curves = performance_profile(table, tau)
+    curves = performance_profile(values, ("x", "y", "z"), tau)
     assert np.all(np.diff(curves, axis=1) >= 0)
     assert np.all(curves <= 1.0) and np.all(curves >= 0.0)
     # solver c has finite entries everywhere, so it must reach 1
@@ -237,18 +233,19 @@ def test_performance_profile_failures_and_monotonicity():
 
 
 def test_performance_profile_rejects_dead_case():
-    table = MetricTable(
-        values=np.array([[1.0, np.inf], [2.0, np.inf]]), solvers=("a", "b"), cases=("x", "y")
-    )
     with pytest.raises(ValueError, match="y"):
-        performance_profile(table, np.array([1.0]))
+        performance_profile(np.array([[1.0, np.inf], [2.0, np.inf]]), ("x", "y"), np.array([1.0]))
 
 
-def test_metric_table_validation():
-    with pytest.raises(ValueError):
-        MetricTable(values=np.array([[-1.0]]), solvers=("a",), cases=("x",))
-    with pytest.raises(ValueError):
-        MetricTable(values=np.ones((2, 2)), solvers=("a",), cases=("x", "y"))
+def test_performance_profile_validation():
+    for values, match in (
+        ([[-1.0, 1.0]], "non-negative"),
+        ([[np.nan, 1.0]], "non-negative"),
+        (np.ones((2, 3)), "one column per case"),
+        ([1.0, 1.0], "one column per case"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            performance_profile(values, ("x", "y"), np.array([1.0]))
 
 
 def test_convergence_iteration_examples():

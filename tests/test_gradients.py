@@ -53,8 +53,8 @@ def test_objective_gradient_matches_finite_differences(physics, kind, path):
     problem = make_problem(PROBLEMS[physics], (NX, NY))
     spec = SPECS[kind]
     filter_op = pipeline.build_filter(NX, NY, problem.filter_radius)
-    projection = pipeline.VolumeBudget(problem.volume_target) if path == "adam" else None
-    design_map = DesignMap(spec, reparam.coordinate_grid(NX, NY), filter_op, projection)
+    volume_target = problem.volume_target if path == "adam" else None
+    design_map = DesignMap(spec, reparam.coordinate_grid(NX, NY), filter_op, volume_target)
     rng = np.random.default_rng(sorted(PROBLEMS).index(physics) * 8 + sorted(SPECS).index(kind))
     theta = reparam.init_params(spec, NX, NY, seed=1)
     if kind == "direct":
@@ -63,7 +63,7 @@ def test_objective_gradient_matches_finite_differences(physics, kind, path):
         theta = theta + 0.1 * rng.standard_normal(theta.size)
 
     rho, vjp_fun = design_map.forward_with_vjp(theta)
-    if projection is not None:
+    if volume_target is not None:
         assert rho.mean() == pytest.approx(problem.volume_target, abs=1e-14)
     elif kind != "direct":
         assert rho.min() > 0.0 and rho.max() < 1.0

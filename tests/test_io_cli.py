@@ -934,6 +934,14 @@ _BAD_INPUTS = {
     ),
     # It exited 0 after writing only a manifest.
     "landscape-reparams-empty": ("landscape", {**_SMALL_LANDSCAPE, "reparams": []}, [], "'reparams'"),
+    # An unhashable kind died in a TypeError and exited 1.
+    "optimize-optimizer-kind-list": (
+        "optimize", {**_SMALL_OPTIMIZE, "optimizer": {**_SMALL_OPTIMIZE["optimizer"], "kind": ["mma"]}}, [],
+        "optimizer kind",
+    ),
+    "optimize-reparam-kind-list": (
+        "optimize", {**_SMALL_OPTIMIZE, "reparam": {"kind": ["mlp"]}}, [], "reparameterization kind"
+    ),
 }
 
 
@@ -1037,6 +1045,19 @@ def test_cli_profile_rejects_two_runs_of_one_solver_on_one_case(tmp_path, capsys
     assert run_cli("profile", "--runs", first, second, "--out", str(prof)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and first in err and second in err
+    assert not prof.exists()
+
+
+@pytest.mark.parametrize("value", [[1.0], True, "x"], ids=["list", "bool", "string"])
+def test_cli_profile_rejects_a_metric_that_is_not_a_number(tmp_path, capsys, value):
+    # A list died in a TypeError, true ran as 1.0 and a string exited 2
+    # without naming the run.
+    run = _profiled_run(tmp_path / "a", {"name": "mbb", "nx": 8, "ny": 4}, "direct", value)
+    prof = tmp_path / "prof"
+    assert run_cli("profile", "--runs", run, "--out", str(prof)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run in err and "'best_feasible_objective'" in err
     assert not prof.exists()
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import topokit
 from topokit import pipeline
-from topokit.pipeline import VolumeBudget
 
 
 def dense_cone_weights(nx, ny, rmin):
@@ -113,12 +112,12 @@ def test_filter_shape_mismatch_rejected():
 
 
 def test_projection_uniform_input():
-    rho = pipeline.shifted_sigmoid_project(np.full(64, 1.7), VolumeBudget(0.3))
+    rho = pipeline.shifted_sigmoid_project(np.full(64, 1.7), 0.3)
     assert np.abs(rho - 0.3).max() < 1e-9
 
 
 def test_projection_two_point_example():
-    rho = pipeline.shifted_sigmoid_project(np.array([-10.0, 10.0]), VolumeBudget(0.5))
+    rho = pipeline.shifted_sigmoid_project(np.array([-10.0, 10.0]), 0.5)
     shift = pipeline.find_volume_shift(np.array([-10.0, 10.0]), 0.5)
     assert rho[0] == pytest.approx(0.0, abs=1e-4)
     assert rho[1] == pytest.approx(1.0, abs=1e-4)
@@ -128,9 +127,9 @@ def test_projection_two_point_example():
 def test_projection_negation_antisymmetry():
     rng = np.random.default_rng(3)
     raw = rng.standard_normal(50)
-    budget = VolumeBudget(0.5)
-    rho = pipeline.shifted_sigmoid_project(raw, budget)
-    rho_neg = pipeline.shifted_sigmoid_project(-raw, budget)
+    v0 = 0.5
+    rho = pipeline.shifted_sigmoid_project(raw, v0)
+    rho_neg = pipeline.shifted_sigmoid_project(-raw, v0)
     assert np.allclose(rho_neg, 1.0 - rho, atol=1e-9)
 
 
@@ -139,14 +138,14 @@ def test_projection_volume_exact_on_random_fields():
     for _ in range(50):
         raw = rng.standard_normal(128) * rng.uniform(0.5, 5.0)
         v0 = rng.uniform(0.05, 0.95)
-        rho = pipeline.shifted_sigmoid_project(raw, VolumeBudget(v0))
+        rho = pipeline.shifted_sigmoid_project(raw, v0)
         assert abs(rho.mean() - v0) <= 1e-9
 
 
 def test_projection_preserves_ordering():
     rng = np.random.default_rng(5)
     raw = rng.standard_normal(100)
-    rho = pipeline.shifted_sigmoid_project(raw, VolumeBudget(0.4))
+    rho = pipeline.shifted_sigmoid_project(raw, 0.4)
     order = np.argsort(raw)
     assert np.all(np.diff(rho[order]) >= 0)
 
@@ -154,25 +153,25 @@ def test_projection_preserves_ordering():
 def test_projection_vjp_matches_finite_differences():
     rng = np.random.default_rng(6)
     raw = rng.standard_normal(64)
-    budget = VolumeBudget(0.35)
+    v0 = 0.35
     w = rng.standard_normal(64)
     delta = rng.standard_normal(64)
-    grad = pipeline.shifted_sigmoid_vjp(pipeline.shifted_sigmoid_project(raw, budget), w)
+    grad = pipeline.shifted_sigmoid_vjp(pipeline.shifted_sigmoid_project(raw, v0), w)
     eps = 1e-6
     fd = (
-        pipeline.shifted_sigmoid_project(raw + eps * delta, budget) @ w
-        - pipeline.shifted_sigmoid_project(raw - eps * delta, budget) @ w
+        pipeline.shifted_sigmoid_project(raw + eps * delta, v0) @ w
+        - pipeline.shifted_sigmoid_project(raw - eps * delta, v0) @ w
     ) / (2 * eps)
     assert grad @ delta == pytest.approx(fd, rel=1e-6)
 
 
 def test_projection_rejects_bad_target():
     with pytest.raises(ValueError):
-        pipeline.shifted_sigmoid_project(np.zeros(4), VolumeBudget(1.0))
+        pipeline.shifted_sigmoid_project(np.zeros(4), 1.0)
     with pytest.raises(ValueError):
-        VolumeBudget(0.0)
+        pipeline.shifted_sigmoid_project(np.zeros(4), 0.0)
     with pytest.raises(ValueError):
-        pipeline.shifted_sigmoid_project(np.array([np.inf, 0.0]), VolumeBudget(0.5))
+        pipeline.shifted_sigmoid_project(np.array([np.inf, 0.0]), 0.5)
 
 
 def test_logistic_matches_expit():
@@ -229,7 +228,7 @@ def test_projection_volume_is_exact_in_few_passes(log_scale, n, v0, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "logistic", counted)
         shift = pipeline.find_volume_shift(raw, v0)
-    error = abs(pipeline.shifted_sigmoid_project(raw, VolumeBudget(v0)).mean() - v0)
+    error = abs(pipeline.shifted_sigmoid_project(raw, v0).mean() - v0)
     assert error <= shift_error_bound(shift)
     if abs(shift) < 16.0:
         assert error <= 4 * np.finfo(float).eps
@@ -292,7 +291,7 @@ def test_volume_shift_rejects_a_target_below_the_bracket():
 
 def test_projection_vjp_is_zero_on_saturated_field():
     raw = np.array([-1000.0] * 4 + [1000.0] * 6)
-    rho = pipeline.shifted_sigmoid_project(raw, VolumeBudget(0.6))
+    rho = pipeline.shifted_sigmoid_project(raw, 0.6)
     assert np.array_equal(rho, [0.0] * 4 + [1.0] * 6)
     grad = pipeline.shifted_sigmoid_vjp(rho, np.arange(1.0, 11.0))
     assert np.array_equal(grad, np.zeros(10))
@@ -306,7 +305,7 @@ def test_threshold_count_formula():
 def test_threshold_solid_count_and_floor():
     rng = np.random.default_rng(7)
     rho = rng.uniform(0, 1, 2048)
-    out = pipeline.threshold(rho, VolumeBudget(0.3))
+    out = pipeline.threshold(rho, 0.3)
     assert (out == 1.0).sum() == 613
     assert (out == 0.001).sum() == 2048 - 613
     # volume lands within one element of the target
@@ -314,12 +313,12 @@ def test_threshold_solid_count_and_floor():
 
 
 def test_threshold_full_budget_all_solid():
-    out = pipeline.threshold(np.random.default_rng(8).uniform(0, 1, 100), VolumeBudget(1.0))
+    out = pipeline.threshold(np.random.default_rng(8).uniform(0, 1, 100), 1.0)
     assert np.all(out == 1.0)
 
 
 def test_threshold_tie_break_prefers_low_indices():
-    out = pipeline.threshold(np.full(2048, 0.5), VolumeBudget(0.3))
+    out = pipeline.threshold(np.full(2048, 0.5), 0.3)
     assert np.all(out[:613] == 1.0)
     assert np.all(out[613:] == 0.001)
 
@@ -358,7 +357,7 @@ def test_every_density_reader_applies_one_range_rule(tmp_path, value, accepted):
     io.write_density_csv(path, field, 4, 2)
     problem = make_problem("mbb", (4, 2), 0.5)
     calls = [
-        lambda: fem.evaluate_objective(problem.domain, problem.physics, field),
+        lambda: fem.evaluate_objective(problem.domain, problem.physics, field, problem.penalty),
         lambda: io.read_field_csv(path),
         lambda: analysis._field_values(field, 8, "field"),
     ]

@@ -17,7 +17,6 @@ def test_michell_spec_constants():
     assert spec.physics.kind == "compliance"
     assert spec.physics.modulus_solid == 10.0
     assert spec.physics.modulus_void == 1e-9
-    assert spec.physics.poisson == 0.3
     assert spec.penalty == 3.0
     assert spec.volume_target == 0.6
     assert spec.filter_radius == pytest.approx(2.0)

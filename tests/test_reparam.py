@@ -15,7 +15,6 @@ import pytest
 
 import topokit as tk
 from topokit import optimizers, reparam
-from topokit.pipeline import VolumeBudget
 from topokit.reparam import ArchitectureSpec, DesignMap, NumericError
 
 
@@ -491,7 +490,7 @@ def test_pretrain_direct_is_exact_and_immediate():
 
 def test_pretrain_projected_mode_reaches_target():
     spec = ArchitectureSpec(kind="mlp", width=8, hidden_layers=2)
-    design_map = DesignMap(spec, reparam.coordinate_grid(16, 8), projection=VolumeBudget(0.3))
+    design_map = DesignMap(spec, reparam.coordinate_grid(16, 8), volume_target=0.3)
     theta0 = reparam.init_params(spec, 16, 8, seed=11)
     result = reparam.pretrain_uniform(design_map, theta0, 0.3)
     assert result.mse < reparam.PRETRAIN_TARGET_MSE
@@ -550,7 +549,7 @@ def _pretrain_reference(design_map, theta0, v0):
 )
 def test_pretrain_matches_the_dedicated_loop_bit_for_bit(spec, projected):
     grid = reparam.coordinate_grid(16, 8)
-    design_map = DesignMap(spec, grid, projection=VolumeBudget(0.6) if projected else None)
+    design_map = DesignMap(spec, grid, volume_target=0.6 if projected else None)
     theta0 = reparam.init_params(spec, 16, 8, seed=3)
     values, mse, iterations = _pretrain_reference(design_map, theta0, 0.6)
     result = reparam.pretrain_uniform(design_map, theta0, 0.6)

@@ -16,14 +16,14 @@ def small_problem():
 
 
 def test_zero_budget_records_only_initial_evaluation(small_problem):
-    result = run_optimization(
+    traj = run_optimization(
         small_problem,
         ArchitectureSpec(kind="direct"),
         MmaConfig(move_limit=0.2, asyinit=0.5),
         budget=0,
     )
-    assert result.trajectory.iterations == 1
-    assert result.trajectory.volume[0] == pytest.approx(0.5, abs=1e-12)
+    assert traj.iterations == 1
+    assert traj.volume[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_runs_are_deterministic_per_seed(small_problem):
@@ -31,29 +31,28 @@ def test_runs_are_deterministic_per_seed(small_problem):
     settings = AdamConfig(learning_rate=0.01, grad_clip=0.1)
     a = run_optimization(small_problem, spec, settings, budget=5, seed=3)
     b = run_optimization(small_problem, spec, settings, budget=5, seed=3)
-    assert a.trajectory.objective == b.trajectory.objective
-    assert np.array_equal(a.design, b.design)
+    assert a.objective == b.objective
+    assert np.array_equal(a.designs[-1], b.designs[-1])
     c = run_optimization(small_problem, spec, settings, budget=5, seed=4)
-    assert a.trajectory.objective != c.trajectory.objective
+    assert a.objective != c.objective
 
 
 def test_adam_run_holds_volume_exactly(small_problem):
     spec = ArchitectureSpec(kind="mlp", width=6, hidden_layers=2)
-    result = run_optimization(
+    traj = run_optimization(
         small_problem, spec, AdamConfig(learning_rate=0.02), budget=10, seed=0
     )
-    assert np.abs(np.asarray(result.trajectory.volume) - 0.5).max() <= 1e-9
-    assert max(result.trajectory.constraint_violation) <= 1e-9
+    assert np.abs(np.asarray(traj.volume) - 0.5).max() <= 1e-9
+    assert max(traj.constraint_violation) <= 1e-9
 
 
 def test_mma_baseline_respects_volume_and_improves(small_problem):
-    result = run_optimization(
+    traj = run_optimization(
         small_problem,
         ArchitectureSpec(kind="direct"),
         MmaConfig(move_limit=0.1, asyinit=0.3),
         budget=30,
     )
-    traj = result.trajectory
     assert traj.best_feasible_objective < traj.objective[0]
     assert traj.best_feasible_design is not None
     # MMA keeps the volume constraint essentially active
@@ -67,7 +66,7 @@ def test_mma_network_iterates_stay_in_theta_box(small_problem):
         (ArchitectureSpec(kind="siren", width=6, hidden_layers=2), (-1.5, 1.5)),
         (ArchitectureSpec(kind="direct"), (0.0, 1.0)),
     ):
-        result = run_optimization(
+        traj = run_optimization(
             small_problem,
             spec,
             MmaConfig(move_limit=0.2, asyinit=0.2, theta_bound=1.5),
@@ -75,15 +74,15 @@ def test_mma_network_iterates_stay_in_theta_box(small_problem):
             seed=1,
             theta0=np.linspace(-0.5, 1.5, 128) if spec.kind == "direct" else None,
         )
-        assert result.theta.min() >= lo and result.theta.max() <= hi
-        assert all(design.min() >= 0.0 and design.max() <= 1.0 for design in result.trajectory.designs)
+        assert traj.theta.min() >= lo and traj.theta.max() <= hi
+        assert all(design.min() >= 0.0 and design.max() <= 1.0 for design in traj.designs)
 
 
 def test_design_map_chains_filter_and_projection_vjps(small_problem):
     spec = ArchitectureSpec(kind="siren", width=6, hidden_layers=2)
     grid = reparam.coordinate_grid(16, 8)
     filt = pipeline.build_filter(16, 8, 1.6)
-    dm = DesignMap(spec, grid, filt, pipeline.VolumeBudget(0.4))
+    dm = DesignMap(spec, grid, filt, 0.4)
     rng = np.random.default_rng(5)
     theta = reparam.init_params(spec, 16, 8, seed=5)
     rho, vjp_fun = dm.forward_with_vjp(theta)
@@ -117,10 +116,10 @@ def test_threshold_and_rescale_consistency(small_problem):
 
 def test_pretrained_network_starts_near_uniform(small_problem):
     spec = ArchitectureSpec(kind="mlp", width=6, hidden_layers=2)
-    result = run_optimization(
+    traj = run_optimization(
         small_problem, spec, AdamConfig(learning_rate=0.01), budget=0, seed=0, pretrain=True
     )
-    design = result.trajectory.designs[0]
+    design = traj.designs[0]
     assert np.sqrt(np.mean((design - 0.5) ** 2)) < 1e-2
 
 
@@ -151,9 +150,9 @@ def test_twobar_rejects_theta0_of_wrong_length_before_any_step(monkeypatch, kind
 
 
 def test_twobar_clips_theta0_into_the_box():
-    result = _twobar_run(budget=5, theta0=[0.0, 0.0, -5.0])
-    assert result.trajectory.iterations == 6
-    assert np.abs(result.theta).max() <= 3.0
+    traj = _twobar_run(budget=5, theta0=[0.0, 0.0, -5.0])
+    assert traj.iterations == 6
+    assert np.abs(traj.theta).max() <= 3.0
 
 
 @pytest.mark.parametrize(
