@@ -86,7 +86,7 @@ def _load_config(args) -> dict:
 def _count(cfg: dict, key: str, default: int, least: int) -> int:
     """``cfg[key]``, or ``default`` if absent: an integer, not a bool, of at least ``least``."""
     value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    if not pipeline.is_integer(value) or value < least:
         raise ValueError(f"{key!r} must be an integer >= {least}, got {value!r}")
     return value
 
@@ -115,10 +115,6 @@ def _iteration_cap(cfg: dict) -> int:
     return _count(fit, "iteration_cap", reparam.FIT_ITERATION_CAP, 1)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _theta0(cfg: dict, layout) -> list | None:
     """``cfg["theta0"]``, if given: a flat list of finite numbers, one per entry of ``layout``."""
     theta0 = cfg.get("theta0")
@@ -130,7 +126,7 @@ def _theta0(cfg: dict, layout) -> list | None:
     if len(theta0) != size:
         raise ValueError(f"'theta0' has {len(theta0)} entries, layout needs {size}")
     for index, value in enumerate(theta0):
-        if not (_is_number(value) and math.isfinite(value)):
+        if not (pipeline.is_number(value) and math.isfinite(value)):
             raise ValueError(f"'theta0' entry {index} must be a finite number, got {value!r}")
     return theta0
 
@@ -142,7 +138,7 @@ def _check_random_range(name: str, bounds) -> None:
     presets._reject_unknown_keys(bounds, {"low", "high", "log"}, f"search range {name!r}")
     for key in ("low", "high"):
         value = bounds.get(key)
-        if not (_is_number(value) and math.isfinite(value)):
+        if not (pipeline.is_number(value) and math.isfinite(value)):
             raise ValueError(f"search range {name!r} needs a finite number {key!r}, got {value!r}")
     if not bounds["low"] < bounds["high"]:
         raise ValueError(f"search range {name!r} needs 'low' < 'high'")
@@ -352,6 +348,17 @@ def _run_label(cfg: dict) -> tuple[str, str]:
     return solver, "{0.name}-{0.nx}x{0.ny}-v{0.volume_target!r}-p{0.penalty!r}".format(problem)
 
 
+def _json_object(run_dir: Path, name: str) -> dict:
+    """The JSON object in the run's file ``name``; a ValueError naming the run otherwise."""
+    try:
+        value = json.loads((run_dir / name).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{run_dir}: {name} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ValueError(f"{run_dir}: {name} must be a JSON object, got {value!r:.60}")
+    return value
+
+
 def cmd_profile(args):
     metric_key = {
         "best_objective": "best_feasible_objective",
@@ -363,15 +370,13 @@ def cmd_profile(args):
         manifest_path = run_dir / "manifest.json"
         if not manifest_path.exists():
             raise FileNotFoundError(f"missing artifact {manifest_path}")
-        label = _run_label(io.read_manifest(manifest_path)["config"])
+        label = _run_label(_json_object(run_dir, "manifest.json")["config"])
         if label in runs:
             raise ValueError(f"{runs[label][0]} and {run_dir} are both {label[0]} on {label[1]}")
         value = np.inf
-        metrics_path = run_dir / "metrics.json"
-        if metrics_path.exists():
-            metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
-            value = metrics.get(metric_key, np.inf)
-            if not _is_number(value):
+        if (run_dir / "metrics.json").exists():
+            value = _json_object(run_dir, "metrics.json").get(metric_key, np.inf)
+            if not pipeline.is_number(value):
                 raise ValueError(f"{run_dir}: metric {metric_key!r} must be a number, got {value!r:.60}")
         runs[label] = (run_dir, value if np.isfinite(value) else np.inf)
     solvers = tuple(sorted({solver for solver, _ in runs}))
@@ -400,7 +405,7 @@ def _search_combos(search: dict, seed: int) -> list[dict]:
     mode = search.get("mode", "grid")
     if mode == "grid":
         for name, values in parameters.items():
-            if not isinstance(values, list) or not values or not all(map(_is_number, values)):
+            if not isinstance(values, list) or not values or not all(map(pipeline.is_number, values)):
                 raise ValueError(f"grid parameter {name!r} needs a non-empty list of numbers")
         return [dict(zip(names, values)) for values in itertools.product(*(parameters[n] for n in names))]
     if mode != "random":

@@ -3,7 +3,9 @@
 Supports plane-stress elasticity, steady heat conduction, and compliant
 mechanisms (springs at input/output degrees of freedom). All three share the
 same assembly path; they differ in the element matrix, the number of degrees
-of freedom per node, and the adjoint used for sensitivities.
+of freedom per node, the SIMP moduli, and the adjoint used for sensitivities.
+A :class:`GridDomain` owns its physics kind, so every entry point takes the
+domain alone and reads the rest from the kind.
 
 Every solve is direct. A domain's :class:`SolvePlan` is built once and
 cached: a nested-dissection elimination order of the free DOFs (recursive
@@ -43,6 +45,12 @@ import scipy.sparse.linalg as spla
 from . import pipeline
 
 PHYSICS_KINDS = ("compliance", "thermal", "mechanism")
+#: Degrees of freedom per node, per physics kind: a displacement in x and y,
+#: or a temperature.
+DOFS_PER_NODE = {"compliance": 2, "thermal": 1, "mechanism": 2}
+#: SIMP modulus of solid and of void material, per physics kind.
+MODULUS_SOLID = {"compliance": 10.0, "thermal": 1.0, "mechanism": 10.0}
+MODULUS_VOID = {"compliance": 1e-9, "thermal": 0.001, "mechanism": 1e-9}
 
 #: Relative residual accepted from the direct solve.
 RESIDUAL_TOL = 1e-8
@@ -54,38 +62,22 @@ class SingularSystemError(RuntimeError):
     """The reduced system could not be solved to the required residual."""
 
 
-@dataclass(frozen=True)
-class Physics:
-    """Material model: SIMP interpolates between void and solid modulus."""
-
-    kind: str
-    modulus_solid: float = 10.0
-    modulus_void: float = 1e-9
-
-    def __post_init__(self):
-        if self.kind not in PHYSICS_KINDS:
-            raise ValueError(f"unknown physics kind {self.kind!r}, expected one of {PHYSICS_KINDS}")
-        if not self.modulus_solid > self.modulus_void > 0.0:
-            raise ValueError("need modulus_solid > modulus_void > 0")
-
-    @property
-    def dofs_per_node(self) -> int:
-        return 1 if self.kind == "thermal" else 2
-
-
 @dataclass
 class GridDomain:
-    """Mesh, boundary conditions and load data for one boundary value problem.
+    """Mesh, physics, boundary conditions and load data for one boundary
+    value problem.
 
+    ``physics`` is one of :data:`PHYSICS_KINDS`; it fixes the DOFs per node,
+    the element matrix and the SIMP moduli.
     ``load`` is the global right-hand side (forces, or heat sources for
-    thermal problems). ``output_vector`` selects the objective for mechanism
-    problems (zeros except at the output DOF); when None it defaults to the
-    load vector, which covers compliance and thermal compliance.
+    thermal problems). ``output_vector`` selects the mechanism objective
+    P^T U (zeros except at the output DOF) and is required for that kind;
+    compliance and thermal compliance are F^T U and leave it unused.
     """
 
     nx: int
     ny: int
-    dofs_per_node: int
+    physics: str
     fixed_dofs: np.ndarray
     load: np.ndarray
     output_vector: np.ndarray | None = None
@@ -93,6 +85,8 @@ class GridDomain:
     springs: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
+        if self.physics not in PHYSICS_KINDS:
+            raise ValueError(f"unknown physics kind {self.physics!r}, expected one of {PHYSICS_KINDS}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs nx, ny >= 1")
         self.fixed_dofs = np.asarray(self.fixed_dofs, dtype=int).ravel()
@@ -105,6 +99,8 @@ class GridDomain:
             self.output_vector = np.asarray(self.output_vector, dtype=float).ravel()
             if self.output_vector.size != self.n_dofs:
                 raise ValueError("output vector size mismatch")
+        elif self.physics == "mechanism":
+            raise ValueError("mechanism problems require an output vector")
         if self.fixed_dofs.size:
             if np.any(np.diff(self.fixed_dofs) <= 0):
                 raise ValueError("fixed_dofs must be strictly increasing")
@@ -119,6 +115,10 @@ class GridDomain:
                 raise ValueError(f"spring DOF {dof} out of range")
             if stiffness <= 0.0:
                 raise ValueError("spring stiffness must be positive")
+
+    @property
+    def dofs_per_node(self) -> int:
+        return DOFS_PER_NODE[self.physics]
 
     @property
     def n_nodes(self) -> int:
@@ -194,8 +194,9 @@ def element_conduction() -> np.ndarray:
     return ke
 
 
-def element_matrix(physics: Physics) -> np.ndarray:
-    if physics.kind == "thermal":
+def element_matrix(domain: GridDomain) -> np.ndarray:
+    """Unit-modulus element matrix of the domain's physics."""
+    if domain.physics == "thermal":
         return element_conduction()
     return element_stiffness_elastic()
 
@@ -370,7 +371,7 @@ def _cached_plan(
     return plan
 
 
-def assemble_system(domain: GridDomain, physics: Physics, modulus_field: np.ndarray) -> sparse.csc_matrix:
+def assemble_system(domain: GridDomain, modulus_field: np.ndarray) -> sparse.csc_matrix:
     """Reduced matrix K = sum_e E_e * k0 plus springs, fixed DOFs eliminated.
 
     Rows and columns follow ``solve_plan(domain).order``.
@@ -382,7 +383,7 @@ def assemble_system(domain: GridDomain, physics: Physics, modulus_field: np.ndar
         raise ValueError("modulus field entries must be positive")
     plan = solve_plan(domain)
     n_free = plan.order.size
-    weights = (modulus_field[:, None] * element_matrix(physics).ravel()).ravel()
+    weights = (modulus_field[:, None] * element_matrix(domain).ravel()).ravel()
     data = np.bincount(plan.slots, weights=weights, minlength=plan.indices.size + 1)[:-1]
     np.add.at(data, plan.spring_slots, plan.spring_values)
     return sparse.csc_matrix((data, plan.indices, plan.indptr), shape=(n_free, n_free))
@@ -398,11 +399,10 @@ class _ReducedSolver:
     definite after all fails loudly instead of returning a wrong answer.
     """
 
-    def __init__(self, domain: GridDomain, physics: Physics, modulus_field: np.ndarray):
+    def __init__(self, domain: GridDomain, modulus_field: np.ndarray):
         self.domain = domain
-        self.physics = physics
         self.order = solve_plan(domain).order
-        self.k_ff = assemble_system(domain, physics, modulus_field)
+        self.k_ff = assemble_system(domain, modulus_field)
         try:
             self.lu = spla.splu(
                 self.k_ff,
@@ -412,7 +412,7 @@ class _ReducedSolver:
             )
         except RuntimeError as exc:
             raise SingularSystemError(
-                f"singular {physics.kind} system on {domain.nx}x{domain.ny} grid: {exc}"
+                f"singular {domain.physics} system on {domain.nx}x{domain.ny} grid: {exc}"
             ) from exc
 
     def _acceptable(self, u_f: np.ndarray, rhs_f: np.ndarray) -> bool:
@@ -443,7 +443,7 @@ class _ReducedSolver:
             if not self._acceptable(u_f, rhs_f):
                 residual = np.abs(self.k_ff @ u_f - rhs_f).max() / np.abs(rhs_f).max()
                 raise SingularSystemError(
-                    f"singular {self.physics.kind} system on "
+                    f"singular {self.domain.physics} system on "
                     f"{self.domain.nx}x{self.domain.ny} grid: residual {residual:.3e}"
                 )
         u = np.zeros(self.domain.n_dofs)
@@ -451,9 +451,9 @@ class _ReducedSolver:
         return u
 
 
-def assemble_and_solve(domain: GridDomain, physics: Physics, modulus_field: np.ndarray) -> np.ndarray:
+def assemble_and_solve(domain: GridDomain, modulus_field: np.ndarray) -> np.ndarray:
     """Solve K(modulus) U = F with fixed DOFs eliminated; returns full U."""
-    return _ReducedSolver(domain, physics, modulus_field).solve(domain.load)
+    return _ReducedSolver(domain, modulus_field).solve(domain.load)
 
 
 def check_penalty(penalty: float) -> None:
@@ -462,17 +462,14 @@ def check_penalty(penalty: float) -> None:
         raise ValueError(f"SIMP penalty {penalty} must be at least 1")
 
 
-def simp_modulus(physics: Physics, rho: np.ndarray, penalty: float) -> np.ndarray:
-    """Modified SIMP: E(rho) = E_void + rho^p (E_solid - E_void)."""
-    return physics.modulus_void + rho**penalty * (physics.modulus_solid - physics.modulus_void)
+def simp_modulus(domain: GridDomain, rho: np.ndarray, penalty: float) -> np.ndarray:
+    """Modified SIMP: E(rho) = E_void + rho^p (E_solid - E_void), moduli of
+    the domain's physics."""
+    solid, void = MODULUS_SOLID[domain.physics], MODULUS_VOID[domain.physics]
+    return void + rho**penalty * (solid - void)
 
 
-def evaluate_objective(
-    domain: GridDomain,
-    physics: Physics,
-    rho_phys: np.ndarray,
-    penalty: float,
-) -> ObjectiveEval:
+def evaluate_objective(domain: GridDomain, rho_phys: np.ndarray, penalty: float) -> ObjectiveEval:
     """Objective value and adjoint gradient w.r.t. the physical densities.
 
     Compliance and thermal compliance are self-adjoint (grad entries are
@@ -492,19 +489,17 @@ def evaluate_objective(
         rho = rho.copy()
         rho[domain.passive_solid] = 1.0
 
-    solver = _ReducedSolver(domain, physics, simp_modulus(physics, rho, penalty))
+    solver = _ReducedSolver(domain, simp_modulus(domain, rho, penalty))
     u = solver.solve(domain.load)
 
-    ke = element_matrix(physics)
+    ke = element_matrix(domain)
     edof = domain.element_dofs()
     u_e = u[edof]
-    delta = physics.modulus_solid - physics.modulus_void
+    delta = MODULUS_SOLID[domain.physics] - MODULUS_VOID[domain.physics]
     # d E / d rho, elementwise
     dmod = penalty * rho ** (penalty - 1.0) * delta
 
-    if physics.kind == "mechanism":
-        if domain.output_vector is None:
-            raise ValueError("mechanism problems require an output vector")
+    if domain.physics == "mechanism":
         value = float(np.einsum("i,i->", domain.output_vector, u))
         lam = solver.solve(-domain.output_vector)
         lam_e = lam[edof]

@@ -4,7 +4,8 @@ parameter checkpoints, and run manifests.
 A checkpoint is the flat parameter vector θ as raw float64 (``.bin``) beside
 a JSON header (``.json``) with its entry count and the layout the caller
 passes in. topokit writes checkpoints, PGM images and trajectory tables but
-reads back only density CSVs and manifests.
+reads back only density CSVs here; ``profile`` reads the manifests and
+metrics of runs itself.
 
 Density CSVs are row-major (ny rows by nx columns, top row first) and use
 ``repr`` formatting so re-reading reproduces the exact float64 values.
@@ -110,10 +111,6 @@ def save_params(path, values: np.ndarray, layout) -> None:
 
 def write_manifest(path, manifest: dict) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def write_csv_table(path, header: list[str], rows: list[list]) -> None:

@@ -27,6 +27,7 @@ exceeds that interval.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,6 +120,17 @@ def build_filter(nx: int, ny: int, rmin: float) -> FilterOperator:
     ones = np.ones((ny, nx))
     filt = FilterOperator(reach=reach, width=width, taps=taps, row_sums=ones)
     return replace(filt, row_sums=np.ascontiguousarray(_correlate(filt, ones)))
+
+
+def is_integer(value) -> bool:
+    """An integer, Python's or numpy's, and not a bool: the rule for every
+    count and size a config or a caller sets."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A real number, integer or float, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def first_bad_density(values) -> float | None:

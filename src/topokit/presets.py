@@ -234,9 +234,11 @@ def spec_from_config(cfg: dict) -> ArchitectureSpec:
     fields = _REPARAM_KEYS[kind]
     _reject_unknown_keys(cfg, set(fields) | {"kind"}, f"{kind} reparam")
     kwargs = {fields[key]: value for key, value in cfg.items() if key != "kind"}
-    for name in ("cnn_filters", "cnn_upsample"):
-        if name in kwargs:
-            kwargs[name] = tuple(kwargs[name])
+    for key in ("filters", "upsample"):
+        if key in cfg:
+            if not isinstance(cfg[key], list):
+                raise ValueError(f"{key!r} must be a list of integers, got {cfg[key]!r:.60}")
+            kwargs[fields[key]] = tuple(cfg[key])
     if kind == "siren":
         kwargs.setdefault("width", SIREN_WIDTH)
     return ArchitectureSpec(kind=kind, **kwargs)

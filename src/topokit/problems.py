@@ -7,6 +7,11 @@ condition extents are fixed named constants: distributed loads span
 LOAD_EXTENT_EDGES element edges, the thermal sink spans the same extent, and
 the bridge deck keeps BRIDGE_PASSIVE_ROWS rows solid.
 
+Each grid case is a :class:`ProblemSpec` around one :class:`fem.GridDomain`.
+The domain owns the mesh and the physics kind (compliance for the five
+plane-stress cases, thermal, mechanism), and with it the SIMP moduli; the
+spec adds the volume target, the SIMP penalty and the filter radius.
+
 Sign conventions follow the image layout of the density fields: row 0 is the
 top of the domain and the y axis points down, so a "downward" load has a
 positive y component. Compliance is insensitive to load sign; the mechanism
@@ -19,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import GridDomain, Physics, check_penalty, element_dof_matrix
+from .fem import DOFS_PER_NODE, GridDomain, check_penalty, element_dof_matrix
+from .pipeline import is_integer, is_number
 
 CATALOG = ("mbb", "michell", "cantilever", "bridge", "tensile", "thermal", "mechanism")
 
@@ -39,20 +45,26 @@ FILTER_RADIUS_AT_64 = 2.0
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One benchmark case: mesh, physics, volume budget and SIMP penalty."""
+    """One benchmark case: its FE domain, volume target, SIMP penalty and
+    filter radius. The domain owns the mesh and the physics."""
 
     name: str
-    nx: int
-    ny: int
-    physics: Physics
     volume_target: float
     penalty: float
     filter_radius: float
     domain: GridDomain
 
     @property
+    def nx(self) -> int:
+        return self.domain.nx
+
+    @property
+    def ny(self) -> int:
+        return self.domain.ny
+
+    @property
     def n_elements(self) -> int:
-        return self.nx * self.ny
+        return self.domain.n_elements
 
 
 def _node(nx: int, ix: int, iy: int) -> int:
@@ -83,13 +95,21 @@ def make_problem(
     """Build a fully populated problem from the catalog.
 
     ``make_problem("twobar")`` returns the analytic :class:`TwoBarProblem`;
-    every other name builds a grid case. The volume target must lie in
-    (0, 1]; it defaults to 0.3 except for the mechanism (0.4).
+    every other name builds a grid case. ``nx`` and ``ny`` must be integers
+    and ``v0``, ``penalty`` and ``filter_radius`` numbers, bools excluded.
+    The volume target must lie in (0, 1]; it defaults to 0.3 except for the
+    mechanism (0.4).
     """
     if name == "twobar":
         return TwoBarProblem()
     if name not in CATALOG:
         raise ValueError(f"unknown problem {name!r}; catalog: {', '.join(CATALOG + ('twobar',))}")
+    for key, value in zip(("nx", "ny"), resolution):
+        if not is_integer(value):
+            raise ValueError(f"{key!r} must be an integer, got {value!r:.60}")
+    for key, value in (("v0", v0), ("penalty", penalty), ("filter_radius", filter_radius)):
+        if not is_number(value) and (value is not None or key == "penalty"):
+            raise ValueError(f"{key!r} must be a number, got {value!r:.60}")
     nx, ny = int(resolution[0]), int(resolution[1])
     if nx < 1 or ny < 1:
         raise ValueError("resolution must be positive")
@@ -100,16 +120,11 @@ def make_problem(
         raise ValueError("volume target must lie in (0, 1]")
     if filter_radius is None:
         filter_radius = FILTER_RADIUS_AT_64 * nx / 64.0
+    if not filter_radius > 0.0:
+        raise ValueError("filter radius must be positive")
 
-    if name == "thermal":
-        physics = Physics(kind="thermal", modulus_solid=1.0, modulus_void=0.001)
-    elif name == "mechanism":
-        physics = Physics(kind="mechanism")
-    else:
-        physics = Physics(kind="compliance")
-
-    dpn = physics.dofs_per_node
-    n_dofs = dpn * (nx + 1) * (ny + 1)
+    physics = name if name in ("thermal", "mechanism") else "compliance"
+    n_dofs = DOFS_PER_NODE[physics] * (nx + 1) * (ny + 1)
     load = np.zeros(n_dofs)
     fixed: list[int] = []
     passive = np.zeros(0, dtype=int)
@@ -183,7 +198,7 @@ def make_problem(
     domain = GridDomain(
         nx=nx,
         ny=ny,
-        dofs_per_node=dpn,
+        physics=physics,
         fixed_dofs=np.unique(np.asarray(fixed, dtype=int)),
         load=load,
         output_vector=output_vector,
@@ -192,9 +207,6 @@ def make_problem(
     )
     return ProblemSpec(
         name=name,
-        nx=nx,
-        ny=ny,
-        physics=physics,
         volume_target=float(v0),
         penalty=float(penalty),
         filter_radius=float(filter_radius),

@@ -110,6 +110,20 @@ class ArchitectureSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown reparameterization kind {self.kind!r}")
+        # numpy integers are stored as ints, so layouts built from the spec
+        # serialize to JSON.
+        for name in ("hidden_layers", "width", "cnn_input_size", "cnn_channels"):
+            value = getattr(self, name)
+            if not pipeline.is_integer(value):
+                raise ValueError(f"{name!r} must be an integer, got {value!r:.60}")
+            object.__setattr__(self, name, int(value))
+        if not pipeline.is_number(self.omega0):
+            raise ValueError(f"'omega0' must be a number, got {self.omega0!r:.60}")
+        for name in ("cnn_filters", "cnn_upsample"):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and all(map(pipeline.is_integer, value))):
+                raise ValueError(f"{name!r} must be a tuple of integers, got {value!r:.60}")
+            object.__setattr__(self, name, tuple(map(int, value)))
         if self.kind in ("mlp", "siren") and (self.width < 1 or self.hidden_layers < 1):
             raise ValueError("coordinate networks need width >= 1 and hidden_layers >= 1")
         if self.kind == "cnn":

@@ -49,7 +49,7 @@ from .reparam import ArchitectureSpec, DesignMap
 
 def evaluate_design(problem: ProblemSpec, rho_phys: np.ndarray) -> fem.ObjectiveEval:
     """Objective of a physical density field under the problem's physics."""
-    return fem.evaluate_objective(problem.domain, problem.physics, rho_phys, problem.penalty)
+    return fem.evaluate_objective(problem.domain, rho_phys, problem.penalty)
 
 
 def threshold_and_rescale(problem: ProblemSpec, rho_phys: np.ndarray):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topokit import fem
-from topokit.fem import GridDomain, Physics, SingularSystemError
+from topokit.fem import GridDomain, SingularSystemError
 from topokit.problems import CATALOG, make_problem
 
 # Closed-form entries of the unit-modulus plane-stress element: k-vector and
@@ -88,14 +88,25 @@ def _single_element_domain():
     load = np.zeros(8)
     load[2 * 1] = 1.0  # node (1, 0), x DOF
     return GridDomain(
-        nx=1, ny=1, dofs_per_node=2, fixed_dofs=np.array([0, 1, 4, 5]), load=load
+        nx=1, ny=1, physics="compliance", fixed_dofs=np.array([0, 1, 4, 5]), load=load
     )
+
+
+def test_domain_checks_its_physics_at_construction():
+    # A mechanism domain without an output vector used to fail only after
+    # its first factor and solve.
+    with pytest.raises(ValueError, match="unknown physics kind 'elastic'"):
+        GridDomain(nx=1, ny=1, physics="elastic", fixed_dofs=[], load=np.zeros(8))
+    with pytest.raises(ValueError, match="require an output vector"):
+        GridDomain(nx=1, ny=1, physics="mechanism", fixed_dofs=[0, 1], load=np.zeros(8))
+    thermal = GridDomain(nx=1, ny=1, physics="thermal", fixed_dofs=[0], load=np.zeros(4))
+    assert thermal.dofs_per_node == 1 and thermal.n_dofs == 4
+    assert fem.element_matrix(thermal) is fem.element_conduction()
 
 
 def test_single_element_solve_against_hand_reduction():
     domain = _single_element_domain()
-    physics = Physics(kind="compliance", modulus_solid=1.0, modulus_void=1e-12)
-    u = fem.assemble_and_solve(domain, physics, np.array([1.0]))
+    u = fem.assemble_and_solve(domain, np.array([1.0]))
 
     # Hand assembly: element local nodes (a, b, c, d) own global DOFs
     # (0,1), (2,3), (6,7), (4,5); fixed global DOFs are 0,1,4,5.
@@ -112,9 +123,8 @@ def test_single_element_solve_against_hand_reduction():
 
 def test_solve_linearity_in_modulus():
     domain = _single_element_domain()
-    physics = Physics(kind="compliance", modulus_solid=1.0, modulus_void=1e-12)
-    u1 = fem.assemble_and_solve(domain, physics, np.array([1.0]))
-    u2 = fem.assemble_and_solve(domain, physics, np.array([2.0]))
+    u1 = fem.assemble_and_solve(domain, np.array([1.0]))
+    u2 = fem.assemble_and_solve(domain, np.array([2.0]))
     assert np.allclose(u2, 0.5 * u1, rtol=1e-12)
 
 
@@ -127,9 +137,8 @@ def test_thermal_2x2_symmetric_and_matches_dense_solve():
     edof = fem.element_dof_matrix(nx, ny, 1)
     for elem in edof:
         load[elem] += 0.25
-    domain = GridDomain(nx=nx, ny=ny, dofs_per_node=1, fixed_dofs=np.array([0]), load=load)
-    physics = Physics(kind="thermal", modulus_solid=1.0, modulus_void=1e-3)
-    u = fem.assemble_and_solve(domain, physics, np.ones(4))
+    domain = GridDomain(nx=nx, ny=ny, physics="thermal", fixed_dofs=np.array([0]), load=load)
+    u = fem.assemble_and_solve(domain, np.ones(4))
 
     temp = u.reshape(ny + 1, nx + 1)
     assert np.allclose(temp, temp.T, atol=1e-12)
@@ -145,10 +154,10 @@ def test_thermal_2x2_symmetric_and_matches_dense_solve():
     assert np.allclose(u, expected, atol=1e-12)
 
 
-def _dense_system(domain, physics, modulus):
+def _dense_system(domain, modulus):
     """Full global matrix assembled element by element, springs included."""
     k_dense = np.zeros((domain.n_dofs, domain.n_dofs))
-    ke = fem.element_matrix(physics)
+    ke = fem.element_matrix(domain)
     for e, dofs in enumerate(domain.element_dofs()):
         k_dense[np.ix_(dofs, dofs)] += modulus[e] * ke
     for dof, stiffness in domain.springs:
@@ -165,10 +174,10 @@ def _free_mask(domain):
 def test_reduced_system_is_positive_definite():
     problem = make_problem("michell", (8, 4), 0.5)
     rng = np.random.default_rng(0)
-    modulus = fem.simp_modulus(problem.physics, rng.uniform(0.05, 1.0, 32), 3.0)
-    k_red = fem.assemble_system(problem.domain, problem.physics, modulus).toarray()
+    modulus = fem.simp_modulus(problem.domain, rng.uniform(0.05, 1.0, 32), 3.0)
+    k_red = fem.assemble_system(problem.domain, modulus).toarray()
     order = fem.solve_plan(problem.domain).order
-    k_dense = _dense_system(problem.domain, problem.physics, modulus)
+    k_dense = _dense_system(problem.domain, modulus)
     assert np.allclose(k_red, k_dense[np.ix_(order, order)], rtol=0.0, atol=1e-12)
     assert np.allclose(k_red, k_red.T, atol=1e-12)
     assert np.linalg.eigvalsh(k_red).min() > 0.0
@@ -178,8 +187,8 @@ def test_solution_invariant_under_assembly_order():
     problem = make_problem("mbb", (8, 4), 0.5)
     rng = np.random.default_rng(1)
     rho = rng.uniform(0.2, 1.0, 32)
-    modulus = fem.simp_modulus(problem.physics, rho, 3.0)
-    u = fem.assemble_and_solve(problem.domain, problem.physics, modulus)
+    modulus = fem.simp_modulus(problem.domain, rho, 3.0)
+    u = fem.assemble_and_solve(problem.domain, modulus)
 
     # Same triplets in shuffled element order, assembled densely.
     import scipy.sparse as sparse
@@ -204,14 +213,13 @@ def test_solution_invariant_under_assembly_order():
 
 
 def test_modified_simp_modulus_value():
-    physics = Physics(kind="compliance")
-    modulus = fem.simp_modulus(physics, np.array([0.5]), 3.0)
+    modulus = fem.simp_modulus(_single_element_domain(), np.array([0.5]), 3.0)
     assert modulus[0] == pytest.approx(1e-9 + 0.125 * (10.0 - 1e-9), rel=1e-12)
 
 
 def test_compliance_all_solid_positive_with_nonpositive_gradient():
     problem = make_problem("mbb", (8, 4), 1.0)
-    ev = fem.evaluate_objective(problem.domain, problem.physics, np.ones(32), 3.0)
+    ev = fem.evaluate_objective(problem.domain, np.ones(32), 3.0)
     assert ev.value > 0.0
     assert np.all(ev.grad_wrt_density <= 0.0)
 
@@ -220,11 +228,11 @@ def test_compliance_monotone_in_single_density():
     problem = make_problem("cantilever", (8, 4), 0.5)
     rng = np.random.default_rng(2)
     rho = rng.uniform(0.2, 0.9, 32)
-    base = fem.evaluate_objective(problem.domain, problem.physics, rho, 3.0).value
+    base = fem.evaluate_objective(problem.domain, rho, 3.0).value
     for e in rng.choice(32, size=5, replace=False):
         bumped = rho.copy()
         bumped[e] = min(1.0, bumped[e] + 0.2)
-        value = fem.evaluate_objective(problem.domain, problem.physics, bumped, 3.0).value
+        value = fem.evaluate_objective(problem.domain, bumped, 3.0).value
         assert value <= base + 1e-12
 
 
@@ -234,7 +242,7 @@ def test_adjoint_gradient_matches_finite_differences(name):
     n = problem.n_elements
     rng = np.random.default_rng(3)
     rho = rng.uniform(0.3, 0.9, n)
-    ev = fem.evaluate_objective(problem.domain, problem.physics, rho, problem.penalty)
+    ev = fem.evaluate_objective(problem.domain, rho, problem.penalty)
     step = 1e-6
     for e in rng.choice(n, size=8, replace=False):
         plus = rho.copy()
@@ -242,8 +250,8 @@ def test_adjoint_gradient_matches_finite_differences(name):
         minus = rho.copy()
         minus[e] -= step
         fd = (
-            fem.evaluate_objective(problem.domain, problem.physics, plus, problem.penalty).value
-            - fem.evaluate_objective(problem.domain, problem.physics, minus, problem.penalty).value
+            fem.evaluate_objective(problem.domain, plus, problem.penalty).value
+            - fem.evaluate_objective(problem.domain, minus, problem.penalty).value
         ) / (2 * step)
         scale = max(abs(fd), abs(ev.grad_wrt_density[e]), 1e-12)
         assert abs(ev.grad_wrt_density[e] - fd) / scale < 1e-4
@@ -253,17 +261,17 @@ def test_passive_elements_clamped_with_zero_gradient():
     problem = make_problem("bridge", (8, 4), 0.3)
     assert problem.domain.passive_solid.size > 0
     rho = np.full(32, 0.3)
-    ev = fem.evaluate_objective(problem.domain, problem.physics, rho, 3.0)
+    ev = fem.evaluate_objective(problem.domain, rho, 3.0)
     assert np.all(ev.grad_wrt_density[problem.domain.passive_solid] == 0.0)
     # clamping the passive deck must change the response vs. the raw field
     no_passive = GridDomain(
         nx=8,
         ny=4,
-        dofs_per_node=2,
+        physics="compliance",
         fixed_dofs=problem.domain.fixed_dofs,
         load=problem.domain.load,
     )
-    ev_raw = fem.evaluate_objective(no_passive, problem.physics, rho, 3.0)
+    ev_raw = fem.evaluate_objective(no_passive, rho, 3.0)
     assert ev.value != pytest.approx(ev_raw.value)
 
 
@@ -272,7 +280,7 @@ def test_density_out_of_range_rejected():
     rho = np.full(8, 0.5)
     rho[0] = 1.0 + 1e-9
     with pytest.raises(ValueError, match="0, 1"):
-        fem.evaluate_objective(problem.domain, problem.physics, rho, 3.0)
+        fem.evaluate_objective(problem.domain, rho, 3.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -282,29 +290,31 @@ def test_nonfinite_density_rejected_before_the_solve(bad):
     rho = np.full(8, 0.5)
     rho[3] = bad
     with pytest.raises(ValueError, match="finite"):
-        fem.evaluate_objective(problem.domain, problem.physics, rho, 3.0)
+        fem.evaluate_objective(problem.domain, rho, 3.0)
 
 
 def test_singular_system_error_names_physics_and_mesh():
     # no fixed DOFs: rigid modes make the system singular
-    domain = GridDomain(nx=2, ny=2, dofs_per_node=2, fixed_dofs=np.zeros(0, dtype=int), load=np.zeros(18))
+    domain = GridDomain(
+        nx=2, ny=2, physics="compliance", fixed_dofs=np.zeros(0, dtype=int), load=np.zeros(18)
+    )
     domain.load[4] = 1.0
     with pytest.raises(SingularSystemError, match="compliance.*2x2"):
-        fem.assemble_and_solve(domain, Physics(kind="compliance"), np.ones(4))
+        fem.assemble_and_solve(domain, np.ones(4))
 
 
 def test_repeated_solves_bit_identical():
     problem = make_problem("tensile", (8, 4), 0.5)
     rho = np.random.default_rng(4).uniform(0.2, 1.0, 32)
-    ev1 = fem.evaluate_objective(problem.domain, problem.physics, rho, 3.0)
-    ev2 = fem.evaluate_objective(problem.domain, problem.physics, rho, 3.0)
+    ev1 = fem.evaluate_objective(problem.domain, rho, 3.0)
+    ev2 = fem.evaluate_objective(problem.domain, rho, 3.0)
     assert ev1.value == ev2.value
     assert np.array_equal(ev1.grad_wrt_density, ev2.grad_wrt_density)
 
 
-def _assert_matches_dense_solve(u, domain, physics, modulus):
+def _assert_matches_dense_solve(u, domain, modulus):
     free = _free_mask(domain)
-    k_dense = _dense_system(domain, physics, modulus)
+    k_dense = _dense_system(domain, modulus)
     expected = np.zeros(domain.n_dofs)
     expected[free] = np.linalg.solve(k_dense[np.ix_(free, free)], domain.load[free])
     assert np.abs(u - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -314,19 +324,19 @@ def _assert_matches_dense_solve(u, domain, physics, modulus):
 @pytest.mark.parametrize("name", CATALOG)
 def test_solve_matches_dense_oracle(name, resolution):
     problem = make_problem(name, resolution, None)
-    domain, physics = problem.domain, problem.physics
+    domain = problem.domain
     rng = np.random.default_rng(sum(resolution) + len(name))
     rho = rng.uniform(0.0, 1.0, problem.n_elements)
-    modulus = fem.simp_modulus(physics, rho, problem.penalty)
-    u = fem.assemble_and_solve(domain, physics, modulus)
-    _assert_matches_dense_solve(u, domain, physics, modulus)
+    modulus = fem.simp_modulus(domain, rho, problem.penalty)
+    u = fem.assemble_and_solve(domain, modulus)
+    _assert_matches_dense_solve(u, domain, modulus)
 
     # evaluate_objective clamps the passive deck before it solves.
     clamped = rho.copy()
     clamped[domain.passive_solid] = 1.0
-    modulus = fem.simp_modulus(physics, clamped, problem.penalty)
-    u = fem.evaluate_objective(domain, physics, rho, problem.penalty).displacement
-    _assert_matches_dense_solve(u, domain, physics, modulus)
+    modulus = fem.simp_modulus(domain, clamped, problem.penalty)
+    u = fem.evaluate_objective(domain, rho, problem.penalty).displacement
+    _assert_matches_dense_solve(u, domain, modulus)
 
 
 def test_domains_on_one_grid_never_share_a_plan():
@@ -334,7 +344,7 @@ def test_domains_on_one_grid_never_share_a_plan():
 
     def variant(fixed_dofs, springs=()):
         return GridDomain(
-            nx=7, ny=3, dofs_per_node=2, fixed_dofs=fixed_dofs, load=base.load, springs=springs
+            nx=7, ny=3, physics="compliance", fixed_dofs=fixed_dofs, load=base.load, springs=springs
         )
 
     domains = [
@@ -351,25 +361,29 @@ def test_domains_on_one_grid_never_share_a_plan():
     # The same content maps to the same plan.
     assert fem.solve_plan(variant(base.fixed_dofs)) is plans[3]
 
-    physics = Physics(kind="compliance")
     modulus = np.random.default_rng(5).uniform(0.1, 10.0, 21)
     for domain in domains + domains[::-1]:
-        u = fem.assemble_and_solve(domain, physics, modulus)
-        _assert_matches_dense_solve(u, domain, physics, modulus)
+        u = fem.assemble_and_solve(domain, modulus)
+        _assert_matches_dense_solve(u, domain, modulus)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     nx=st.integers(1, 40),
     ny=st.integers(1, 40),
-    dofs_per_node=st.sampled_from([1, 2]),
+    physics=st.sampled_from(fem.PHYSICS_KINDS),
     data=st.data(),
 )
-def test_elimination_order_is_a_permutation_of_the_free_dofs(nx, ny, dofs_per_node, data):
-    n_dofs = dofs_per_node * (nx + 1) * (ny + 1)
+def test_elimination_order_is_a_permutation_of_the_free_dofs(nx, ny, physics, data):
+    n_dofs = fem.DOFS_PER_NODE[physics] * (nx + 1) * (ny + 1)
     fixed = data.draw(st.sets(st.integers(0, n_dofs - 1), max_size=n_dofs - 1))
     domain = GridDomain(
-        nx=nx, ny=ny, dofs_per_node=dofs_per_node, fixed_dofs=sorted(fixed), load=np.zeros(n_dofs)
+        nx=nx,
+        ny=ny,
+        physics=physics,
+        fixed_dofs=sorted(fixed),
+        load=np.zeros(n_dofs),
+        output_vector=np.zeros(n_dofs),
     )
     order = fem.solve_plan(domain).order
     assert np.array_equal(np.sort(order), np.flatnonzero(_free_mask(domain)))
@@ -433,11 +447,11 @@ def test_plan_matches_sorted_reference(name, resolution):
 @given(
     nx=st.integers(1, 40),
     ny=st.integers(1, 40),
-    dofs_per_node=st.sampled_from([1, 2]),
+    physics=st.sampled_from(fem.PHYSICS_KINDS),
     data=st.data(),
 )
-def test_plan_matches_sorted_reference_on_random_domains(nx, ny, dofs_per_node, data):
-    n_dofs = dofs_per_node * (nx + 1) * (ny + 1)
+def test_plan_matches_sorted_reference_on_random_domains(nx, ny, physics, data):
+    n_dofs = fem.DOFS_PER_NODE[physics] * (nx + 1) * (ny + 1)
     fixed = data.draw(st.sets(st.integers(0, n_dofs - 1), max_size=n_dofs - 1))
     springs = data.draw(
         st.lists(st.tuples(st.integers(0, n_dofs - 1), st.floats(0.1, 10.0)), max_size=4)
@@ -445,9 +459,10 @@ def test_plan_matches_sorted_reference_on_random_domains(nx, ny, dofs_per_node, 
     domain = GridDomain(
         nx=nx,
         ny=ny,
-        dofs_per_node=dofs_per_node,
+        physics=physics,
         fixed_dofs=sorted(fixed),
         load=np.zeros(n_dofs),
+        output_vector=np.zeros(n_dofs),
         springs=springs,
     )
     _assert_plan_matches_reference(domain)
@@ -460,6 +475,6 @@ def test_penalty_below_one_rejected():
     rho = np.full(32, 0.5)
     rho[0] = 0.0
     with pytest.raises(ValueError, match="penalty 0.5"):
-        fem.evaluate_objective(problem.domain, problem.physics, rho, 0.5)
-    ev = fem.evaluate_objective(problem.domain, problem.physics, rho, 1.0)
+        fem.evaluate_objective(problem.domain, rho, 0.5)
+    ev = fem.evaluate_objective(problem.domain, rho, 1.0)
     assert np.all(np.isfinite(ev.grad_wrt_density))

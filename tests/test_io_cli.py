@@ -127,7 +127,7 @@ def run_cli(*argv):
 def test_cli_optimize_twobar_manifest(tmp_path):
     out = tmp_path / "run"
     assert run_cli("optimize", "--preset", "twobar-baseline", "--out", str(out)) == 0
-    manifest = io.read_manifest(out / "manifest.json")
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     final = manifest["outcome"]["final_point"]
     assert abs(final[0] - 0.0) <= 0.01 and abs(final[1] - 1.0) <= 0.01
     assert (out / "trajectory.csv").exists()
@@ -942,6 +942,36 @@ _BAD_INPUTS = {
     "optimize-reparam-kind-list": (
         "optimize", {**_SMALL_OPTIMIZE, "reparam": {"kind": ["mlp"]}}, [], "reparameterization kind"
     ),
+    # "8" and 8.5 ran as nx = 8 and true as v0 = 1; "3" died in a TypeError;
+    # a zero filter radius failed after the manifest was written.
+    **{
+        f"optimize-problem-{name}": (
+            "optimize", {**_SMALL_OPTIMIZE, "problem": {**_SMALL_OPTIMIZE["problem"], **entry}}, [], named
+        )
+        for name, entry, named in (
+            ("nx-string", {"nx": "8"}, "'nx'"),
+            ("nx-float", {"nx": 8.5}, "'nx'"),
+            ("v0-bool", {"v0": True}, "'v0'"),
+            ("penalty-string", {"penalty": "3"}, "'penalty'"),
+            ("filter-radius-zero", {"filter_radius": 0}, "filter radius"),
+        )
+    },
+    # Each died in a TypeError or a ufunc error and exited 1: 2.5, true and
+    # "x" after the manifest was written.
+    **{
+        f"optimize-reparam-{name}": ("optimize", {**_SMALL_OPTIMIZE, "reparam": reparam}, [], named)
+        for name, reparam, named in (
+            ("width-float", {"kind": "mlp", "width": 2.5}, "'width'"),
+            ("width-string", {"kind": "mlp", "width": "20"}, "'width'"),
+            ("hidden-layers-bool", {"kind": "siren", "hidden_layers": True}, "'hidden_layers'"),
+            ("omega0-string", {"kind": "siren", "omega0": "x"}, "'omega0'"),
+            ("upsample-string-entry", {"kind": "cnn", "upsample": [4, "x"]}, "'cnn_upsample'"),
+            ("filters-number", {"kind": "cnn", "filters": 1}, "'filters'"),
+        )
+    },
+    "expressivity-width-float": (
+        "expressivity", {"architectures": [{"kind": "mlp", "width": 2.5}]}, [], "'width'"
+    ),
 }
 
 
@@ -1058,6 +1088,29 @@ def test_cli_profile_rejects_a_metric_that_is_not_a_number(tmp_path, capsys, val
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert run in err and "'best_feasible_objective'" in err
+    assert not prof.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("metrics.json", "[1]"),
+        ("metrics.json", '"x"'),
+        ("metrics.json", "{bad"),
+        ("manifest.json", "[1]"),
+    ],
+    ids=["metrics-list", "metrics-string", "metrics-invalid", "manifest-list"],
+)
+def test_cli_profile_rejects_run_files_that_are_not_an_object(tmp_path, capsys, name, text):
+    # Both lists died in an AttributeError or TypeError and exited 1; the
+    # invalid file exited 2 without naming the run.
+    run = _profiled_run(tmp_path / "a", {"name": "mbb", "nx": 8, "ny": 4}, "direct", 1.0)
+    (Path(run) / name).write_text(text)
+    prof = tmp_path / "prof"
+    assert run_cli("profile", "--runs", run, "--out", str(prof)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{run}: {name}" in err
     assert not prof.exists()
 
 

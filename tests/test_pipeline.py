@@ -357,7 +357,7 @@ def test_every_density_reader_applies_one_range_rule(tmp_path, value, accepted):
     io.write_density_csv(path, field, 4, 2)
     problem = make_problem("mbb", (4, 2), 0.5)
     calls = [
-        lambda: fem.evaluate_objective(problem.domain, problem.physics, field, problem.penalty),
+        lambda: fem.evaluate_objective(problem.domain, field, problem.penalty),
         lambda: io.read_field_csv(path),
         lambda: analysis._field_values(field, 8, "field"),
     ]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from topokit import problems
+from topokit import fem, problems
 from topokit.problems import (
     TwoBarProblem,
     make_problem,
@@ -14,9 +14,10 @@ from topokit.problems import (
 
 def test_michell_spec_constants():
     spec = make_problem("michell", (64, 32), 0.6)
-    assert spec.physics.kind == "compliance"
-    assert spec.physics.modulus_solid == 10.0
-    assert spec.physics.modulus_void == 1e-9
+    assert spec.domain.physics == "compliance"
+    assert fem.MODULUS_SOLID["compliance"] == 10.0
+    assert fem.MODULUS_VOID["compliance"] == 1e-9
+    assert (spec.nx, spec.ny, spec.n_elements) == (64, 32, 64 * 32)
     assert spec.penalty == 3.0
     assert spec.volume_target == 0.6
     assert spec.filter_radius == pytest.approx(2.0)
@@ -24,9 +25,9 @@ def test_michell_spec_constants():
 
 def test_thermal_spec_constants():
     spec = make_problem("thermal", (64, 64), 0.3)
-    assert spec.physics.kind == "thermal"
-    assert spec.physics.modulus_solid == 1.0
-    assert spec.physics.modulus_void == 0.001
+    assert spec.domain.physics == "thermal"
+    assert fem.MODULUS_SOLID["thermal"] == 1.0
+    assert fem.MODULUS_VOID["thermal"] == 0.001
     assert spec.domain.dofs_per_node == 1
     # unit heat load distributed over the whole domain
     assert spec.domain.load.sum() == pytest.approx(1.0, rel=1e-12)
@@ -40,6 +41,8 @@ def test_bridge_has_passive_deck():
 
 def test_mechanism_springs_and_output_vector():
     spec = make_problem("mechanism", (64, 32))
+    assert spec.domain.physics == "mechanism"
+    assert (fem.MODULUS_SOLID["mechanism"], fem.MODULUS_VOID["mechanism"]) == (10.0, 1e-9)
     assert spec.volume_target == 0.4
     springs = dict(spec.domain.springs)
     assert set(springs.values()) == {1.0, 0.001}
@@ -62,6 +65,37 @@ def test_default_volume_targets():
 def test_volume_target_outside_unit_interval_rejected(v0):
     with pytest.raises(ValueError, match=r"volume target must lie in \(0, 1\]"):
         make_problem("michell", (16, 8), v0=v0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"resolution": (8.0, 4)}, "'nx'"),
+        ({"resolution": (8, True)}, "'ny'"),
+        ({"v0": "0.5"}, "'v0'"),
+        ({"penalty": True}, "'penalty'"),
+        ({"penalty": None}, "'penalty'"),
+        ({"filter_radius": "2"}, "'filter_radius'"),
+        ({"filter_radius": False}, "'filter_radius'"),
+    ],
+    ids=[
+        "nx-integral-float", "ny-bool", "v0-string", "penalty-bool", "penalty-none",
+        "filter-radius-string", "filter-radius-bool",
+    ],
+)
+def test_ill_typed_values_rejected(kwargs, named):
+    # 8.0 ran as 8, true as 1 and "2" as 2.0; a false filter radius failed
+    # only when the filter was built; "0.5" and None died in a TypeError.
+    # The CLI rows of test_io_cli.py cover "8", 8.5, true for v0 and "3"
+    # for the penalty.
+    with pytest.raises(ValueError, match=named):
+        make_problem("michell", **{"resolution": (8, 4), **kwargs})
+
+
+def test_numpy_numbers_accepted():
+    spec = make_problem("michell", (np.int64(8), np.int32(4)), v0=np.float64(0.5), penalty=np.int64(3))
+    assert (spec.nx, spec.ny, spec.volume_target, spec.penalty) == (8, 4, 0.5, 3.0)
+    assert type(spec.nx) is int
 
 
 def test_full_volume_target_accepted():

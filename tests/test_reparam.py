@@ -82,6 +82,31 @@ def test_cnn_upsample_mismatch_rejected():
         reparam.param_count(ArchitectureSpec(kind="cnn"), 60, 32)
 
 
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"kind": "siren", "omega0": False}, "'omega0'"),
+        ({"kind": "cnn", "cnn_channels": 1.0}, "'cnn_channels'"),
+        ({"kind": "cnn", "cnn_input_size": "1"}, "'cnn_input_size'"),
+        ({"kind": "cnn", "cnn_filters": [2, 1]}, "'cnn_filters'"),
+    ],
+    ids=["omega0-bool", "channels-float", "input-size-string", "filters-list"],
+)
+def test_ill_typed_spec_rejected(fields, named):
+    # The CLI rows of test_io_cli.py cover width, hidden_layers, a string
+    # omega0 and the upsample entries. These four used to be accepted: false
+    # ran as omega0 = 0, the others failed later, in the layout or a forward.
+    with pytest.raises(ValueError, match=named):
+        ArchitectureSpec(**fields)
+
+
+def test_numpy_integers_accepted_by_spec_as_ints():
+    spec = ArchitectureSpec(kind="cnn", cnn_channels=np.int64(2), cnn_upsample=(np.int32(4), 8))
+    assert spec == ArchitectureSpec(kind="cnn", cnn_channels=2)
+    assert type(spec.cnn_channels) is int and all(type(f) is int for f in spec.cnn_upsample)
+    json.dumps(reparam.param_layout(spec, 64, 32))
+
+
 def test_direct_forward_is_the_identity():
     grid = reparam.coordinate_grid(4, 2)
     theta = np.array([0.0, 0.1, 0.3, 0.7, 1.0, 0.5, 0.2, 0.9])
