@@ -370,7 +370,13 @@ def cmd_profile(args):
         manifest_path = run_dir / "manifest.json"
         if not manifest_path.exists():
             raise FileNotFoundError(f"missing artifact {manifest_path}")
-        label = _run_label(_json_object(run_dir, "manifest.json")["config"])
+        cfg = _json_object(run_dir, "manifest.json").get("config")
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{run_dir}: manifest.json has no 'config' object")
+        for key in ("problem", "optimizer"):
+            if key not in cfg:
+                raise ValueError(f"{run_dir}: manifest.json config has no {key!r}")
+        label = _run_label(cfg)
         if label in runs:
             raise ValueError(f"{runs[label][0]} and {run_dir} are both {label[0]} on {label[1]}")
         value = np.inf

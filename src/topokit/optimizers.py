@@ -29,9 +29,11 @@ belongs to its decision vector and lives in ``MmaState``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from . import pipeline
 
 # Subproblem constants. The minimum asymptote gap is tighter than
 # Svanberg's 0.01 so that late iterations can localize an unconstrained
@@ -60,6 +62,14 @@ class SubproblemError(RuntimeError):
     """The MMA subproblem solver failed to reach its target residual."""
 
 
+def _require_numbers(config) -> None:
+    """Reject a config value that is not a number; a bool is not one."""
+    for item in fields(config):
+        value = getattr(config, item.name)
+        if not pipeline.is_number(value):
+            raise ValueError(f"{item.name!r} must be a number, got {value!r:.60}")
+
+
 @dataclass(frozen=True)
 class MmaConfig:
     """MMA hyperparameters of one run.
@@ -76,6 +86,7 @@ class MmaConfig:
     c_const: float = 1000.0
 
     def __post_init__(self):
+        _require_numbers(self)
         if not (self.move_limit > 0.0 and self.asyinit > 0.0):
             raise ValueError("move limit and asymptote initialization must be positive")
         if not self.theta_bound > 0.0:
@@ -323,6 +334,7 @@ class AdamConfig:
     grad_clip: float = np.inf
 
     def __post_init__(self):
+        _require_numbers(self)
         if not self.learning_rate > 0.0:
             raise ValueError("learning rate must be positive")
         if not self.grad_clip > 0.0:

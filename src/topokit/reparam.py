@@ -88,11 +88,15 @@ class ArchitectureSpec:
     """Configuration of one reparameterization.
 
     For the CNN decoder, the dense layer output is reshaped to
-    ``cnn_channels`` images of shape (ny / prod(upsample), nx / prod(upsample))
-    and each hidden layer runs tanh -> bilinear upsample -> normalize ->
-    3x3 convolution -> trainable offset. ``cnn_filters`` gives the
-    convolution filter count per layer; the last entry must be 1 so the
-    decoder emits a single-channel field.
+    ``cnn_channels`` images of shape (ceil(ny / prod(upsample)),
+    ceil(nx / prod(upsample))) and each hidden layer runs tanh -> bilinear
+    upsample -> normalize -> 3x3 convolution -> trainable offset.
+    ``cnn_filters`` gives the convolution filter count per layer; the last
+    entry must be 1 so the decoder emits a single-channel image. The field
+    is that image's centred (ny, nx) window. Hoyer, Sohl-Dickstein &
+    Greydanus (2019) size their grids to the upsampling, so the image is the
+    field; the crop is a topokit extension that runs the decoder on any grid
+    and is the identity on their grids.
 
     The spec describes the network only. How its field is bounded follows
     from the optimizer and is composed by :class:`DesignMap`.
@@ -186,13 +190,9 @@ def pack(segments: dict[str, np.ndarray], layout: Layout) -> np.ndarray:
 
 
 def _cnn_spatial(spec: ArchitectureSpec, nx: int, ny: int) -> tuple[int, int]:
-    factor = int(np.prod(spec.cnn_upsample))
-    h0, w0 = ny // factor, nx // factor
-    if h0 * factor != ny or w0 * factor != nx or h0 < 1 or w0 < 1:
-        raise ValueError(
-            f"upsample factors {spec.cnn_upsample} do not tile a {nx}x{ny} grid"
-        )
-    return h0, w0
+    """Seed image shape (h0, w0): the smallest whose upsampling covers (ny, nx)."""
+    factor = math.prod(spec.cnn_upsample)
+    return -(-ny // factor), -(-nx // factor)
 
 
 @lru_cache(maxsize=None)
@@ -520,12 +520,16 @@ def _cnn_forward_vjp(spec, values, grid, ws):
         x = y + params[f"offset{l}"]
         _check_finite(x, f"cnn hidden layer {l}")
         tape.append((t, v, inv_std, conv_w))
-    raw = x[0].ravel()
+    # The field is the centred (ny, nx) window, all of x on a tiled grid.
+    top, left = (x.shape[1] - grid.ny) // 2, (x.shape[2] - grid.nx) // 2
+    crop = (0, slice(top, top + grid.ny), slice(left, left + grid.nx))
+    raw = x[crop].ravel()
 
     def vjp_fun(d_raw):
         grad = np.empty(values.size)
         grads = unpack(grad, layout)  # views that each segment's gradient fills
-        gx = d_raw.reshape(1, grid.ny, grid.nx)
+        gx = np.zeros_like(x)  # the crop's adjoint pads with zeros
+        gx[crop] = d_raw.reshape(grid.ny, grid.nx)
         for l in reversed(range(len(spec.cnn_upsample))):
             t, v, inv_std, conv_w = tape[l]
             grads[f"offset{l}"][...] = gx

@@ -6,6 +6,8 @@ widely published coefficient vector); solves are checked against dense
 hand assemblies and sensitivities against central finite differences.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -466,6 +468,42 @@ def test_plan_matches_sorted_reference_on_random_domains(nx, ny, physics, data):
         springs=springs,
     )
     _assert_plan_matches_reference(domain)
+
+
+def bincount_reference_data(domain, modulus_field):
+    """CSC data of K the top88 way: one E*64 weights array, one bincount."""
+    plan = fem.solve_plan(domain)
+    weights = (modulus_field[:, None] * fem.element_matrix(domain).ravel()).ravel()
+    data = np.bincount(plan.slots, weights=weights, minlength=plan.indices.size + 1)[:-1]
+    np.add.at(data, plan.spring_slots, plan.spring_values)
+    return data
+
+
+# 7x3 fills one partial block, 33x17 (561 elements) one full and one partial.
+@pytest.mark.parametrize("resolution", [(1, 1), (7, 3), (33, 17), (160, 80)])
+@pytest.mark.parametrize("name", CATALOG)
+def test_block_assembly_matches_bincount_reference(name, resolution):
+    domain = make_problem(name, resolution, None).domain
+    rho = np.random.default_rng(resolution[0]).random(domain.n_elements)
+    modulus = fem.simp_modulus(domain, rho, 3.0)
+    plan = fem.solve_plan(domain)
+    k_ff = fem.assemble_system(domain, modulus)
+    assert np.array_equal(k_ff.data, bincount_reference_data(domain, modulus))
+    assert np.array_equal(k_ff.indices, plan.indices)
+    assert np.array_equal(k_ff.indptr, plan.indptr)
+
+
+def test_assembly_holds_no_per_entry_array():
+    domain = make_problem("michell", (160, 80), None).domain
+    modulus = fem.simp_modulus(domain, np.full(domain.n_elements, 0.5), 3.0)
+    fem.solve_plan(domain)
+    tracemalloc.start()
+    try:
+        fem.assemble_system(domain, modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < domain.n_elements * 64 * 8
 
 
 def test_penalty_below_one_rejected():

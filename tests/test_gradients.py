@@ -50,13 +50,25 @@ def directional_fd(func, x, delta, eps=1e-5, rtol=1e-5):
 @pytest.mark.parametrize("kind", list(SPECS))
 @pytest.mark.parametrize("physics", list(PROBLEMS))
 def test_objective_gradient_matches_finite_differences(physics, kind, path):
-    problem = make_problem(PROBLEMS[physics], (NX, NY))
+    _assert_gradient_matches_finite_differences(physics, kind, path, NX, NY)
+
+
+@pytest.mark.parametrize("path", ["mma", "adam"])
+@pytest.mark.parametrize("physics", list(PROBLEMS))
+def test_cnn_gradient_on_an_untiled_grid(physics, path):
+    # The (2, 4) upsampling tiles multiples of 8: the decoder covers 20x12
+    # with a 24x16 image and crops its centre.
+    _assert_gradient_matches_finite_differences(physics, "cnn", path, 20, 12)
+
+
+def _assert_gradient_matches_finite_differences(physics, kind, path, nx, ny):
+    problem = make_problem(PROBLEMS[physics], (nx, ny))
     spec = SPECS[kind]
-    filter_op = pipeline.build_filter(NX, NY, problem.filter_radius)
+    filter_op = pipeline.build_filter(nx, ny, problem.filter_radius)
     volume_target = problem.volume_target if path == "adam" else None
-    design_map = DesignMap(spec, reparam.coordinate_grid(NX, NY), filter_op, volume_target)
+    design_map = DesignMap(spec, reparam.coordinate_grid(nx, ny), filter_op, volume_target)
     rng = np.random.default_rng(sorted(PROBLEMS).index(physics) * 8 + sorted(SPECS).index(kind))
-    theta = reparam.init_params(spec, NX, NY, seed=1)
+    theta = reparam.init_params(spec, nx, ny, seed=1)
     if kind == "direct":
         theta = rng.uniform(0.2, 0.8, theta.size)  # inside the MMA box
     else:

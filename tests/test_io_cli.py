@@ -969,6 +969,15 @@ _BAD_INPUTS = {
             ("filters-number", {"kind": "cnn", "filters": 1}, "'filters'"),
         )
     },
+    # true ran with a move limit of 1; "0.1" died comparing a str with a
+    # float, and the message did not name the key.
+    **{
+        f"optimize-optimizer-{name}": ("optimize", {**_SMALL_OPTIMIZE, "optimizer": optimizer}, [], named)
+        for name, optimizer, named in (
+            ("move-limit-bool", {"kind": "mma", "move_limit": True, "asyinit": 0.5}, "'move_limit'"),
+            ("learning-rate-string", {"kind": "adam", "learning_rate": "0.1"}, "'learning_rate'"),
+        )
+    },
     "expressivity-width-float": (
         "expressivity", {"architectures": [{"kind": "mlp", "width": 2.5}]}, [], "'width'"
     ),
@@ -1111,6 +1120,28 @@ def test_cli_profile_rejects_run_files_that_are_not_an_object(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{run}: {name}" in err
+    assert not prof.exists()
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"command": "optimize"},
+        {"config": ["mbb"]},
+        {"config": {"optimizer": {"kind": "mma"}}},
+        {"config": {"problem": {"name": "mbb", "nx": 8, "ny": 4}}},
+    ],
+    ids=["no-config", "config-list", "no-problem", "no-optimizer"],
+)
+def test_cli_profile_names_the_run_of_a_manifest_without_a_usable_config(tmp_path, capsys, manifest):
+    # A manifest without 'config' exited 2 with "error: 'config'".
+    run = _profiled_run(tmp_path / "a", {"name": "mbb", "nx": 8, "ny": 4}, "direct", 1.0)
+    (Path(run) / "manifest.json").write_text(json.dumps(manifest))
+    prof = tmp_path / "prof"
+    assert run_cli("profile", "--runs", run, "--out", str(prof)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{run}: manifest.json" in err
     assert not prof.exists()
 
 

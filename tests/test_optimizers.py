@@ -144,6 +144,13 @@ def test_config_validation():
         AdamConfig(learning_rate=float("nan"))
     with pytest.raises(ValueError):
         AdamConfig(learning_rate=0.1, grad_clip=0.0)
+    with pytest.raises(ValueError, match="'move_limit' must be a number"):
+        MmaConfig(move_limit=True, asyinit=0.1)
+    with pytest.raises(ValueError, match="'c_const' must be a number"):
+        MmaConfig(move_limit=0.1, asyinit=0.1, c_const=None)
+    with pytest.raises(ValueError, match="'learning_rate' must be a number"):
+        AdamConfig(learning_rate="0.1")
+    assert AdamConfig(learning_rate=np.float32(0.1), grad_clip=1).grad_clip == 1
 
 
 def reference_subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, c_const):

@@ -77,9 +77,19 @@ def test_param_count_equals_init_length():
         assert len(theta) == reparam.param_count(spec, 64, 32)
 
 
-def test_cnn_upsample_mismatch_rejected():
-    with pytest.raises(ValueError, match="tile"):
-        reparam.param_count(ArchitectureSpec(kind="cnn"), 60, 32)
+def test_cnn_runs_on_an_untiled_grid():
+    # The default upsampling (4, 8) tiles only multiples of 32; 60x32 used to
+    # raise. The decoder covers it with a 64x32 image and crops its centre.
+    spec = ArchitectureSpec(kind="cnn")
+    assert reparam.param_count(spec, 60, 32) == reparam.param_count(spec, 64, 32)
+    theta = reparam.init_params(spec, 60, 32, seed=0)
+    raw, vjp_fun = reparam.forward_with_vjp(spec, theta, reparam.coordinate_grid(60, 32))
+    full, _ = reparam.forward_with_vjp(spec, theta, reparam.coordinate_grid(64, 32))
+    assert np.array_equal(raw.reshape(32, 60), full.reshape(32, 64)[:, 2:62])
+    grad = vjp_fun(np.ones(raw.size))
+    offsets = reparam.unpack(grad, reparam.param_layout(spec, 60, 32))["offset1"]
+    assert np.all(offsets[0, :, :2] == 0.0) and np.all(offsets[0, :, 62:] == 0.0)
+    assert np.all(offsets[0, :, 2:62] == 1.0)
 
 
 @pytest.mark.parametrize(
