@@ -21,6 +21,9 @@ FIT_WARN_THRESHOLD = 1e-2
 #: Fraction of the slice's objective range treated as numerical jitter when
 #: counting interior local maxima.
 NOISE_FLOOR_FRACTION = 1e-3
+#: A run has converged at its first objective within this fraction of the
+#: best objective's magnitude above the best.
+CONVERGENCE_TOL_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -225,11 +228,11 @@ def performance_profile(values, cases: Sequence[str], tau_grid) -> np.ndarray:
     return (ratios[:, None, :] <= tau_grid[None, :, None]).mean(axis=2)
 
 
-def convergence_iteration(objective_history: Sequence[float], tol_fraction: float = 0.01) -> int:
-    """First iteration whose objective is within the tolerance of the best."""
+def convergence_iteration(objective_history: Sequence[float]) -> int:
+    """First iteration whose objective is within CONVERGENCE_TOL_FRACTION of the best."""
     history = np.asarray(objective_history, dtype=float)
     if history.size == 0:
         raise ValueError("objective history is empty")
     best = history.min()
-    threshold = best + tol_fraction * abs(best)
+    threshold = best + CONVERGENCE_TOL_FRACTION * abs(best)
     return int(np.nonzero(history <= threshold)[0][0])

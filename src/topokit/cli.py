@@ -46,8 +46,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, io, pipeline, presets, reparam
-from .problems import ProblemSpec, TwoBarProblem
-from .runner import run_optimization, theta_layout, threshold_and_rescale
+from .problems import ProblemSpec, TwoBarProblem, make_problem
+from .runner import check_optimizer, run_optimization, theta_layout, threshold_and_rescale
 
 FEASIBLE_FALLBACK_NOTE = "no feasible iterate; reporting the least-violating design"
 
@@ -96,16 +96,6 @@ def _pretrain(cfg: dict) -> bool:
     if not isinstance(pretrain, bool):
         raise ValueError(f"'pretrain' must be true or false, got {pretrain!r}")
     return pretrain
-
-
-def _check_optimizer(problem, optimizer_cfg: dict) -> None:
-    """The two-bar runs under MMA only, and Adam runs a grid problem through
-    the exact-volume projection."""
-    kind = presets.optimizer_kind(optimizer_cfg)
-    if isinstance(problem, TwoBarProblem) and kind != "mma":
-        raise ValueError("the two-bar problem is optimized with MMA")
-    if isinstance(problem, ProblemSpec) and kind == "adam":
-        pipeline.check_projection_target(problem.volume_target)
 
 
 def _iteration_cap(cfg: dict) -> int:
@@ -172,9 +162,9 @@ def cmd_optimize(args):
     cfg = _load_config(args)
     presets._reject_unknown_keys(cfg, _OPTIMIZE_KEYS, "optimize")
     problem = presets.problem_from_config(cfg["problem"])
-    spec = presets.spec_from_config(cfg.get("reparam", {"kind": "direct"}))
+    spec = presets.spec_from_config(cfg.get("reparam", {}))
     optimizer = presets.optimizer_from_config(cfg["optimizer"])
-    _check_optimizer(problem, cfg["optimizer"])
+    check_optimizer(problem, presets.optimizer_kind(cfg["optimizer"]))
     layout = theta_layout(problem, spec)
     theta0 = _theta0(cfg, layout)
     budget, seed, pretrain = _count(cfg, "budget", 100, 0), _count(cfg, "seed", 0, 0), _pretrain(cfg)
@@ -297,6 +287,8 @@ def cmd_expressivity(args):
     cfg = _load_config(args)
     presets._reject_unknown_keys(cfg, _EXPRESSIVITY_KEYS, "expressivity")
     target_paths = cfg["targets"]
+    if not (isinstance(target_paths, list) and all(isinstance(path, str) for path in target_paths)):
+        raise ValueError(f"'targets' must be a list of paths, got {target_paths!r:.60}")
     if not target_paths:
         raise ValueError("expressivity needs at least one target design")
     targets = []
@@ -314,8 +306,10 @@ def cmd_expressivity(args):
     if arch_cfg == "sweep":
         ny, nx = targets[0].shape
         specs = presets.sweep_specs(nx, ny)
-    else:
+    elif isinstance(arch_cfg, list) and arch_cfg:
         specs = [presets.spec_from_config(c) for c in arch_cfg]
+    else:
+        raise ValueError(f"'architectures' must be \"sweep\" or a non-empty list, got {arch_cfg!r:.60}")
     repeats, seed = _count(cfg, "repeats", 1, 1), _count(cfg, "seed", 0, 0)
     iteration_cap = _iteration_cap(cfg)
 
@@ -340,7 +334,7 @@ def cmd_expressivity(args):
 
 def _run_label(cfg: dict) -> tuple[str, str]:
     """(solver, case) of an ``optimize`` config, named from what it builds."""
-    kind = presets.spec_from_config(cfg.get("reparam", {"kind": "direct"})).kind
+    kind = presets.spec_from_config(cfg.get("reparam", {})).kind
     solver = ("baseline" if kind == "direct" else kind) + "+" + presets.optimizer_kind(cfg["optimizer"])
     problem = presets.problem_from_config(cfg["problem"])
     if isinstance(problem, TwoBarProblem):
@@ -437,8 +431,8 @@ def cmd_search(args):
     presets._reject_unknown_keys(base, _SEARCH_BASE_KEYS, "search base")
     presets._reject_unknown_keys(search, _SEARCH_SECTION_KEYS, "search section")
     problem = presets.problem_from_config(base["problem"])
-    spec = presets.spec_from_config(base.get("reparam", {"kind": "direct"}))
-    _check_optimizer(problem, base["optimizer"])
+    spec = presets.spec_from_config(base.get("reparam", {}))
+    check_optimizer(problem, presets.optimizer_kind(base["optimizer"]))
     theta0 = _theta0(base, theta_layout(problem, spec))
     budget, pretrain = _count(search, "budget", 60, 0), _pretrain(base)
     seed = _count(cfg, "seed", _count(base, "seed", 0, 0), 0)
@@ -484,9 +478,10 @@ def cmd_threshold(args):
         raise FileNotFoundError(f"missing artifact {design_path}")
     image = io.read_field_csv(design_path)
     ny, nx = image.shape
-    problem = presets.problem_from_config(
-        {"name": args.problem, "nx": nx, "ny": ny, "v0": args.v0, "penalty": args.penalty}
-    )
+    penalty = {} if args.penalty is None else {"penalty": args.penalty}
+    problem = make_problem(args.problem, nx, ny, args.v0, **penalty)
+    if not isinstance(problem, ProblemSpec):
+        raise ValueError("threshold needs a grid problem, not the two-bar truss")
 
     def run(out: Path) -> int:
         result = _write_thresholded(out, problem, image.ravel())
@@ -547,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--design", required=True, help="density CSV to threshold")
     p_thr.add_argument("--problem", required=True, help="catalog problem for re-evaluation")
     p_thr.add_argument("--v0", type=float, default=None, help="volume target")
-    p_thr.add_argument("--penalty", type=float, default=3.0)
+    p_thr.add_argument("--penalty", type=float, default=None, help="SIMP penalty")
     p_thr.add_argument("--out", help="output directory")
     p_thr.set_defaults(func=cmd_threshold)
 

@@ -106,7 +106,6 @@ class MmaState:
     xold2: np.ndarray | None = None
     low: np.ndarray | None = None
     upp: np.ndarray | None = None
-    iteration: int = 0
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float).ravel()
@@ -135,9 +134,8 @@ def mma_step(
     n = x.size
     xmin, xmax = state.lower, state.upper
     xrange = xmax - xmin
-    state.iteration += 1
 
-    if state.iteration <= 2 or state.xold2 is None:
+    if state.xold2 is None:  # the first two steps
         low = x - cfg.asyinit * xrange
         upp = x + cfg.asyinit * xrange
     else:

@@ -3,7 +3,13 @@
 The tuned hyperparameter table below was obtained at 64x32 resolution with a
 60-iteration tuning budget; presets ship so standard runs do not require a
 search. Preset names follow ``<problem>-p<penalty>-<reparam>-<optimizer>``
-plus the three two-bar setups.
+plus the two two-bar setups.
+
+Each config section is the keyword arguments of the type it builds: a
+``problem`` section those of :func:`problems.make_problem`, a ``reparam``
+section the fields of :class:`reparam.ArchitectureSpec`, an ``optimizer``
+section those of its config type. That type owns every default and every
+value check; a reader here only rejects keys the type does not take.
 """
 
 from __future__ import annotations
@@ -11,10 +17,8 @@ from __future__ import annotations
 import copy
 
 from .optimizers import AdamConfig, MmaConfig
-from .problems import CATALOG, TWOBAR_THETA0, make_problem
+from .problems import TWOBAR_THETA0, make_problem
 from .reparam import ArchitectureSpec
-
-SIREN_WIDTH = 22
 
 #: MMA feasibility-penalty constant for the two-bar presets. It must exceed
 #: the active constraint multipliers (about 1.2 at the optima) but stay
@@ -150,20 +154,6 @@ def _build_presets() -> dict[str, dict]:
         "seed": 0,
         "theta0": list(TWOBAR_THETA0),
     }
-    presets["twobar-siren-fast"] = {
-        "problem": {"name": "twobar"},
-        "reparam": {"kind": "siren", "omega0": 40.0},
-        "optimizer": {
-            "kind": "mma",
-            "move_limit": 0.4,
-            "asyinit": 0.3,
-            "theta_bound": 11.0,
-            "c_const": TWOBAR_MMA_C,
-        },
-        "budget": 20,
-        "seed": 0,
-        "theta0": list(TWOBAR_THETA0),
-    }
     return presets
 
 
@@ -192,56 +182,43 @@ def _reject_unknown_keys(cfg: dict, known: set[str], what: str) -> None:
         )
 
 
+#: Keys of a grid problem section: the keyword arguments of make_problem.
+#: A two-bar section holds its name only.
+_GRID_PROBLEM_KEYS = {"name", "nx", "ny", "v0", "penalty", "filter_radius"}
+
+
 def problem_from_config(cfg: dict):
     """Problem from a config dict; unknown keys raise ValueError."""
     name = _section(cfg, "problem")["name"]
-    if name == "twobar":
-        _reject_unknown_keys(cfg, {"name"}, "twobar problem")
-        return make_problem("twobar")
-    if name not in CATALOG:
-        raise ValueError(f"unknown problem {name!r}; catalog: {', '.join(CATALOG + ('twobar',))}")
-    _reject_unknown_keys(cfg, {"name", "nx", "ny", "v0", "penalty", "filter_radius"}, f"{name} problem")
-    return make_problem(
-        name,
-        resolution=(cfg.get("nx", 64), cfg.get("ny", 32)),
-        v0=cfg.get("v0"),
-        penalty=cfg.get("penalty", 3.0),
-        filter_radius=cfg.get("filter_radius"),
-    )
+    known = {"name"} if name == "twobar" else _GRID_PROBLEM_KEYS
+    _reject_unknown_keys(cfg, known, f"{name} problem")
+    return make_problem(**cfg)
 
 
-#: Config keys each reparameterization kind reads, besides ``kind``, and the
-#: :class:`ArchitectureSpec` field each sets. A key the config leaves out
-#: keeps the spec's default; only SIREN's width has its own, SIREN_WIDTH.
+#: Config keys each reparameterization kind reads besides ``kind``: fields
+#: of :class:`ArchitectureSpec` under their own names.
 _REPARAM_KEYS = {
-    "direct": {},
-    "mlp": {"width": "width", "hidden_layers": "hidden_layers"},
-    "siren": {"width": "width", "hidden_layers": "hidden_layers", "omega0": "omega0"},
-    "cnn": {
-        "input_size": "cnn_input_size",
-        "channels": "cnn_channels",
-        "filters": "cnn_filters",
-        "upsample": "cnn_upsample",
-    },
+    "direct": set(),
+    "mlp": {"width", "hidden_layers"},
+    "siren": {"width", "hidden_layers", "omega0"},
+    "cnn": {"input_size", "channels", "filters", "upsample"},
 }
 
 
 def spec_from_config(cfg: dict) -> ArchitectureSpec:
-    """Architecture from a config dict; unknown keys raise ValueError."""
+    """Architecture from a config dict, ``direct`` if it names no kind;
+    unknown keys raise ValueError."""
     kind = _section(cfg, "reparam").get("kind", "direct")
     if not isinstance(kind, str) or kind not in _REPARAM_KEYS:
         raise ValueError(f"unknown reparameterization kind {kind!r}")
-    fields = _REPARAM_KEYS[kind]
-    _reject_unknown_keys(cfg, set(fields) | {"kind"}, f"{kind} reparam")
-    kwargs = {fields[key]: value for key, value in cfg.items() if key != "kind"}
-    for key in ("filters", "upsample"):
+    _reject_unknown_keys(cfg, _REPARAM_KEYS[kind] | {"kind"}, f"{kind} reparam")
+    kwargs = dict(cfg, kind=kind)
+    for key in ("filters", "upsample"):  # JSON has lists, the spec tuples
         if key in cfg:
             if not isinstance(cfg[key], list):
                 raise ValueError(f"{key!r} must be a list of integers, got {cfg[key]!r:.60}")
-            kwargs[fields[key]] = tuple(cfg[key])
-    if kind == "siren":
-        kwargs.setdefault("width", SIREN_WIDTH)
-    return ArchitectureSpec(kind=kind, **kwargs)
+            kwargs[key] = tuple(cfg[key])
+    return ArchitectureSpec(**kwargs)
 
 
 _OPTIMIZERS = {"mma": MmaConfig, "adam": AdamConfig}
@@ -281,10 +258,10 @@ def sweep_specs(nx: int, ny: int) -> list[ArchitectureSpec]:
         specs.append(
             ArchitectureSpec(
                 kind="cnn",
-                cnn_input_size=n_in,
-                cnn_channels=channels,
-                cnn_filters=(filters, 1),
-                cnn_upsample=(4, 8),
+                input_size=n_in,
+                channels=channels,
+                filters=(filters, 1),
+                upsample=(4, 8),
             )
         )
     return specs

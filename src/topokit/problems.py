@@ -11,6 +11,10 @@ Each grid case is a :class:`ProblemSpec` around one :class:`fem.GridDomain`.
 The domain owns the mesh and the physics kind (compliance for the five
 plane-stress cases, thermal, mechanism), and with it the SIMP moduli; the
 spec adds the volume target, the SIMP penalty and the filter radius.
+:func:`make_problem` builds every case; its keyword arguments are the keys
+of a ``problem`` config section, and it owns their defaults (64x32,
+penalty 3, the per-case volume target, a filter radius scaled with the
+grid) and checks.
 
 Sign conventions follow the image layout of the density fields: row 0 is the
 top of the domain and the y axis points down, so a "downward" load has a
@@ -87,7 +91,8 @@ def _patch_extent(n: int, center: int) -> np.ndarray:
 
 def make_problem(
     name: str,
-    resolution: tuple[int, int] = (64, 32),
+    nx: int = 64,
+    ny: int = 32,
     v0: float | None = None,
     penalty: float = 3.0,
     filter_radius: float | None = None,
@@ -95,22 +100,25 @@ def make_problem(
     """Build a fully populated problem from the catalog.
 
     ``make_problem("twobar")`` returns the analytic :class:`TwoBarProblem`;
-    every other name builds a grid case. ``nx`` and ``ny`` must be integers
-    and ``v0``, ``penalty`` and ``filter_radius`` numbers, bools excluded.
-    The volume target must lie in (0, 1]; it defaults to 0.3 except for the
-    mechanism (0.4).
+    every other name builds a grid case. The keyword arguments are the keys
+    of a grid ``problem`` config section, and this function owns their
+    defaults and checks. ``nx`` and ``ny`` must be integers and ``v0``,
+    ``penalty`` and ``filter_radius`` numbers, bools excluded. The volume
+    target must lie in (0, 1]; it defaults to 0.3 except for the mechanism
+    (0.4). The filter radius defaults to FILTER_RADIUS_AT_64 scaled with
+    ``nx``.
     """
     if name == "twobar":
         return TwoBarProblem()
     if name not in CATALOG:
         raise ValueError(f"unknown problem {name!r}; catalog: {', '.join(CATALOG + ('twobar',))}")
-    for key, value in zip(("nx", "ny"), resolution):
+    for key, value in (("nx", nx), ("ny", ny)):
         if not is_integer(value):
             raise ValueError(f"{key!r} must be an integer, got {value!r:.60}")
     for key, value in (("v0", v0), ("penalty", penalty), ("filter_radius", filter_radius)):
         if not is_number(value) and (value is not None or key == "penalty"):
             raise ValueError(f"{key!r} must be a number, got {value!r:.60}")
-    nx, ny = int(resolution[0]), int(resolution[1])
+    nx, ny = int(nx), int(ny)
     if nx < 1 or ny < 1:
         raise ValueError("resolution must be positive")
     check_penalty(penalty)

@@ -87,11 +87,16 @@ class NumericError(RuntimeError):
 class ArchitectureSpec:
     """Configuration of one reparameterization.
 
-    For the CNN decoder, the dense layer output is reshaped to
-    ``cnn_channels`` images of shape (ceil(ny / prod(upsample)),
+    The fields are the keys of a ``reparam`` config section, so the spec
+    holds every default and every check, and each error names the key as
+    the config writes it. An omitted ``width`` resolves by kind: 20 for the
+    MLP, 22 for SIREN.
+
+    For the CNN decoder, a dense layer maps an ``input_size`` seed vector to
+    ``channels`` images of shape (ceil(ny / prod(upsample)),
     ceil(nx / prod(upsample))) and each hidden layer runs tanh -> bilinear
     upsample -> normalize -> 3x3 convolution -> trainable offset.
-    ``cnn_filters`` gives the convolution filter count per layer; the last
+    ``filters`` gives the convolution filter count per layer; the last
     entry must be 1 so the decoder emits a single-channel image. The field
     is that image's centred (ny, nx) window. Hoyer, Sohl-Dickstein &
     Greydanus (2019) size their grids to the upsampling, so the image is the
@@ -104,26 +109,28 @@ class ArchitectureSpec:
 
     kind: str
     hidden_layers: int = 5
-    width: int = 20
+    width: int | None = None
     omega0: float = 10.0
-    cnn_input_size: int = 1
-    cnn_channels: int = 1
-    cnn_filters: tuple[int, ...] = (2, 1)
-    cnn_upsample: tuple[int, ...] = (4, 8)
+    input_size: int = 1
+    channels: int = 1
+    filters: tuple[int, ...] = (2, 1)
+    upsample: tuple[int, ...] = (4, 8)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown reparameterization kind {self.kind!r}")
+        if self.width is None:
+            object.__setattr__(self, "width", 22 if self.kind == "siren" else 20)
         # numpy integers are stored as ints, so layouts built from the spec
         # serialize to JSON.
-        for name in ("hidden_layers", "width", "cnn_input_size", "cnn_channels"):
+        for name in ("hidden_layers", "width", "input_size", "channels"):
             value = getattr(self, name)
             if not pipeline.is_integer(value):
                 raise ValueError(f"{name!r} must be an integer, got {value!r:.60}")
             object.__setattr__(self, name, int(value))
         if not pipeline.is_number(self.omega0):
             raise ValueError(f"'omega0' must be a number, got {self.omega0!r:.60}")
-        for name in ("cnn_filters", "cnn_upsample"):
+        for name in ("filters", "upsample"):
             value = getattr(self, name)
             if not (isinstance(value, tuple) and all(map(pipeline.is_integer, value))):
                 raise ValueError(f"{name!r} must be a tuple of integers, got {value!r:.60}")
@@ -131,11 +138,11 @@ class ArchitectureSpec:
         if self.kind in ("mlp", "siren") and (self.width < 1 or self.hidden_layers < 1):
             raise ValueError("coordinate networks need width >= 1 and hidden_layers >= 1")
         if self.kind == "cnn":
-            if len(self.cnn_filters) != len(self.cnn_upsample):
-                raise ValueError("cnn_filters and cnn_upsample must have equal length")
-            if self.cnn_filters[-1] != 1:
+            if len(self.filters) != len(self.upsample):
+                raise ValueError("'filters' and 'upsample' must have equal length")
+            if self.filters[-1] != 1:
                 raise ValueError("the last CNN layer must have a single filter")
-            if min(self.cnn_filters) < 1 or min(self.cnn_upsample) < 1:
+            if min(self.filters) < 1 or min(self.upsample) < 1:
                 raise ValueError("CNN filter and upsample entries must be >= 1")
 
 
@@ -191,7 +198,7 @@ def pack(segments: dict[str, np.ndarray], layout: Layout) -> np.ndarray:
 
 def _cnn_spatial(spec: ArchitectureSpec, nx: int, ny: int) -> tuple[int, int]:
     """Seed image shape (h0, w0): the smallest whose upsampling covers (ny, nx)."""
-    factor = math.prod(spec.cnn_upsample)
+    factor = math.prod(spec.upsample)
     return -(-ny // factor), -(-nx // factor)
 
 
@@ -215,15 +222,15 @@ def param_layout(spec: ArchitectureSpec, nx: int, ny: int) -> Layout:
         return tuple(layout)
     # cnn
     h0, w0 = _cnn_spatial(spec, nx, ny)
-    c = spec.cnn_channels
+    c = spec.channels
     layout = [
-        ("z", (spec.cnn_input_size,)),
-        ("dense_w", (c * h0 * w0, spec.cnn_input_size)),
+        ("z", (spec.input_size,)),
+        ("dense_w", (c * h0 * w0, spec.input_size)),
         ("dense_b", (c * h0 * w0,)),
     ]
     h, w = h0, w0
     c_in = c
-    for l, (factor, f_out) in enumerate(zip(spec.cnn_upsample, spec.cnn_filters)):
+    for l, (factor, f_out) in enumerate(zip(spec.upsample, spec.filters)):
         h, w = h * factor, w * factor
         layout.append((f"conv_w{l}", (f_out, c_in, 3, 3)))
         layout.append((f"conv_b{l}", (f_out,)))
@@ -507,9 +514,9 @@ def _cnn_forward_vjp(spec, values, grid, ws):
     params = unpack(values, layout)
     h0, w0 = _cnn_spatial(spec, grid.nx, grid.ny)
     dense = params["dense_w"] @ params["z"] + params["dense_b"]
-    x = dense.reshape(spec.cnn_channels, h0, w0)
+    x = dense.reshape(spec.channels, h0, w0)
     tape = []
-    for l, (factor, _) in enumerate(zip(spec.cnn_upsample, spec.cnn_filters)):
+    for l, (factor, _) in enumerate(zip(spec.upsample, spec.filters)):
         t = np.tanh(x)
         u = _upsample(t, factor)
         mu = u.mean()
@@ -530,7 +537,7 @@ def _cnn_forward_vjp(spec, values, grid, ws):
         grads = unpack(grad, layout)  # views that each segment's gradient fills
         gx = np.zeros_like(x)  # the crop's adjoint pads with zeros
         gx[crop] = d_raw.reshape(grid.ny, grid.nx)
-        for l in reversed(range(len(spec.cnn_upsample))):
+        for l in reversed(range(len(spec.upsample))):
             t, v, inv_std, conv_w = tape[l]
             grads[f"offset{l}"][...] = gx
             dv, dw, db = _conv3x3_backward(gx, v, conv_w)
@@ -538,7 +545,7 @@ def _cnn_forward_vjp(spec, values, grid, ws):
             grads[f"conv_b{l}"][...] = db
             # backprop through whole-image normalization
             du = inv_std * (dv - dv.mean() - v * (dv * v).mean())
-            dt = _upsample_adjoint(du, spec.cnn_upsample[l])
+            dt = _upsample_adjoint(du, spec.upsample[l])
             gx = dt * (1.0 - t**2)
         dd = gx.ravel()
         grads["dense_w"][...] = np.outer(dd, params["z"])

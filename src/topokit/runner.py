@@ -81,6 +81,16 @@ def theta_layout(problem, spec: ArchitectureSpec) -> reparam.Layout:
     raise ValueError("two-bar supports the direct and siren reparameterizations")
 
 
+def check_optimizer(problem, kind: str) -> None:
+    """The problem × optimizer rules for an optimizer of ``kind``, ``mma``
+    or ``adam``: the two-bar runs under MMA only, and Adam on a grid needs a
+    volume target the exact-volume projection reaches."""
+    if isinstance(problem, TwoBarProblem) and kind != "mma":
+        raise ValueError("the two-bar problem is optimized with MMA")
+    if isinstance(problem, ProblemSpec) and kind == "adam":
+        pipeline.check_projection_target(problem.volume_target)
+
+
 def _grid_setup(problem: ProblemSpec, spec, optimizer, seed, pretrain, theta0):
     use_mma = isinstance(optimizer, MmaConfig)
     grid = reparam.coordinate_grid(problem.nx, problem.ny)
@@ -117,8 +127,6 @@ def _grid_setup(problem: ProblemSpec, spec, optimizer, seed, pretrain, theta0):
 
 
 def _twobar_setup(reparam_spec: ArchitectureSpec, optimizer, theta0):
-    if not isinstance(optimizer, MmaConfig):
-        raise ValueError("the two-bar problem is optimized with MMA")
     if reparam_spec.kind == "direct":  # theta_layout admits direct and siren only
         start, box = (1.0, 1.0), TWOBAR_AREA_BOX
 
@@ -164,6 +172,8 @@ def run_optimization(
         raise ValueError("budget must be non-negative")
     if not isinstance(problem, (TwoBarProblem, ProblemSpec)):
         raise TypeError(f"unsupported problem type {type(problem)!r}")
+    use_mma = isinstance(optimizer, MmaConfig)
+    check_optimizer(problem, "mma" if use_mma else "adam")
     size = reparam.layout_size(theta_layout(problem, reparam_spec))
     if theta0 is not None:
         theta0 = np.array(theta0, dtype=float)
@@ -176,7 +186,6 @@ def run_optimization(
             problem, reparam_spec, optimizer, seed, pretrain, theta0
         )
 
-    use_mma = isinstance(optimizer, MmaConfig)
     if use_mma:
         lo, hi = box
         state = MmaState(lower=np.full(size, lo), upper=np.full(size, hi))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from topokit import analysis, reparam
-from topokit.analysis import convergence_iteration, performance_profile, psnr
+from topokit.analysis import CONVERGENCE_TOL_FRACTION, convergence_iteration, performance_profile, psnr
 from topokit.optimizers import Trajectory
 from topokit.problems import make_problem
 from topokit.reparam import ArchitectureSpec
@@ -12,7 +12,7 @@ from topokit.reparam import ArchitectureSpec
 
 @pytest.fixture(scope="module")
 def small_problem():
-    return make_problem("mbb", (16, 8), 0.5, penalty=1.0)
+    return make_problem("mbb", 16, 8, 0.5, penalty=1.0)
 
 
 def test_landscape_two_alphas_are_the_endpoints(small_problem):
@@ -250,8 +250,10 @@ def test_performance_profile_validation():
 
 def test_convergence_iteration_examples():
     assert convergence_iteration([5.0, 5.0, 5.0]) == 0
-    assert convergence_iteration([10.0, 5.0, 4.0, 4.001, 4.0], tol_fraction=0.01) == 2
+    assert convergence_iteration([10.0, 5.0, 4.0, 4.001, 4.0]) == 2
+    tol = CONVERGENCE_TOL_FRACTION
+    assert convergence_iteration([10.0, 4.0 * (1 + 2 * tol), 4.0 * (1 + tol / 2), 4.0]) == 2
     decreasing = [10.0, 8.0, 6.0, 5.0, 4.5]
-    assert convergence_iteration(decreasing, tol_fraction=0.0) == len(decreasing) - 1
+    assert convergence_iteration(decreasing) == len(decreasing) - 1
     with pytest.raises(ValueError):
         convergence_iteration([])

@@ -174,7 +174,7 @@ def _free_mask(domain):
 
 
 def test_reduced_system_is_positive_definite():
-    problem = make_problem("michell", (8, 4), 0.5)
+    problem = make_problem("michell", 8, 4, 0.5)
     rng = np.random.default_rng(0)
     modulus = fem.simp_modulus(problem.domain, rng.uniform(0.05, 1.0, 32), 3.0)
     k_red = fem.assemble_system(problem.domain, modulus).toarray()
@@ -186,7 +186,7 @@ def test_reduced_system_is_positive_definite():
 
 
 def test_solution_invariant_under_assembly_order():
-    problem = make_problem("mbb", (8, 4), 0.5)
+    problem = make_problem("mbb", 8, 4, 0.5)
     rng = np.random.default_rng(1)
     rho = rng.uniform(0.2, 1.0, 32)
     modulus = fem.simp_modulus(problem.domain, rho, 3.0)
@@ -220,14 +220,14 @@ def test_modified_simp_modulus_value():
 
 
 def test_compliance_all_solid_positive_with_nonpositive_gradient():
-    problem = make_problem("mbb", (8, 4), 1.0)
+    problem = make_problem("mbb", 8, 4, 1.0)
     ev = fem.evaluate_objective(problem.domain, np.ones(32), 3.0)
     assert ev.value > 0.0
     assert np.all(ev.grad_wrt_density <= 0.0)
 
 
 def test_compliance_monotone_in_single_density():
-    problem = make_problem("cantilever", (8, 4), 0.5)
+    problem = make_problem("cantilever", 8, 4, 0.5)
     rng = np.random.default_rng(2)
     rho = rng.uniform(0.2, 0.9, 32)
     base = fem.evaluate_objective(problem.domain, rho, 3.0).value
@@ -240,7 +240,7 @@ def test_compliance_monotone_in_single_density():
 
 @pytest.mark.parametrize("name", ["mbb", "thermal", "mechanism"])
 def test_adjoint_gradient_matches_finite_differences(name):
-    problem = make_problem(name, (8, 4) if name != "thermal" else (8, 8), None)
+    problem = make_problem(name, 8, 4 if name != "thermal" else 8, None)
     n = problem.n_elements
     rng = np.random.default_rng(3)
     rho = rng.uniform(0.3, 0.9, n)
@@ -260,7 +260,7 @@ def test_adjoint_gradient_matches_finite_differences(name):
 
 
 def test_passive_elements_clamped_with_zero_gradient():
-    problem = make_problem("bridge", (8, 4), 0.3)
+    problem = make_problem("bridge", 8, 4, 0.3)
     assert problem.domain.passive_solid.size > 0
     rho = np.full(32, 0.3)
     ev = fem.evaluate_objective(problem.domain, rho, 3.0)
@@ -278,7 +278,7 @@ def test_passive_elements_clamped_with_zero_gradient():
 
 
 def test_density_out_of_range_rejected():
-    problem = make_problem("mbb", (4, 2), 0.5)
+    problem = make_problem("mbb", 4, 2, 0.5)
     rho = np.full(8, 0.5)
     rho[0] = 1.0 + 1e-9
     with pytest.raises(ValueError, match="0, 1"):
@@ -288,7 +288,7 @@ def test_density_out_of_range_rejected():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_density_rejected_before_the_solve(bad):
     # A NaN used to pass the range check and reach the LU as a singular system.
-    problem = make_problem("mbb", (4, 2), 0.5)
+    problem = make_problem("mbb", 4, 2, 0.5)
     rho = np.full(8, 0.5)
     rho[3] = bad
     with pytest.raises(ValueError, match="finite"):
@@ -306,7 +306,7 @@ def test_singular_system_error_names_physics_and_mesh():
 
 
 def test_repeated_solves_bit_identical():
-    problem = make_problem("tensile", (8, 4), 0.5)
+    problem = make_problem("tensile", 8, 4, 0.5)
     rho = np.random.default_rng(4).uniform(0.2, 1.0, 32)
     ev1 = fem.evaluate_objective(problem.domain, rho, 3.0)
     ev2 = fem.evaluate_objective(problem.domain, rho, 3.0)
@@ -325,7 +325,7 @@ def _assert_matches_dense_solve(u, domain, modulus):
 @pytest.mark.parametrize("resolution", [(1, 1), (7, 3), (12, 5), (2, 9)])
 @pytest.mark.parametrize("name", CATALOG)
 def test_solve_matches_dense_oracle(name, resolution):
-    problem = make_problem(name, resolution, None)
+    problem = make_problem(name, *resolution, None)
     domain = problem.domain
     rng = np.random.default_rng(sum(resolution) + len(name))
     rho = rng.uniform(0.0, 1.0, problem.n_elements)
@@ -342,7 +342,7 @@ def test_solve_matches_dense_oracle(name, resolution):
 
 
 def test_domains_on_one_grid_never_share_a_plan():
-    base = make_problem("mechanism", (7, 3), None).domain
+    base = make_problem("mechanism", 7, 3, None).domain
 
     def variant(fixed_dofs, springs=()):
         return GridDomain(
@@ -442,7 +442,7 @@ def _assert_plan_matches_reference(domain):
 @pytest.mark.parametrize("resolution", [(1, 1), (7, 3), (12, 5), (2, 9), (64, 32), (160, 80)])
 @pytest.mark.parametrize("name", CATALOG)
 def test_plan_matches_sorted_reference(name, resolution):
-    _assert_plan_matches_reference(make_problem(name, resolution, None).domain)
+    _assert_plan_matches_reference(make_problem(name, *resolution, None).domain)
 
 
 @settings(max_examples=60, deadline=None)
@@ -483,7 +483,7 @@ def bincount_reference_data(domain, modulus_field):
 @pytest.mark.parametrize("resolution", [(1, 1), (7, 3), (33, 17), (160, 80)])
 @pytest.mark.parametrize("name", CATALOG)
 def test_block_assembly_matches_bincount_reference(name, resolution):
-    domain = make_problem(name, resolution, None).domain
+    domain = make_problem(name, *resolution, None).domain
     rho = np.random.default_rng(resolution[0]).random(domain.n_elements)
     modulus = fem.simp_modulus(domain, rho, 3.0)
     plan = fem.solve_plan(domain)
@@ -494,7 +494,7 @@ def test_block_assembly_matches_bincount_reference(name, resolution):
 
 
 def test_assembly_holds_no_per_entry_array():
-    domain = make_problem("michell", (160, 80), None).domain
+    domain = make_problem("michell", 160, 80, None).domain
     modulus = fem.simp_modulus(domain, np.full(domain.n_elements, 0.5), 3.0)
     fem.solve_plan(domain)
     tracemalloc.start()
@@ -508,8 +508,8 @@ def test_assembly_holds_no_per_entry_array():
 
 def test_penalty_below_one_rejected():
     with pytest.raises(ValueError, match="penalty 0.5"):
-        make_problem("michell", (8, 4), v0=0.5, penalty=0.5)
-    problem = make_problem("michell", (8, 4), v0=0.5, penalty=1.0)
+        make_problem("michell", 8, 4, v0=0.5, penalty=0.5)
+    problem = make_problem("michell", 8, 4, v0=0.5, penalty=1.0)
     rho = np.full(32, 0.5)
     rho[0] = 0.0
     with pytest.raises(ValueError, match="penalty 0.5"):

@@ -30,7 +30,7 @@ SPECS = {
     "direct": ArchitectureSpec(kind="direct"),
     "mlp": ArchitectureSpec(kind="mlp", width=6, hidden_layers=2),
     "siren": ArchitectureSpec(kind="siren", width=6, hidden_layers=2),
-    "cnn": ArchitectureSpec(kind="cnn", cnn_upsample=(2, 4)),
+    "cnn": ArchitectureSpec(kind="cnn", upsample=(2, 4)),
 }
 DIRECTIONS = 3
 
@@ -62,7 +62,7 @@ def test_cnn_gradient_on_an_untiled_grid(physics, path):
 
 
 def _assert_gradient_matches_finite_differences(physics, kind, path, nx, ny):
-    problem = make_problem(PROBLEMS[physics], (nx, ny))
+    problem = make_problem(PROBLEMS[physics], nx, ny)
     spec = SPECS[kind]
     filter_op = pipeline.build_filter(nx, ny, problem.filter_radius)
     volume_target = problem.volume_target if path == "adam" else None

@@ -249,6 +249,13 @@ def test_every_shipped_preset_has_only_known_top_level_keys():
         presets._reject_unknown_keys(presets.preset_config(name), cli._OPTIMIZE_KEYS, name)
 
 
+def test_shipped_presets_have_distinct_run_labels():
+    # profile keys its runs by label, so two presets sharing one could not
+    # be profiled together.
+    labels = [cli._run_label(presets.preset_config(name)) for name in presets.PRESETS]
+    assert len(set(labels)) == len(labels)
+
+
 def test_cli_optimize_grid_writes_artifacts(tmp_path):
     cfg = {
         "problem": {"name": "mbb", "nx": 16, "ny": 8, "v0": 0.5},
@@ -330,7 +337,7 @@ def test_cli_landscape_missing_reference_fails(tmp_path):
 
 def test_cli_trajectory_metrics(tmp_path):
     out = tmp_path / "run"
-    assert run_cli("optimize", "--preset", "twobar-siren-fast", "--out", str(out)) == 0
+    assert run_cli("optimize", "--preset", "twobar-siren", "--budget", "20", "--out", str(out)) == 0
     with open(out / "trajectory.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 21  # budget 20 + initial evaluation
@@ -623,6 +630,16 @@ def test_cli_threshold_command(tmp_path):
     assert result["thresholded_objective_rescaled"] == pytest.approx(
         result["thresholded_objective"] * result["thresholded_volume"] / 0.5
     )
+
+
+def test_cli_threshold_rejects_the_twobar(tmp_path, capsys):
+    # It named keys the user never wrote: 'nx', 'ny', 'penalty' and 'v0'.
+    design = tmp_path / "design.csv"
+    io.write_density_csv(design, np.full(8, 0.5), 4, 2)
+    out = tmp_path / "thr"
+    assert run_cli("threshold", "--design", str(design), "--problem", "twobar", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: threshold needs a grid problem, not the two-bar truss\n"
+    assert not out.exists()
 
 
 def test_density_field_validation(tmp_path):
@@ -965,7 +982,8 @@ _BAD_INPUTS = {
             ("width-string", {"kind": "mlp", "width": "20"}, "'width'"),
             ("hidden-layers-bool", {"kind": "siren", "hidden_layers": True}, "'hidden_layers'"),
             ("omega0-string", {"kind": "siren", "omega0": "x"}, "'omega0'"),
-            ("upsample-string-entry", {"kind": "cnn", "upsample": [4, "x"]}, "'cnn_upsample'"),
+            ("upsample-string-entry", {"kind": "cnn", "upsample": [4, "x"]}, "'upsample'"),
+            ("channels-float", {"kind": "cnn", "channels": 1.5}, "'channels'"),
             ("filters-number", {"kind": "cnn", "filters": 1}, "'filters'"),
         )
     },
@@ -980,6 +998,13 @@ _BAD_INPUTS = {
     },
     "expressivity-width-float": (
         "expressivity", {"architectures": [{"kind": "mlp", "width": 2.5}]}, [], "'width'"
+    ),
+    # An empty list exited 0 with a header-only table; "swep" was read as a
+    # list of sections, and a string of targets as a list of paths.
+    "expressivity-architectures-empty": ("expressivity", {"architectures": []}, [], "'architectures'"),
+    "expressivity-architectures-string": ("expressivity", {"architectures": "swep"}, [], "'architectures'"),
+    "expressivity-targets-string": (
+        "expressivity", {**_SMALL_EXPRESSIVITY, "targets": "d.csv"}, [], "'targets'"
     ),
 }
 
@@ -998,7 +1023,7 @@ def test_cli_rejects_bad_input_before_any_output(
         if command == "expressivity":
             target = tmp_path / "target.csv"
             io.write_density_csv(target, np.full(32, 0.5), 8, 4)
-            cfg = {**cfg, "targets": [str(target)]}
+            cfg = {"targets": [str(target)], **cfg}
         cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
     assert run_cli(command, "--config", str(cfg_path), *flags, "--out", str(out)) == 2

@@ -1,9 +1,11 @@
 """Benchmark catalog and the analytic two-bar truss."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from topokit import fem, problems
+from topokit import fem, presets, problems
 from topokit.problems import (
     TwoBarProblem,
     make_problem,
@@ -12,8 +14,25 @@ from topokit.problems import (
 )
 
 
+def _same(a, b) -> bool:
+    """Equal in every field, arrays element by element and in dtype."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("name", problems.CATALOG + ("twobar",))
+def test_config_reader_builds_the_library_default(name):
+    # The reader had its own copies of the 64x32 grid and the penalty 3.
+    assert _same(presets.problem_from_config({"name": name}), make_problem(name))
+
+
 def test_michell_spec_constants():
-    spec = make_problem("michell", (64, 32), 0.6)
+    spec = make_problem("michell", 64, 32, 0.6)
     assert spec.domain.physics == "compliance"
     assert fem.MODULUS_SOLID["compliance"] == 10.0
     assert fem.MODULUS_VOID["compliance"] == 1e-9
@@ -24,7 +43,7 @@ def test_michell_spec_constants():
 
 
 def test_thermal_spec_constants():
-    spec = make_problem("thermal", (64, 64), 0.3)
+    spec = make_problem("thermal", 64, 64, 0.3)
     assert spec.domain.physics == "thermal"
     assert fem.MODULUS_SOLID["thermal"] == 1.0
     assert fem.MODULUS_VOID["thermal"] == 0.001
@@ -34,13 +53,13 @@ def test_thermal_spec_constants():
 
 
 def test_bridge_has_passive_deck():
-    spec = make_problem("bridge", (64, 32), 0.3)
+    spec = make_problem("bridge", 64, 32, 0.3)
     assert spec.domain.passive_solid.size == 2 * 64
     assert np.all(spec.domain.passive_solid < 2 * 64)
 
 
 def test_mechanism_springs_and_output_vector():
-    spec = make_problem("mechanism", (64, 32))
+    spec = make_problem("mechanism", 64, 32)
     assert spec.domain.physics == "mechanism"
     assert (fem.MODULUS_SOLID["mechanism"], fem.MODULUS_VOID["mechanism"]) == (10.0, 1e-9)
     assert spec.volume_target == 0.4
@@ -56,22 +75,22 @@ def test_unknown_problem_lists_catalog():
 
 
 def test_default_volume_targets():
-    assert make_problem("thermal", (8, 8)).volume_target == 0.3
-    assert make_problem("mechanism", (8, 4)).volume_target == 0.4
-    assert make_problem("mbb", (8, 4)).volume_target == 0.3
+    assert make_problem("thermal", 8, 8).volume_target == 0.3
+    assert make_problem("mechanism", 8, 4).volume_target == 0.4
+    assert make_problem("mbb", 8, 4).volume_target == 0.3
 
 
 @pytest.mark.parametrize("v0", [1.5, -0.2, 0.0, float("nan")])
 def test_volume_target_outside_unit_interval_rejected(v0):
     with pytest.raises(ValueError, match=r"volume target must lie in \(0, 1\]"):
-        make_problem("michell", (16, 8), v0=v0)
+        make_problem("michell", 16, 8, v0=v0)
 
 
 @pytest.mark.parametrize(
     "kwargs, named",
     [
-        ({"resolution": (8.0, 4)}, "'nx'"),
-        ({"resolution": (8, True)}, "'ny'"),
+        ({"nx": 8.0}, "'nx'"),
+        ({"ny": True}, "'ny'"),
         ({"v0": "0.5"}, "'v0'"),
         ({"penalty": True}, "'penalty'"),
         ({"penalty": None}, "'penalty'"),
@@ -89,30 +108,30 @@ def test_ill_typed_values_rejected(kwargs, named):
     # The CLI rows of test_io_cli.py cover "8", 8.5, true for v0 and "3"
     # for the penalty.
     with pytest.raises(ValueError, match=named):
-        make_problem("michell", **{"resolution": (8, 4), **kwargs})
+        make_problem("michell", **{"nx": 8, "ny": 4, **kwargs})
 
 
 def test_numpy_numbers_accepted():
-    spec = make_problem("michell", (np.int64(8), np.int32(4)), v0=np.float64(0.5), penalty=np.int64(3))
+    spec = make_problem("michell", np.int64(8), np.int32(4), v0=np.float64(0.5), penalty=np.int64(3))
     assert (spec.nx, spec.ny, spec.volume_target, spec.penalty) == (8, 4, 0.5, 3.0)
     assert type(spec.nx) is int
 
 
 def test_full_volume_target_accepted():
-    assert make_problem("michell", (16, 8), v0=1.0).volume_target == 1.0
+    assert make_problem("michell", 16, 8, v0=1.0).volume_target == 1.0
 
 
 def test_every_catalog_problem_feasible_at_uniform_density():
     for name in problems.CATALOG:
         res = (16, 16) if name == "thermal" else (16, 8)
-        spec = make_problem(name, res)
+        spec = make_problem(name, *res)
         uniform = np.full(spec.n_elements, spec.volume_target)
         assert uniform.mean() == pytest.approx(spec.volume_target, abs=1e-15)
 
 
 def test_loads_are_distributed_patches():
     for name in ("mbb", "michell", "cantilever", "tensile"):
-        spec = make_problem(name, (64, 32))
+        spec = make_problem(name, 64, 32)
         loaded = np.nonzero(spec.domain.load)[0]
         assert loaded.size == 5  # four element edges -> five nodes
         assert abs(spec.domain.load).sum() == pytest.approx(1.0, rel=1e-12)
@@ -236,4 +255,4 @@ def test_thermal_load_is_the_element_loop_sum(resolution):
             n_a = iy * (nx + 1) + ix
             for node in (n_a, n_a + 1, n_a + nx + 2, n_a + nx + 1):
                 expected[node] += 1.0 / (nx * ny) / 4.0
-    assert np.array_equal(make_problem("thermal", resolution).domain.load, expected)
+    assert np.array_equal(make_problem("thermal", *resolution).domain.load, expected)

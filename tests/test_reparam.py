@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 import topokit as tk
-from topokit import optimizers, reparam
+from topokit import optimizers, presets, reparam
 from topokit.reparam import ArchitectureSpec, DesignMap, NumericError
 
 
 def all_specs(small_grid=False):
     cnn = (
-        ArchitectureSpec(kind="cnn", cnn_upsample=(2, 2), cnn_filters=(2, 1))
+        ArchitectureSpec(kind="cnn", upsample=(2, 2), filters=(2, 1))
         if small_grid
         else ArchitectureSpec(kind="cnn")
     )
@@ -96,9 +96,9 @@ def test_cnn_runs_on_an_untiled_grid():
     "fields, named",
     [
         ({"kind": "siren", "omega0": False}, "'omega0'"),
-        ({"kind": "cnn", "cnn_channels": 1.0}, "'cnn_channels'"),
-        ({"kind": "cnn", "cnn_input_size": "1"}, "'cnn_input_size'"),
-        ({"kind": "cnn", "cnn_filters": [2, 1]}, "'cnn_filters'"),
+        ({"kind": "cnn", "channels": 1.0}, "'channels'"),
+        ({"kind": "cnn", "input_size": "1"}, "'input_size'"),
+        ({"kind": "cnn", "filters": [2, 1]}, "'filters'"),
     ],
     ids=["omega0-bool", "channels-float", "input-size-string", "filters-list"],
 )
@@ -110,10 +110,16 @@ def test_ill_typed_spec_rejected(fields, named):
         ArchitectureSpec(**fields)
 
 
+@pytest.mark.parametrize("kind", reparam.KINDS)
+def test_config_reader_builds_the_library_default(kind):
+    # A SIREN's width was 22 from a config and 20 from the library.
+    assert presets.spec_from_config({"kind": kind}) == ArchitectureSpec(kind=kind)
+
+
 def test_numpy_integers_accepted_by_spec_as_ints():
-    spec = ArchitectureSpec(kind="cnn", cnn_channels=np.int64(2), cnn_upsample=(np.int32(4), 8))
-    assert spec == ArchitectureSpec(kind="cnn", cnn_channels=2)
-    assert type(spec.cnn_channels) is int and all(type(f) is int for f in spec.cnn_upsample)
+    spec = ArchitectureSpec(kind="cnn", channels=np.int64(2), upsample=(np.int32(4), 8))
+    assert spec == ArchitectureSpec(kind="cnn", channels=2)
+    assert type(spec.channels) is int and all(type(f) is int for f in spec.upsample)
     json.dumps(reparam.param_layout(spec, 64, 32))
 
 
@@ -161,7 +167,7 @@ def test_vjp_matches_directional_finite_differences(kind):
         "siren": (ArchitectureSpec(kind="siren", width=22, omega0=10.0), 64, 32),
         "cnn": (ArchitectureSpec(kind="cnn"), 64, 32),
         "cnn-multichannel": (
-            ArchitectureSpec(kind="cnn", cnn_channels=3, cnn_filters=(3, 1), cnn_upsample=(2, 4)),
+            ArchitectureSpec(kind="cnn", channels=3, filters=(3, 1), upsample=(2, 4)),
             32,
             16,
         ),
@@ -444,7 +450,7 @@ def test_maps_sharing_a_workspace_match_fresh_maps():
 
 @pytest.mark.parametrize("kind", ["mlp", "siren", "cnn"])
 def test_nonfinite_parameter_names_its_layer(kind):
-    spec = ArchitectureSpec(kind=kind, width=6, hidden_layers=3, cnn_upsample=(2, 2))
+    spec = ArchitectureSpec(kind=kind, width=6, hidden_layers=3, upsample=(2, 2))
     grid = reparam.coordinate_grid(8, 4)
     theta = reparam.init_params(spec, 8, 4, seed=22)
     layout = reparam.param_layout(spec, 8, 4)
@@ -578,7 +584,7 @@ def _pretrain_reference(design_map, theta0, v0):
     [
         ArchitectureSpec(kind="mlp"),
         ArchitectureSpec(kind="siren", width=22, omega0=15.0),
-        ArchitectureSpec(kind="cnn", cnn_upsample=(2, 2)),
+        ArchitectureSpec(kind="cnn", upsample=(2, 2)),
     ],
     ids=["mlp", "siren", "cnn"],
 )

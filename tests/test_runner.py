@@ -12,7 +12,7 @@ from topokit.runner import run_optimization, threshold_and_rescale
 
 @pytest.fixture(scope="module")
 def small_problem():
-    return make_problem("mbb", (16, 8), 0.5)
+    return make_problem("mbb", 16, 8, 0.5)
 
 
 def test_zero_budget_records_only_initial_evaluation(small_problem):
@@ -101,6 +101,21 @@ def test_twobar_requires_mma():
         run_optimization(
             make_problem("twobar"),
             ArchitectureSpec(kind="siren"),
+            AdamConfig(learning_rate=0.1),
+            budget=1,
+        )
+
+
+def test_adam_at_full_volume_fails_before_initialisation(monkeypatch):
+    # The projection's check used to fire in the first pretraining forward.
+    def no_init(*args, **kwargs):
+        raise AssertionError("the parameters were initialised before the check")
+
+    monkeypatch.setattr(reparam, "init_params", no_init)
+    with pytest.raises(ValueError, match="strictly in"):
+        run_optimization(
+            make_problem("mbb", 8, 4, 1.0),
+            ArchitectureSpec(kind="mlp", width=4, hidden_layers=1),
             AdamConfig(learning_rate=0.1),
             budget=1,
         )
