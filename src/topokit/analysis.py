@@ -207,7 +207,8 @@ def performance_profile(values, cases: Sequence[str], tau_grid) -> np.ndarray:
     ``values`` is the solver-by-case metric matrix, one column per name in
     ``cases``, with +inf for a failed run. Returns an array of shape
     (n_solvers, len(tau_grid)); curves are monotone non-decreasing and reach
-    1 for solvers with all-finite rows.
+    1 for solvers with all-finite rows. ``tau_grid`` is a non-empty,
+    finite, non-decreasing sequence of ratios >= 1.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(cases):
@@ -215,6 +216,13 @@ def performance_profile(values, cases: Sequence[str], tau_grid) -> np.ndarray:
     if np.any(values < 0.0) or np.any(np.isnan(values)):
         raise ValueError("metric entries must be non-negative (or +inf for failures)")
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if not (
+        tau_grid.ndim == 1 and tau_grid.size and np.all(np.isfinite(tau_grid))
+        and tau_grid[0] >= 1.0 and np.all(np.diff(tau_grid) >= 0.0)
+    ):
+        raise ValueError(
+            f"tau grid must be non-empty, finite, non-decreasing and >= 1, got {tau_grid.tolist()!r:.60}"
+        )
     col_min = values.min(axis=0)
     if np.any(~np.isfinite(col_min)):
         bad = [cases[j] for j in np.nonzero(~np.isfinite(col_min))[0]]

@@ -353,13 +353,17 @@ def _json_object(run_dir: Path, name: str) -> dict:
     return value
 
 
+#: The ``profile --metric`` names and the metrics.json keys they read.
+_PROFILE_METRICS = {
+    "best_objective": "best_feasible_objective",
+    "converged_iteration": "converged_iteration",
+    "thresholded_compliance": "thresholded_objective_rescaled",
+}
+
+
 def cmd_profile(args):
-    metric_key = {
-        "best_objective": "best_feasible_objective",
-        "converged_iteration": "converged_iteration",
-        "thresholded_compliance": "thresholded_objective_rescaled",
-    }.get(args.metric, args.metric)
-    runs = {}  # (solver, case) -> (run directory, metric value)
+    metric_key = _PROFILE_METRICS[args.metric]
+    runs = {}  # (solver, case) -> (run directory, metric value, or None without the metric)
     for run_dir in map(Path, args.runs):
         manifest_path = run_dir / "manifest.json"
         if not manifest_path.exists():
@@ -373,12 +377,17 @@ def cmd_profile(args):
         label = _run_label(cfg)
         if label in runs:
             raise ValueError(f"{runs[label][0]} and {run_dir} are both {label[0]} on {label[1]}")
-        value = np.inf
+        value = np.inf  # a failed run writes no metrics.json
         if (run_dir / "metrics.json").exists():
-            value = _json_object(run_dir, "metrics.json").get(metric_key, np.inf)
-            if not pipeline.is_number(value):
+            metrics = _json_object(run_dir, "metrics.json")
+            # None leaves the run out: two-bar runs record no thresholded metric
+            value = metrics.get(metric_key)
+            if metric_key in metrics and not pipeline.is_number(value):
                 raise ValueError(f"{run_dir}: metric {metric_key!r} must be a number, got {value!r:.60}")
-        runs[label] = (run_dir, value if np.isfinite(value) else np.inf)
+        runs[label] = (run_dir, value if value is None or np.isfinite(value) else np.inf)
+    runs = {label: run for label, run in runs.items() if run[1] is not None}
+    if not runs:
+        raise ValueError(f"no run records the {args.metric} metric ({metric_key!r})")
     solvers = tuple(sorted({solver for solver, _ in runs}))
     cases = tuple(sorted({case for _, case in runs}))
     values = np.full((len(solvers), len(cases)), np.inf)
@@ -478,10 +487,10 @@ def cmd_threshold(args):
         raise FileNotFoundError(f"missing artifact {design_path}")
     image = io.read_field_csv(design_path)
     ny, nx = image.shape
+    if args.problem == "twobar":
+        raise ValueError("threshold needs a grid problem, not the two-bar truss")
     penalty = {} if args.penalty is None else {"penalty": args.penalty}
     problem = make_problem(args.problem, nx, ny, args.v0, **penalty)
-    if not isinstance(problem, ProblemSpec):
-        raise ValueError("threshold needs a grid problem, not the two-bar truss")
 
     def run(out: Path) -> int:
         result = _write_thresholded(out, problem, image.ravel())
@@ -524,11 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", help="performance profiles over run directories")
     p_prof.add_argument("--runs", nargs="+", required=True, help="run directories")
-    p_prof.add_argument(
-        "--metric",
-        default="best_objective",
-        help="best_objective, converged_iteration, or thresholded_compliance",
-    )
+    p_prof.add_argument("--metric", default="best_objective", choices=tuple(_PROFILE_METRICS))
     p_prof.add_argument("--tau-max", type=float, default=4.0, dest="tau_max")
     p_prof.add_argument("--tau-points", type=int, default=61, dest="tau_points")
     p_prof.add_argument("--out", help="output directory")

@@ -99,8 +99,9 @@ def make_problem(
 ):
     """Build a fully populated problem from the catalog.
 
-    ``make_problem("twobar")`` returns the analytic :class:`TwoBarProblem`;
-    every other name builds a grid case. The keyword arguments are the keys
+    ``make_problem("twobar")`` returns the analytic :class:`TwoBarProblem`
+    and rejects any other argument that differs from its default; every
+    other name builds a grid case. The keyword arguments are the keys
     of a grid ``problem`` config section, and this function owns their
     defaults and checks. ``nx`` and ``ny`` must be integers and ``v0``,
     ``penalty`` and ``filter_radius`` numbers, bools excluded. The volume
@@ -109,6 +110,10 @@ def make_problem(
     ``nx``.
     """
     if name == "twobar":
+        given = dict(nx=nx, ny=ny, v0=v0, penalty=penalty, filter_radius=filter_radius)
+        ignored = [key for key, default in zip(given, make_problem.__defaults__) if given[key] != default]
+        if ignored:
+            raise ValueError(f"the two-bar problem takes no {', '.join(map(repr, ignored))}")
         return TwoBarProblem()
     if name not in CATALOG:
         raise ValueError(f"unknown problem {name!r}; catalog: {', '.join(CATALOG + ('twobar',))}")

@@ -28,21 +28,24 @@ along the contiguous axis. The CNN's bilinear upsampling of a (c, h, w)
 stack is two matrix products, ``ry @ t @ rx.T``, with the adjoint
 ``ry.T @ du @ rx``; the interpolation matrices are cached per size.
 
-The MLP and SIREN write their tapes into the workspace of their network
-shape and grid size, cached like the interpolation matrices but one at a
-time: every layer's activations go into preallocated (width, n) arrays
-through ``out=`` and in-place ufuncs, and the VJP alternates between two
-more. Allocating them per call cost about 5 MB of fresh arrays per forward
-at 64x32, which the allocator maps from and returns to the OS on every
-call: on a 2-core x86-64 machine the 210 Adam steps of one MLP pretraining
-took 96k to 313k minor page faults and 0.3 to 0.9 s of system time in a
-fresh process, against under 1k faults and 0.01 s with the workspace. An
-MLP layer keeps two tapes, its standardized activations and its Leaky-ReLU
-output ``max(pre, LEAKY_SLOPE*pre)``; the VJP rebuilds the slope (1 where
-the output is positive, LEAKY_SLOPE elsewhere) in its scratch buffer, so
-an L-layer network holds 2L + 2 (width, n) arrays. Every reduction keeps
-its operands and its order, so the workspace changes no bit of a field or
-gradient.
+The MLP and SIREN are one coordinate network: dense layers on the element
+centres, each followed by batch normalization and Leaky-ReLU (MLP) or an
+omega0-scaled sine (SIREN). Only that activation and its VJP differ. The
+network writes its tape into the workspace of its shape and grid size,
+cached like the interpolation matrices but one at a time: every layer's
+activations go into preallocated (width, n) arrays through ``out=`` and
+in-place ufuncs, and the VJP alternates between two more. Allocating them
+per call cost about 5 MB of fresh arrays per forward at 64x32, which the
+allocator maps from and returns to the OS on every call: on a 2-core x86-64
+machine the 210 Adam steps of one MLP pretraining took 96k to 313k minor
+page faults and 0.3 to 0.9 s of system time in a fresh process, against
+under 1k faults and 0.01 s with the workspace. A layer keeps two tapes, its
+dense tape and its output, so an L-layer network holds 2L + 2 (width, n)
+arrays. The MLP's dense tape is its standardized activations, and the VJP
+rebuilds the Leaky-ReLU slope (1 where the output is positive, LEAKY_SLOPE
+elsewhere) in its scratch buffer. SIREN's is its phase, which the first VJP
+of a forward overwrites with its cosine. Every reduction keeps its operands
+and its order, so the workspace changes no bit of a field or gradient.
 
 The parameters θ are one flat float array. :func:`param_layout` names its
 segments in packing order, and :func:`unpack` views them by name.
@@ -253,15 +256,12 @@ def init_params(spec: ArchitectureSpec, nx: int, ny: int, seed: int) -> np.ndarr
     for name, shape in layout:
         if spec.kind == "direct":
             segments[name] = rng.uniform(0.0, 1.0, size=shape)
-        elif name.startswith("w") and name != "w_out":
+        elif name.startswith("w"):  # hidden and output weights
             fan_in = shape[1]
             if spec.kind == "siren" and name == "w0":
                 bound = 1.0 / fan_in
             else:
                 bound = np.sqrt(6.0 / fan_in)
-            segments[name] = rng.uniform(-bound, bound, size=shape)
-        elif name == "w_out":
-            bound = np.sqrt(6.0 / shape[1])
             segments[name] = rng.uniform(-bound, bound, size=shape)
         elif name.startswith("bn_scale"):
             segments[name] = np.ones(shape)
@@ -284,27 +284,19 @@ def _check_finite(array: np.ndarray, where: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# direct
-
-
-def _direct_forward_vjp(spec, values, grid, ws):
-    return values.copy(), lambda d_raw: d_raw.copy()
-
-
-# ---------------------------------------------------------------------------
 # coordinate networks (MLP / SIREN)
 
 
 class _Workspace:
-    """The tape buffers of one coordinate-network shape on one grid.
+    """The tape buffers of the coordinate network of one shape on one grid.
 
-    ``layers[i]`` holds hidden layer i's two (width, n) tape arrays: for the
-    MLP its standardized activations and its output, for SIREN its phase
-    (overwritten by its cosine on the first VJP of a forward) and its
-    output. ``work`` is two (width, n) buffers the VJP alternates
-    between; the forward uses the first as scratch. ``generation`` counts
-    the forwards written into the workspace, so a VJP closure can tell
-    whether its tape has been overwritten since.
+    ``layers[i]`` holds hidden layer i's two (width, n) tape arrays, its
+    dense tape and its output: the MLP's standardized activations or SIREN's
+    phase (its cosine after the first VJP of a forward). ``work`` is two
+    (width, n) buffers the VJP alternates between; the MLP forward uses the
+    first as scratch. ``generation`` counts the forwards written into the
+    workspace, so a VJP closure can tell whether its tape has been
+    overwritten since.
     """
 
     def __init__(self, hidden_layers: int, width: int, n: int):
@@ -335,98 +327,45 @@ def _check_current(ws: _Workspace, generation: int) -> None:
         )
 
 
-def _mlp_hidden(spec, params, grid, ws):
-    """Run the MLP's hidden layers into the workspace; return (tape, last activations).
-
-    Each layer's tape entry holds its (fan_in, n) input, the standardized
-    activations, the per-neuron inverse batch standard deviation and the
-    Leaky-ReLU output, which is positive exactly where the pre-activation is.
-    """
+def _coordinate_forward_vjp(spec, values, grid):
+    """The MLP or SIREN field and its VJP, taped in the workspace."""
+    layout = param_layout(spec, grid.nx, grid.ny)
+    params = unpack(values, layout)
+    ws = _workspace(spec, grid)
+    mlp = spec.kind == "mlp"
     z = grid.coords.T
     square = ws.work[0]
+    # Per layer: its (fan_in, n) input, its dense tape, the MLP's per-neuron
+    # inverse batch standard deviation or SIREN's frequency, and its output.
     tape = []
     for i in range(spec.hidden_layers):
-        scale, shift = params[f"bn_scale{i}"], params[f"bn_shift{i}"]
-        xhat, out = ws.layers[i]
-        np.matmul(params[f"w{i}"], z, out=xhat)
-        xhat += params[f"b{i}"][:, None]
-        xhat -= xhat.mean(axis=1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(np.multiply(xhat, xhat, out=square).mean(axis=1) + NORM_EPS)
-        xhat *= inv_std[:, None]
-        pre = np.multiply(scale[:, None], xhat, out=out)
-        pre += shift[:, None]
-        np.maximum(pre, np.multiply(pre, LEAKY_SLOPE, out=square), out=out)
-        _check_finite(out, f"mlp hidden layer {i}")
-        tape.append((z, xhat, inv_std, out))
-        z = out
-    return tape, z
-
-
-def _mlp_forward_vjp(spec, values, grid, ws):
-    layout = param_layout(spec, grid.nx, grid.ny)
-    params = unpack(values, layout)
-    tape, z = _mlp_hidden(spec, params, grid, ws)
-    raw = (params["w_out"] @ z + params["b_out"][:, None]).ravel()
-    _check_finite(raw, "mlp output layer")
-    generation = ws.generation
-
-    def vjp_fun(d_raw):
-        _check_current(ws, generation)
-        grad = np.empty(values.size)
-        grads = unpack(grad, layout)  # views that each segment's gradient fills
-        g_out = d_raw.reshape(1, -1)
-        grads["w_out"][...] = g_out @ z.T
-        grads["b_out"][...] = g_out.sum(axis=1)
-        gz, scratch = ws.work
-        np.multiply(params["w_out"].T, g_out, out=gz)
-        for i in reversed(range(spec.hidden_layers)):
-            z_in, xhat, inv_std, out = tape[i]
-            slope = np.greater(out, 0.0, out=scratch)
-            slope *= 1.0 - LEAKY_SLOPE
-            slope += LEAKY_SLOPE
-            gz *= slope
-            g_scale = np.multiply(gz, xhat, out=scratch).sum(axis=1)
-            g_shift = gz.sum(axis=1)
-            grads[f"bn_scale{i}"][...] = g_scale
-            grads[f"bn_shift{i}"][...] = g_shift
-            # backprop through batch statistics of the full grid
-            gz -= (g_shift / grid.size)[:, None]
-            gz -= np.multiply(xhat, (g_scale / grid.size)[:, None], out=scratch)
-            gz *= (params[f"bn_scale{i}"] * inv_std)[:, None]
-            grads[f"w{i}"][...] = gz @ z_in.T
-            grads[f"b{i}"][...] = gz.sum(axis=1)
-            if i:  # the input coordinates need no gradient
-                gz, scratch = np.matmul(params[f"w{i}"].T, gz, out=scratch), gz
-        return grad
-
-    return raw, vjp_fun
-
-
-def _siren_forward_vjp(spec, values, grid, ws):
-    layout = param_layout(spec, grid.nx, grid.ny)
-    params = unpack(values, layout)
-    z = grid.coords.T
-    tape = []
-    for i in range(spec.hidden_layers):
-        freq = spec.omega0 if i == 0 else 1.0
-        phase, out = ws.layers[i]
-        np.matmul(params[f"w{i}"], z, out=phase)
-        phase += params[f"b{i}"][:, None]
-        phase *= freq
-        np.sin(phase, out=out)
-        _check_finite(out, f"siren hidden layer {i}")
-        tape.append((z, phase, freq))
+        dense, out = ws.layers[i]
+        np.matmul(params[f"w{i}"], z, out=dense)
+        dense += params[f"b{i}"][:, None]
+        if mlp:
+            dense -= dense.mean(axis=1, keepdims=True)
+            factor = 1.0 / np.sqrt(np.multiply(dense, dense, out=square).mean(axis=1) + NORM_EPS)
+            dense *= factor[:, None]
+            pre = np.multiply(params[f"bn_scale{i}"][:, None], dense, out=out)
+            pre += params[f"bn_shift{i}"][:, None]
+            np.maximum(pre, np.multiply(pre, LEAKY_SLOPE, out=square), out=out)
+        else:
+            factor = spec.omega0 if i == 0 else 1.0
+            dense *= factor
+            np.sin(dense, out=out)
+        _check_finite(out, f"{spec.kind} hidden layer {i}")
+        tape.append((z, dense, factor, out))
         z = out
     raw = (params["w_out"] @ z + params["b_out"][:, None]).ravel()
-    _check_finite(raw, "siren output layer")
+    _check_finite(raw, f"{spec.kind} output layer")
     generation = ws.generation
     cosines_taped = False
 
     def vjp_fun(d_raw):
         nonlocal cosines_taped
         _check_current(ws, generation)
-        if not cosines_taped:  # MMA takes two VJPs per forward; take the cosines once
-            for _, phase, _ in tape:
+        if not (mlp or cosines_taped):  # MMA takes two VJPs per forward; take the cosines once
+            for _, phase, _, _ in tape:
                 np.cos(phase, out=phase)
             cosines_taped = True
         grad = np.empty(values.size)
@@ -437,9 +376,23 @@ def _siren_forward_vjp(spec, values, grid, ws):
         gz, scratch = ws.work
         np.multiply(params["w_out"].T, g_out, out=gz)
         for i in reversed(range(spec.hidden_layers)):
-            z_in, cos_phase, freq = tape[i]
-            gz *= freq
-            gz *= cos_phase
+            z_in, dense, factor, out = tape[i]
+            if mlp:
+                slope = np.greater(out, 0.0, out=scratch)
+                slope *= 1.0 - LEAKY_SLOPE
+                slope += LEAKY_SLOPE
+                gz *= slope
+                g_scale = np.multiply(gz, dense, out=scratch).sum(axis=1)
+                g_shift = gz.sum(axis=1)
+                grads[f"bn_scale{i}"][...] = g_scale
+                grads[f"bn_shift{i}"][...] = g_shift
+                # backprop through batch statistics of the full grid
+                gz -= (g_shift / grid.size)[:, None]
+                gz -= np.multiply(dense, (g_scale / grid.size)[:, None], out=scratch)
+                gz *= (params[f"bn_scale{i}"] * factor)[:, None]
+            else:
+                gz *= factor
+                gz *= dense  # the taped cosine
             grads[f"w{i}"][...] = gz @ z_in.T
             grads[f"b{i}"][...] = gz.sum(axis=1)
             if i:  # the input coordinates need no gradient
@@ -509,7 +462,7 @@ def _conv3x3_backward(
     return d_vpad[:, 1 : 1 + h, 1 : 1 + w], d_weights, d_bias
 
 
-def _cnn_forward_vjp(spec, values, grid, ws):
+def _cnn_forward_vjp(spec, values, grid):
     layout = param_layout(spec, grid.nx, grid.ny)
     params = unpack(values, layout)
     h0, w0 = _cnn_spatial(spec, grid.nx, grid.ny)
@@ -559,16 +512,6 @@ def _cnn_forward_vjp(spec, values, grid, ws):
 # ---------------------------------------------------------------------------
 # public surface
 
-#: Each takes (spec, values, grid, workspace); only the coordinate networks
-#: use the workspace.
-_FORWARD_VJP = {
-    "direct": _direct_forward_vjp,
-    "mlp": _mlp_forward_vjp,
-    "siren": _siren_forward_vjp,
-    "cnn": _cnn_forward_vjp,
-}
-
-
 def _segment_owner(kind: str, name: str) -> str:
     """The layer a parameter segment belongs to, for error messages."""
     if kind == "direct":
@@ -606,8 +549,11 @@ def forward_with_vjp(
         raise NumericError(
             f"non-finite parameter in segment {name!r} of the {_segment_owner(spec.kind, name)}"
         )
-    ws = _workspace(spec, grid) if spec.kind in ("mlp", "siren") else None
-    return _FORWARD_VJP[spec.kind](spec, values, grid, ws)
+    if spec.kind == "direct":
+        return values.copy(), lambda d_raw: d_raw.copy()
+    if spec.kind == "cnn":
+        return _cnn_forward_vjp(spec, values, grid)
+    return _coordinate_forward_vjp(spec, values, grid)
 
 
 class DesignMap:

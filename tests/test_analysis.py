@@ -238,14 +238,22 @@ def test_performance_profile_rejects_dead_case():
 
 
 def test_performance_profile_validation():
-    for values, match in (
-        ([[-1.0, 1.0]], "non-negative"),
-        ([[np.nan, 1.0]], "non-negative"),
-        (np.ones((2, 3)), "one column per case"),
-        ([1.0, 1.0], "one column per case"),
+    # An empty, NaN or descending tau grid gave a header-only, zero or
+    # descending profile.
+    for values, tau_grid, match in (
+        ([[-1.0, 1.0]], [1.0], "non-negative"),
+        ([[np.nan, 1.0]], [1.0], "non-negative"),
+        (np.ones((2, 3)), [1.0], "one column per case"),
+        ([1.0, 1.0], [1.0], "one column per case"),
+        ([[1.0, 1.0]], [], "tau grid"),
+        ([[1.0, 1.0]], [1.0, np.nan], "tau grid"),
+        ([[1.0, 1.0]], [1.0, np.inf], "tau grid"),
+        ([[1.0, 1.0]], [0.5, 1.0], "tau grid"),
+        ([[1.0, 1.0]], [1.0, 0.75, 0.5], "tau grid"),
+        ([[1.0, 1.0]], [[1.0, 2.0]], "tau grid"),
     ):
         with pytest.raises(ValueError, match=match):
-            performance_profile(values, ("x", "y"), np.array([1.0]))
+            performance_profile(values, ("x", "y"), np.array(tau_grid))
 
 
 def test_convergence_iteration_examples():

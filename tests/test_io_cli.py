@@ -1170,6 +1170,66 @@ def test_cli_profile_names_the_run_of_a_manifest_without_a_usable_config(tmp_pat
     assert not prof.exists()
 
 
+def _thresholded_run(path, problem: dict, value=None) -> str:
+    """A run directory for ``profile --metric thresholded_compliance``; a
+    two-bar run records no thresholded metric."""
+    run = _profiled_run(path, problem, "direct", 1.0)
+    if value is not None:
+        (path / "metrics.json").write_text(json.dumps({"thresholded_objective_rescaled": value}))
+    return run
+
+
+def test_cli_profile_leaves_out_runs_without_the_metric(tmp_path, capsys):
+    # Over the shipped presets it exited 2 with "every solver failed on
+    # case(s): twobar".
+    runs = [
+        _thresholded_run(tmp_path / "a", {"name": "twobar"}),
+        _thresholded_run(tmp_path / "b", {"name": "mbb", "nx": 8, "ny": 4}, 2.0),
+    ]
+    prof = tmp_path / "prof"
+    argv = ["profile", "--runs", *runs, "--metric", "thresholded_compliance", "--tau-points", "2"]
+    assert run_cli(*argv, "--out", str(prof)) == 0
+    assert "1 solvers x 1 cases" in capsys.readouterr().out
+    assert (prof / "profile.csv").read_text().splitlines() == ["tau,p_baseline+mma", "1.0,1.0", "4.0,1.0"]
+
+
+def test_cli_profile_without_a_run_that_records_the_metric_exits_2(tmp_path, capsys):
+    runs = [_thresholded_run(tmp_path / "a", {"name": "twobar"})]
+    prof = tmp_path / "prof"
+    assert run_cli("profile", "--runs", *runs, "--metric", "thresholded_compliance", "--out", str(prof)) == 2
+    assert capsys.readouterr().err == (
+        "error: no run records the thresholded_compliance metric ('thresholded_objective_rescaled')\n"
+    )
+    assert not prof.exists()
+
+
+def test_cli_profile_rejects_an_unknown_metric(tmp_path, capsys):
+    # A metric name that is no documented one was read as a raw
+    # metrics.json key, so every run counted as failed.
+    run = _profiled_run(tmp_path / "a", {"name": "mbb", "nx": 8, "ny": 4}, "direct", 1.0)
+    prof = tmp_path / "prof"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("profile", "--runs", run, "--metric", "typo_metric", "--out", str(prof))
+    assert exc.value.code == 2
+    assert "invalid choice: 'typo_metric'" in capsys.readouterr().err
+    assert not prof.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--tau-points", "0"], ["--tau-max", "nan", "--tau-points", "3"], ["--tau-max", "0.5"]],
+    ids=["no-points", "nan", "descending"],
+)
+def test_cli_profile_rejects_a_bad_tau_grid(tmp_path, capsys, flags):
+    # Each exited 0: with a header-only profile.csv, NaN taus and a curve of
+    # 0.0, or the descending grid 1.0, 0.75, 0.5.
+    run = _profiled_run(tmp_path / "a", {"name": "mbb", "nx": 8, "ny": 4}, "direct", 1.0)
+    prof = tmp_path / "prof"
+    assert run_cli("profile", "--runs", run, *flags, "--out", str(prof)) == 2
+    assert capsys.readouterr().err.startswith("error: tau grid must be")
+    assert not prof.exists()
+
+
 def test_import_topokit_loads_no_scipy():
     # The package only defers numpy's unused submodules; its modules import
     # scipy when they are imported themselves.

@@ -237,6 +237,14 @@ def test_make_problem_twobar():
     assert problems.TWOBAR_LENGTHS == (0.6, 0.4)
 
 
+def test_make_problem_twobar_rejects_arguments_it_would_ignore():
+    # It returned TwoBarProblem() and dropped them; a default given
+    # explicitly is not rejected.
+    with pytest.raises(ValueError, match=r"takes no 'nx', 'ny', 'v0', 'penalty'$"):
+        make_problem("twobar", 8, 4, 0.5, penalty="x")
+    assert isinstance(make_problem("twobar", 64, 32, penalty=3.0), TwoBarProblem)
+
+
 def test_twobar_problem_has_no_settable_fields():
     # The truss data are module constants; a field that nothing would read
     # must not be accepted silently.

@@ -489,12 +489,11 @@ def test_finite_activations_with_overflowing_sum_do_not_raise():
 def batchnorm_standardized_stats(spec, values, grid):
     """Per-layer (mean, variance) of the standardized MLP pre-activations.
 
-    The activations come from the same hidden-layer pass the MLP forward
-    runs, through its workspace.
+    The activations are the ones the MLP forward tapes in its workspace.
     """
-    params = reparam.unpack(values, reparam.param_layout(spec, grid.nx, grid.ny))
-    tape, _ = reparam._mlp_hidden(spec, params, grid, reparam._workspace(spec, grid))
-    return [(xhat.mean(axis=1), xhat.var(axis=1)) for _, xhat, _, _ in tape]
+    reparam.forward_with_vjp(spec, values, grid)
+    layers = reparam._shared_workspace(spec.hidden_layers, spec.width, grid.size).layers
+    return [(xhat.mean(axis=1), xhat.var(axis=1)) for xhat, _ in layers]
 
 
 def test_batchnorm_standardizes_every_hidden_layer():

@@ -41,3 +41,36 @@ def test_every_top_level_name_has_a_caller():
             referenced |= _referenced(stmt) - own
     uncalled = sorted(f"{module}:{name}" for name, module in defined.items() if name not in referenced)
     assert uncalled == sorted(f"{defined[name]}:{name}" for name in UNCALLED)
+
+
+def _assigned_fields(tree) -> set[tuple[str, str]]:
+    """(class, name) of every dataclass field and ``self.`` attribute assigned."""
+    fields = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        if any("dataclass" in ast.unparse(decorator) for decorator in cls.decorator_list):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    fields.add((cls.name, stmt.target.id))
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.value, ast.Name) and node.value.id == "self":
+                    fields.add((cls.name, node.attr))
+    return fields
+
+
+def test_every_assigned_field_has_a_reader():
+    # No field exists that nothing reads: each one is loaded as an attribute
+    # of that name somewhere in the package, its tests or the benchmark.
+    read = set()
+    for root in (SRC, Path(__file__).parent, SRC.parents[1] / "perfbench"):
+        for path in root.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    unread = sorted(
+        f"{path.name}:{cls}.{name}"
+        for path in SRC.glob("*.py")
+        for cls, name in _assigned_fields(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in read
+    )
+    assert unread == []
