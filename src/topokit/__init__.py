@@ -21,6 +21,13 @@ def _defer_unused_numpy_submodules() -> None:
     behave as before. This must run before the first import that reaches
     scipy. A submodule already imported is left alone; numpy.random and
     numpy.typing are used and stay eager.
+
+    numpy's own functions can still execute one: ``np.unique`` calls
+    ``np.ma.is_masked`` (numpy 2.4), and that first call loads numpy.ma in
+    11 ms and 1.8 MB of RSS. So topokit's code keeps off such functions
+    (``problems.make_problem`` sorts a set of fixed DOFs instead), and a
+    test runs an optimization of every pipeline and checks that each
+    deferred submodule is still unexecuted at its end.
     """
     for name in ("f2py", "testing", "ma", "polynomial", "ctypeslib", "rec", "char", "strings"):
         full_name = f"numpy.{name}"

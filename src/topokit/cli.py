@@ -47,7 +47,7 @@ import numpy as np
 
 from . import __version__, analysis, io, pipeline, presets, reparam
 from .problems import ProblemSpec, TwoBarProblem, make_problem
-from .runner import check_optimizer, run_optimization, theta_layout, threshold_and_rescale
+from .runner import check_optimizer, run_optimization, start_point, theta_layout, threshold_and_rescale
 
 FEASIBLE_FALLBACK_NOTE = "no feasible iterate; reporting the least-violating design"
 
@@ -441,7 +441,8 @@ def cmd_search(args):
     presets._reject_unknown_keys(search, _SEARCH_SECTION_KEYS, "search section")
     problem = presets.problem_from_config(base["problem"])
     spec = presets.spec_from_config(base.get("reparam", {}))
-    check_optimizer(problem, presets.optimizer_kind(base["optimizer"]))
+    kind = presets.optimizer_kind(base["optimizer"])
+    check_optimizer(problem, kind)
     theta0 = _theta0(base, theta_layout(problem, spec))
     budget, pretrain = _count(search, "budget", 60, 0), _pretrain(base)
     seed = _count(cfg, "seed", _count(base, "seed", 0, 0), 0)
@@ -449,6 +450,13 @@ def cmd_search(args):
     names = sorted(search["parameters"])
 
     def run(out: Path) -> int:
+        # Every trial starts from one point: pretrain once, not per trial.
+        start, pretrain_mse, start_error = theta0, None, None
+        if isinstance(problem, ProblemSpec):
+            try:
+                start, pretrain_mse = start_point(problem, spec, kind == "mma", seed, pretrain, theta0)
+            except Exception as exc:  # every trial fails with it below
+                start_error = exc
         rows = []
         best_value, best_combo = np.inf, None
         for trial, combo in enumerate(combos):
@@ -456,8 +464,10 @@ def cmd_search(args):
             value = np.inf
             try:
                 optimizer = presets.optimizer_from_config({**base["optimizer"], **combo})
+                if start_error is not None:
+                    raise start_error
                 traj = run_optimization(
-                    problem, spec, optimizer, budget=budget, seed=seed, pretrain=pretrain, theta0=theta0
+                    problem, spec, optimizer, budget=budget, seed=seed, pretrain=False, theta0=start
                 )
                 value = traj.best_feasible_objective
                 if not np.isfinite(value):
@@ -468,11 +478,13 @@ def cmd_search(args):
             if value < best_value:
                 best_value, best_combo = value, combo
         io.write_csv_table(out / "trials.csv", ["trial"] + names + ["objective", "status"], rows)
+        pretrained = {} if pretrain_mse is None else {"pretrain_mse": pretrain_mse}
         if best_combo is None:
-            _write_manifest(out, "search", cfg, {"status": "error", "error": "all trials failed"})
+            outcome = {"status": "error", "error": "all trials failed", **pretrained}
+            _write_manifest(out, "search", cfg, outcome)
             print("error: all trials failed", file=sys.stderr)
             return 1
-        outcome = {"status": "ok", "best": best_combo, "best_objective": best_value}
+        outcome = {"status": "ok", "best": best_combo, "best_objective": best_value, **pretrained}
         _write_manifest(out, "search", cfg, outcome)
         (out / "best.json").write_text(json.dumps(best_combo, indent=2) + "\n", encoding="utf-8")
         print(f"search: best objective {best_value:.6g} at {best_combo} -> {out}")

@@ -34,6 +34,22 @@ factorizations from 8.6-13.3 ms and 2.3-2.9k minor page faults to
 1.25 introduced (hence the ``numpy>=1.25`` floor) and took 10.6-10.9 ms
 per 160x80 assembly against 3.2-3.3 ms (numpy 2.4.6).
 
+SuperLU (Demmel et al. 1999) factors panels of :data:`LU_PANEL_SIZE`
+consecutive columns, and sizes its work arrays by that width; they sit
+above the factor at the high-water mark of every run. Its default is 20
+columns (scipy 1.17, with ``relax`` 10, which is kept). Widths 1, 2, 4
+and 8 were timed against it in fresh processes on random SIMP moduli,
+each process taking its fastest of 5-10 factorizations. 4 is the narrowest
+width that is no slower at every size. Medians of 6 alternating processes
+per side, the default against width 4 (2-core x86-64): 12.4 against 11.9
+ms at 64x32, 65.6 against 64.6 ms for the 128x64 mechanism, 115.5 against
+107.5 ms at 160x80, and 704 against 712 ms at 320x160, where 10 more
+alternating processes read 856 against 837 ms. Width 2 read 771 ms and
+width 1 over 800 ms at 320x160. The process's peak RSS fell from 119.4 to
+111.1 MB at 160x80 and from 314.6 to 283.1 MB at 320x160. The factors
+differ from the default's by round-off only. The width must never exceed
+20 (see the constant).
+
 The plan is read off the node stencil, without sorting the element
 entries: two DOFs couple exactly when their nodes lie in one 3x3 node
 neighbourhood, and free DOFs are numbered node by node. So a column holds
@@ -392,6 +408,14 @@ def _cached_plan(
 #: the 8x8 elastic element matrix.
 ASSEMBLY_BLOCK = 512
 
+#: SuperLU's panel width: the number of consecutive columns factored as one
+#: panel, which sizes its work arrays (the module docstring has the
+#: measurements). Never wider than 20, SuperLU's own default: wider panels
+#: overrun those arrays. Under glibc's checking allocator a 32x16 solve
+#: aborted at widths 21, 22 and 32 ("free(): invalid pointer", "corrupted
+#: size vs. prev_size"), and at 32 one of 4 plain processes aborted too.
+LU_PANEL_SIZE = 4
+
 
 def assemble_system(domain: GridDomain, modulus_field: np.ndarray) -> sparse.csc_matrix:
     """Reduced matrix K = sum_e E_e * k0 plus springs, fixed DOFs eliminated.
@@ -438,6 +462,7 @@ class _ReducedSolver:
                 self.k_ff,
                 permc_spec="NATURAL",
                 diag_pivot_thresh=0.0,
+                panel_size=LU_PANEL_SIZE,
                 options={"SymmetricMode": True},
             )
         except RuntimeError as exc:

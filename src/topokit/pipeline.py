@@ -113,6 +113,11 @@ def build_filter(nx: int, ny: int, rmin: float) -> FilterOperator:
     reach = int(np.ceil(rmin)) - 1
     offsets = np.arange(-reach, reach + 1)
     weights = np.maximum(0.0, rmin - np.hypot(offsets[:, None], offsets[None, :]))
+    # Filtering divides by the row sums, so the kernel's scale cancels.
+    # Scaling it by a power of two into [0.5, 1) is exact, and keeps a
+    # subnormal radius from rounding the products: at rmin 5e-324 a field of
+    # 0.7 filtered to 1.0 and its VJP overflowed.
+    weights = np.ldexp(weights, -np.frexp(weights.max())[1])
     width = nx + 2 * reach
     taps = tuple(
         (int(dy * width + dx), float(weights[dy, dx])) for dy, dx in zip(*np.nonzero(weights > 0.0))

@@ -212,7 +212,8 @@ def make_problem(
         nx=nx,
         ny=ny,
         physics=physics,
-        fixed_dofs=np.unique(np.asarray(fixed, dtype=int)),
+        # Not np.unique: it loads the deferred numpy.ma (see topokit/__init__.py).
+        fixed_dofs=np.array(sorted(set(fixed)), dtype=int),
         load=load,
         output_vector=output_vector,
         passive_solid=passive,

@@ -91,16 +91,33 @@ def check_optimizer(problem, kind: str) -> None:
         pipeline.check_projection_target(problem.volume_target)
 
 
+def start_point(problem: ProblemSpec, spec: ArchitectureSpec, use_mma: bool, seed, pretrain, theta0):
+    """The start θ of a grid run and its pretraining error (None without pretraining).
+
+    θ is ``theta0`` if given, else the network's seeded initialization. With
+    ``pretrain`` it is then fitted to the uniform field at the volume target
+    through the run's pipeline without the filter: sigmoid-bounded under MMA
+    (``use_mma``), the exact-volume projection under Adam. The start depends
+    on nothing else, so a sweep computes it once and passes it to every run
+    as ``theta0`` with ``pretrain=False``.
+    """
+    if theta0 is None:
+        theta0 = reparam.init_params(spec, problem.nx, problem.ny, seed)
+    theta = np.asarray(theta0, dtype=float)
+    if not pretrain:
+        return theta, None
+    v0 = problem.volume_target
+    grid = reparam.coordinate_grid(problem.nx, problem.ny)
+    result = reparam.pretrain_uniform(DesignMap(spec, grid, None, None if use_mma else v0), theta, v0)
+    return result.theta, result.mse
+
+
 def _grid_setup(problem: ProblemSpec, spec, optimizer, seed, pretrain, theta0):
     use_mma = isinstance(optimizer, MmaConfig)
+    theta, pretrain_mse = start_point(problem, spec, use_mma, seed, pretrain, theta0)
     grid = reparam.coordinate_grid(problem.nx, problem.ny)
-    theta = reparam.init_params(spec, problem.nx, problem.ny, seed) if theta0 is None else theta0
     v0 = problem.volume_target
     volume_target = None if use_mma else v0  # Adam projects onto it
-    pretrain_mse = None
-    if pretrain:
-        result = reparam.pretrain_uniform(DesignMap(spec, grid, None, volume_target), theta, v0)
-        theta, pretrain_mse = result.theta, result.mse
 
     filter_op = pipeline.build_filter(problem.nx, problem.ny, problem.filter_radius)
     design_map = DesignMap(spec, grid, filter_op, volume_target)

@@ -6,13 +6,20 @@ widely published coefficient vector); solves are checked against dense
 hand assemblies and sensitivities against central finite differences.
 """
 
+import ctypes.util
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import topokit
 from topokit import fem
 from topokit.fem import GridDomain, SingularSystemError
 from topokit.problems import CATALOG, make_problem
@@ -504,6 +511,48 @@ def test_assembly_holds_no_per_entry_array():
     finally:
         tracemalloc.stop()
     assert peak < domain.n_elements * 64 * 8
+
+
+@pytest.mark.skipif(
+    ctypes.util.find_library("c_malloc_debug") is None, reason="needs glibc's libc_malloc_debug"
+)
+def test_lu_settings_keep_the_heap_intact_under_glibc_checks():
+    # SuperLU's work arrays are sized by the panel width; panels wider than
+    # 20 overrun them. glibc's checking allocator aborts on the corruption
+    # that a plain process may survive.
+    code = (
+        "import sys, numpy as np; from topokit import fem; "
+        "from topokit.problems import CATALOG, make_problem\n"
+        "for nx, ny in ((16, 8), (33, 17), (64, 32)):\n"
+        "    for name in CATALOG:\n"
+        "        problem = make_problem(name, nx, ny, None)\n"
+        "        rho = np.random.default_rng(nx).uniform(0.0, 1.0, problem.n_elements)\n"
+        "        fem.evaluate_objective(problem.domain, rho, problem.penalty)\n"
+        "print('ok')"
+    )
+    src = str(Path(topokit.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "LD_PRELOAD": "libc_malloc_debug.so.0",
+        "MALLOC_CHECK_": "3",
+    }
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_solve_matches_default_superlu(name):
+    # The tuned factorization (nested-dissection order, diagonal pivots,
+    # symmetric mode, narrow panels) against SuperLU at its defaults.
+    problem = make_problem(name, 33, 17, None)
+    domain = problem.domain
+    modulus = fem.simp_modulus(domain, np.random.default_rng(5).uniform(0.0, 1.0, problem.n_elements), 3.0)
+    order = fem.solve_plan(domain).order
+    expected = spla.splu(fem.assemble_system(domain, modulus)).solve(domain.load[order])
+    u = fem.assemble_and_solve(domain, modulus)[order]
+    assert np.abs(u - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def test_penalty_below_one_rejected():

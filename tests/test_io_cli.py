@@ -14,6 +14,7 @@ import pytest
 import topokit
 from topokit import cli, io, presets, reparam
 from topokit.optimizers import Trajectory
+from topokit.runner import run_optimization
 
 
 def test_density_csv_roundtrip_exact(tmp_path):
@@ -395,6 +396,69 @@ def test_cli_search_skips_failing_trial(tmp_path):
         "failed: ValueError: move limit and asymptote initialization must be positive"
     )
     assert status["2.0"] == "ok"
+
+
+_NETWORK_SEARCH = {
+    "base": {
+        "problem": {"name": "michell", "nx": 16, "ny": 8},
+        "reparam": {"kind": "mlp"},
+        "optimizer": {"kind": "mma", "move_limit": 0.003, "asyinit": 0.2, "theta_bound": 2.0},
+        "seed": 1,
+    },
+    "search": {"mode": "grid", "parameters": {"move_limit": [0.05, 0.1, 0.2]}, "budget": 3},
+}
+
+
+def _search_rows(out):
+    with open(out / "trials.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_cli_search_pretrains_once_and_matches_single_runs(tmp_path, monkeypatch):
+    calls = []
+    pretrain_uniform = reparam.pretrain_uniform
+
+    def counted(*args):
+        calls.append(args)
+        return pretrain_uniform(*args)
+
+    monkeypatch.setattr(reparam, "pretrain_uniform", counted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_NETWORK_SEARCH))
+    out = tmp_path / "search"
+    assert run_cli("search", "--config", str(cfg_path), "--out", str(out)) == 0
+    assert len(calls) == 1
+    outcome = json.loads((out / "manifest.json").read_text())["outcome"]
+
+    # Each trial is the run that pretrains for itself, bit for bit.
+    base = _NETWORK_SEARCH["base"]
+    problem = presets.problem_from_config(base["problem"])
+    spec = presets.spec_from_config(base["reparam"])
+    rows = _search_rows(out)
+    assert "ok" in {row["status"] for row in rows}
+    for row in rows:
+        optimizer = presets.optimizer_from_config({**base["optimizer"], "move_limit": float(row["move_limit"])})
+        traj = run_optimization(problem, spec, optimizer, budget=3, seed=1)
+        assert row["objective"] == repr(traj.best_feasible_objective)
+        assert outcome["pretrain_mse"] == traj.pretrain_mse
+
+
+def test_cli_search_fails_every_trial_when_pretraining_fails(tmp_path, monkeypatch, capsys):
+    def failing(*args):
+        raise FloatingPointError("pretraining diverged")
+
+    monkeypatch.setattr(reparam, "pretrain_uniform", failing)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_NETWORK_SEARCH))
+    out = tmp_path / "search"
+    assert run_cli("search", "--config", str(cfg_path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: all trials failed\n"
+    rows = _search_rows(out)
+    assert len(rows) == 3
+    assert {row["status"] for row in rows} == {"failed: FloatingPointError: pretraining diverged"}
+    outcome = json.loads((out / "manifest.json").read_text())["outcome"]
+    assert outcome == {"status": "error", "error": "all trials failed"}
+    assert not (out / "best.json").exists()
 
 
 def _rejected(tmp_path, capsys, command, cfg, key):
@@ -828,6 +892,40 @@ def test_cli_main_freezes_the_import_heap_once(tmp_path):
     assert enabled and at_import == 0
     assert after_first > 1000
     assert after_second == after_first
+
+
+def test_optimize_runs_leave_numpy_deferred_submodules_unexecuted(tmp_path):
+    # np.unique reaches numpy.ma (np.ma.is_masked), which costs a run 1.8 MB
+    # and 11 ms; every numpy submodule that topokit's import defers must
+    # still be unexecuted when a run of each pipeline has finished.
+    configs = [
+        ("michell", "direct", {"kind": "mma", "move_limit": 0.1, "asyinit": 0.2}),
+        ("michell", "mlp", {"kind": "mma", "move_limit": 0.003, "asyinit": 0.2}),
+        ("michell", "siren", {"kind": "adam", "learning_rate": 0.01}),
+        ("mechanism", "cnn", {"kind": "mma", "move_limit": 0.003, "asyinit": 0.1}),
+    ]
+    paths = [tmp_path / f"cfg{i}.json" for i in range(len(configs))]
+    for path, (name, kind, optimizer) in zip(paths, configs):
+        cfg = {"problem": {"name": name, "nx": 16, "ny": 8}, "reparam": {"kind": kind}, "optimizer": optimizer}
+        path.write_text(json.dumps({**cfg, "budget": 1, "seed": 0}))
+    code = (
+        "import json, sys, types, topokit.cli; "
+        "lazy = sorted(n for n, m in sys.modules.items() "
+        "if n.startswith('numpy.') and type(m) is not types.ModuleType); "
+        "codes = [topokit.cli.main(['optimize', '--config', path, '--out', path + '.out']) "
+        "for path in sys.argv[1:]]; "
+        "print(json.dumps([codes, lazy, [n for n in lazy if type(sys.modules[n]) is types.ModuleType]]))"
+    )
+    src = str(Path(topokit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *map(str, paths)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    codes, lazy, executed = json.loads(done.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(configs)
+    assert {"numpy.ma", "numpy.testing", "numpy.f2py"} <= set(lazy)
+    assert executed == []
 
 
 _SMALL_OPTIMIZE = {

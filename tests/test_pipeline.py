@@ -85,10 +85,12 @@ def test_filter_matches_dense_on_random_fields():
 def test_filter_correlation_sums_in_sparse_row_order():
     # The unnormalized correlation adds one kernel entry at a time in the
     # order a CSR matrix of the weights sums each row, so the two agree
-    # bit for bit.
+    # bit for bit. build_filter scales the kernel by a power of two into
+    # [0.5, 1), which is exact.
     rng = np.random.default_rng(9)
     for nx, ny, rmin in ((13, 7, 3.2), (2, 9, 2.5)):
-        weights = sparse.csr_matrix(dense_cone_weights(nx, ny, rmin))
+        dense = dense_cone_weights(nx, ny, rmin)
+        weights = sparse.csr_matrix(np.ldexp(dense, -np.frexp(dense.max())[1]))
         filt = pipeline.build_filter(nx, ny, rmin)
         x = rng.uniform(0, 1, nx * ny)
         assert np.array_equal(pipeline._correlate(filt, x.reshape(ny, nx)).ravel(), weights @ x)
@@ -101,6 +103,23 @@ def test_filter_adjoint_identity():
         x = rng.uniform(0, 1, 32)
         w = rng.standard_normal(32)
         assert filt.apply(x) @ w == pytest.approx(x @ filt.vjp(w), abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nx=st.integers(1, 40),
+    ny=st.integers(1, 40),
+    rmin=st.floats(0.0, 6.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_is_adjoint_on_any_grid(nx, ny, rmin, seed):
+    filt = pipeline.build_filter(nx, ny, rmin)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, nx * ny)
+    w = rng.standard_normal(nx * ny)
+    forward, adjoint = filt.apply(x), filt.vjp(w)
+    scale = np.abs(forward) @ np.abs(w)
+    assert abs(forward @ w - x @ adjoint) <= 1e-12 * scale
 
 
 def test_filter_shape_mismatch_rejected():
@@ -321,6 +340,26 @@ def test_threshold_tie_break_prefers_low_indices():
     out = pipeline.threshold(np.full(2048, 0.5), 0.3)
     assert np.all(out[:613] == 1.0)
     assert np.all(out[613:] == 0.001)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    target=st.floats(-0.5, 1.5),
+    levels=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_threshold_keeps_the_counted_densest_elements(n, target, levels, seed):
+    # Few distinct levels make ties common.
+    rho = np.random.default_rng(seed).integers(0, levels, n) / levels
+    out = pipeline.threshold(rho, target)
+    kept = min(max(pipeline.threshold_count(n, target), 0), n)
+    solid = np.flatnonzero(out == 1.0)
+    assert solid.size == kept
+    assert np.count_nonzero(out == 0.001) == n - kept
+    # The kept set is the first ``kept`` of a sort by density, descending,
+    # with ties toward lower indices.
+    assert np.array_equal(solid, np.sort(sorted(range(n), key=lambda i: (-rho[i], i))[:kept]))
 
 
 def test_rescale_thresholded_compliance():
