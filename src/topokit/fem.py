@@ -50,6 +50,20 @@ width 1 over 800 ms at 320x160. The process's peak RSS fell from 119.4 to
 differ from the default's by round-off only. The width must never exceed
 20 (see the constant).
 
+Each factorization also maps SuperLU's work arrays afresh, because glibc
+serves allocations that large with mmap and unmaps them on free: 8.5k
+minor page faults per factorization at 160x80 (about 34 MB of pages), 4.9k
+for the 128x64 mechanism and 1.0k at 64x32, in isolated ``splu`` loops on
+random SIMP moduli. Heap-backed work arrays remove the faults (tested with
+``mallopt`` raising ``M_MMAP_THRESHOLD`` and ``M_TRIM_THRESHOLD`` to 1 GiB
+around ``splu``): a factorization took 85-88 instead of 100-110 ms at
+160x80, 46-49 instead of 54-58 ms for the mechanism and 8.1-8.4 instead of
+9.7-10.6 ms at 64x32 (2-core x86-64). But the process's max RSS rose by
+20, 8 and 3 MB, because freed heap blocks are carved again at shifting
+offsets (thresholds fixed from the start of the process still gave +14.6
+MB at 160x80). So the allocator keeps its defaults; a factor that owns and
+reuses its storage would save the faults without that cost.
+
 The plan is read off the node stencil, without sorting the element
 entries: two DOFs couple exactly when their nodes lie in one 3x3 node
 neighbourhood, and free DOFs are numbered node by node. So a column holds

@@ -17,6 +17,20 @@ without them it took 23-36 ms in all 12. Adam's global-norm clip and the
 trajectory's gradient norms and angles reduce without BLAS for the same
 reason.
 
+For the same thinness the subsolve holds its m-long state (multipliers,
+slacks, their Newton steps and the m-long residual and step-ratio terms)
+as lists of Python floats, updated in one loop over the constraints, and
+solves the m-by-m Newton system, which is symmetric positive definite by
+construction, with a small LDL^T. Every grid run has m = 1: there each of
+the dozens of numpy calls per Newton step on a 1-element array cost
+0.4-2 us and ``np.linalg.solve`` 15-20 us, while the float arithmetic is
+the same operation for operation, and at m = 1 the LDL^T is rhs / a, which
+is what LAPACK returned. So grid runs are bit-identical to the array
+version. Per subsolve on the 39 subproblems of the three MMA benchmark
+configs (2-core x86-64 VM, median of 21 rounds) the time fell from 6.2 to
+4.6 ms at n = 1961, 13.8 to 12.2 ms at n = 8504 and 23.7 to 21.0 ms at
+n = 12 800.
+
 Adam is the standard bias-corrected variant, preceded by global-norm
 gradient clipping.
 
@@ -29,6 +43,7 @@ belongs to its decision vector and lives in ``MmaState``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -59,7 +74,8 @@ ADAM_EPS = 1e-8
 
 
 class SubproblemError(RuntimeError):
-    """The MMA subproblem solver failed to reach its target residual."""
+    """The MMA subproblem solver failed: its Newton system was not positive
+    definite, or it stalled above its target residual."""
 
 
 def _require_numbers(config) -> None:
@@ -114,6 +130,15 @@ class MmaState:
             raise ValueError("need lower < upper elementwise")
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    """Raise ValueError naming ``name`` and its first non-finite entry."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = np.unravel_index(int(np.argmin(finite)), values.shape)
+        where = ", ".join(map(str, index))
+        raise ValueError(f"{name}[{where}] is {float(values[index])}, not a finite value")
+
+
 def mma_step(
     state: MmaState,
     x: np.ndarray,
@@ -126,11 +151,14 @@ def mma_step(
 
     ``g`` holds the constraint values (g_i <= 0 feasible) and ``dgdx`` their
     gradients, one row per constraint. The state is updated in place.
+    Raises ValueError if any of them holds a NaN or an infinity.
     """
     x = np.asarray(x, dtype=float).ravel()
     dfdx = np.asarray(dfdx, dtype=float).ravel()
     g = np.atleast_1d(np.asarray(g, dtype=float))
     dgdx = np.asarray(dgdx, dtype=float).reshape(g.size, x.size)
+    for name, values in (("x", x), ("dfdx", dfdx), ("g", g), ("dgdx", dgdx)):
+        _require_finite(name, values)
     n = x.size
     xmin, xmax = state.lower, state.upper
     xrange = xmax - xmin
@@ -197,20 +225,22 @@ def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, c_const) -> np.ndar
     finds the z step on its own. The n-long terms of a point are computed
     once, when the line search visits it, and reused by the Newton step
     taken from it; every n-long product is an ``np.einsum`` or an
-    elementwise reduction (see the module docstring for why not BLAS).
+    elementwise reduction, and the m-long state is held in lists of floats
+    (see the module docstring for both).
     """
     m = p_mat.shape[0]
-    c_vec = np.full(m, c_const)
+    c_const = float(c_const)
+    b = b.tolist()
     epsi = 1.0
     x = 0.5 * (alfa + beta)
-    y = np.ones(m)
+    y = [1.0] * m
     z = 1.0
-    lam = np.ones(m)
+    lam = [1.0] * m
     xsi = np.maximum(1.0 / (x - alfa), 1.0)
     eta = np.maximum(1.0 / (beta - x), 1.0)
-    mu = np.maximum(1.0, 0.5 * c_vec)
+    mu = [max(1.0, 0.5 * c_const)] * m
     zet = 1.0
-    s = np.ones(m)
+    s = [1.0] * m
 
     def terms(x, lam):
         """The n-long terms at (x, lam): gaps to the bounds, reciprocal
@@ -222,26 +252,31 @@ def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, c_const) -> np.ndar
         xlinv2 = xlinv * xlinv
         plam = p0 + np.einsum("i,ij->j", lam, p_mat)
         qlam = q0 + np.einsum("i,ij->j", lam, q_mat)
-        gvec = np.einsum("ij,j->i", p_mat, uxinv) + np.einsum("ij,j->i", q_mat, xlinv)
+        gvec = (np.einsum("ij,j->i", p_mat, uxinv) + np.einsum("ij,j->i", q_mat, xlinv)).tolist()
         dpsi = plam * uxinv2 - qlam * xlinv2
         return x - alfa, beta - x, uxinv, xlinv, uxinv2, xlinv2, plam, qlam, gvec, dpsi
 
     def residual(point, y, z, lam, xsi, eta, mu, zet, s, epsi):
         """2-norm and max-abs of the relaxed KKT residual."""
         xa, bx, *_, gvec, dpsi = point
-        long_parts = (dpsi - xsi + eta, xsi * xa - epsi, eta * bx - epsi)
-        short_parts = (
-            c_vec + D_CONST * y - mu - lam,
-            gvec - y + s - b,
-            mu * y - epsi,
-            lam * s - epsi,
-        )
-        scalars = (A0 - zet, zet * z - epsi)
-        square_sum = sum(float(np.einsum("i,i->", r, r)) for r in long_parts + short_parts)
-        square_sum += sum(r * r for r in scalars)
-        res_max = max(max(float(r.max()), -float(r.min())) for r in long_parts + short_parts)
-        res_max = max(res_max, *(abs(r) for r in scalars))
-        return np.sqrt(square_sum), res_max
+        square_sum = 0.0
+        res_max = 0.0
+        for r in (dpsi - xsi + eta, xsi * xa - epsi, eta * bx - epsi):
+            square_sum += float(np.einsum("i,i->", r, r))
+            res_max = max(res_max, float(np.maximum.reduce(r)), -float(np.minimum.reduce(r)))
+        for i in range(m):
+            for r in (
+                c_const + D_CONST * y[i] - mu[i] - lam[i],
+                gvec[i] - y[i] + s[i] - b[i],
+                mu[i] * y[i] - epsi,
+                lam[i] * s[i] - epsi,
+            ):
+                square_sum += r * r
+                res_max = max(res_max, abs(r))
+        for r in (A0 - zet, zet * z - epsi):
+            square_sum += r * r
+            res_max = max(res_max, abs(r))
+        return math.sqrt(square_sum), res_max
 
     point = terms(x, lam)
     while epsi > SUBPROBLEM_EPSILON:
@@ -254,59 +289,57 @@ def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, c_const) -> np.ndar
             bx_inv = 1.0 / bx
             gg = p_mat * uxinv2 - q_mat * xlinv2
             delx = dpsi - epsi * xa_inv + epsi * bx_inv
-            dely = c_vec + D_CONST * y - lam - epsi / y
             delz = A0 - epsi / z
-            dellam = gvec - y - b + epsi / lam
             diagx = 2.0 * (plam * uxinv2 * uxinv + qlam * xlinv2 * xlinv)
             diagx_inv = 1.0 / (diagx + xsi * xa_inv + eta * bx_inv)
-            diagy = D_CONST + mu / y
-            diaglam = s / lam + 1.0 / diagy
 
             # m-by-m system in dlam; n is usually much larger than m.
-            blam = dellam + dely / diagy - np.einsum("ij,j->i", gg, delx * diagx_inv)
-            aa = np.einsum("ij,kj->ik", gg * diagx_inv, gg)
-            aa[np.diag_indices(m)] += diaglam
-            try:
-                dlam = np.linalg.solve(aa, blam)
-            except np.linalg.LinAlgError as exc:
-                raise SubproblemError(f"Newton system is singular: {exc}") from exc
+            gg_delx = np.einsum("ij,j->i", gg, delx * diagx_inv).tolist()
+            aa = np.einsum("ij,kj->ik", gg * diagx_inv, gg).tolist()
+            dely, diagy, blam = [], [], []
+            for i in range(m):
+                dely.append(c_const + D_CONST * y[i] - lam[i] - epsi / y[i])
+                diagy.append(D_CONST + mu[i] / y[i])
+                aa[i][i] += s[i] / lam[i] + 1.0 / diagy[i]
+                dellam = gvec[i] - y[i] - b[i] + epsi / lam[i]
+                blam.append(dellam + dely[i] / diagy[i] - gg_delx[i])
+            dlam = _solve_spd(aa, blam)
             dz = -delz * z / zet
             dx = -(delx + np.einsum("i,ij->j", dlam, gg)) * diagx_inv
-            dy = (dlam - dely) / diagy
             dxsi = -xsi + (epsi - xsi * dx) * xa_inv
             deta = -eta + (epsi + eta * dx) * bx_inv
-            dmu = -mu + (epsi - mu * dy) / y
             dzet = -zet + (epsi - zet * dz) / z
-            ds = -s + (epsi - s * dlam) / lam
 
             # Largest step that keeps every variable and gap positive, with
             # a 1% margin.
             ratio = max(
-                -float((dx * xa_inv).min()),
-                float((dx * bx_inv).max()),
-                -float((dxsi / xsi).min()),
-                -float((deta / eta).min()),
-                -float((dy / y).min()),
-                -float((dlam / lam).min()),
-                -float((dmu / mu).min()),
-                -float((ds / s).min()),
+                -float(np.minimum.reduce(dx * xa_inv)),
+                float(np.maximum.reduce(dx * bx_inv)),
+                -float(np.minimum.reduce(dxsi / xsi)),
+                -float(np.minimum.reduce(deta / eta)),
                 -dz / z,
                 -dzet / zet,
             )
+            dy, dmu, ds = [], [], []
+            for i in range(m):
+                dy.append((dlam[i] - dely[i]) / diagy[i])
+                dmu.append(-mu[i] + (epsi - mu[i] * dy[i]) / y[i])
+                ds.append(-s[i] + (epsi - s[i] * dlam[i]) / lam[i])
+                ratio = max(ratio, -dy[i] / y[i], -dlam[i] / lam[i], -dmu[i] / mu[i], -ds[i] / s[i])
             step = 1.0 / max(1.01 * ratio, 1.0)
 
             res_old = res_norm
             for _ in range(50):
                 trial = (
                     x + step * dx,
-                    y + step * dy,
+                    [v + step * dv for v, dv in zip(y, dy)],
                     z + step * dz,
-                    lam + step * dlam,
+                    [v + step * dv for v, dv in zip(lam, dlam)],
                     xsi + step * dxsi,
                     eta + step * deta,
-                    mu + step * dmu,
+                    [v + step * dv for v, dv in zip(mu, dmu)],
                     zet + step * dzet,
-                    s + step * ds,
+                    [v + step * dv for v, dv in zip(s, ds)],
                 )
                 trial_point = terms(trial[0], trial[3])
                 res_norm, res_max = residual(trial_point, *trial[1:], epsi)
@@ -320,6 +353,31 @@ def _subsolve(low, upp, alfa, beta, p0, q0, p_mat, q_mat, b, c_const) -> np.ndar
                 f"subproblem stalled at dual residual {res_max:.3e} (barrier {epsi:.1e})"
             )
         epsi *= 0.1
+    return x
+
+
+def _solve_spd(a: list[list[float]], rhs: list[float]) -> list[float]:
+    """Solve ``a @ x = rhs`` by LDL^T for a small symmetric positive definite
+    ``a`` given as rows of floats; at m = 1 the result is rhs / a exactly.
+
+    Raises :class:`SubproblemError` on a pivot that is not positive.
+    """
+    m = len(rhs)
+    lower = [[0.0] * m for _ in range(m)]  # L below its unit diagonal
+    pivots = []
+    for j in range(m):
+        pivot = a[j][j] - sum(lower[j][k] * lower[j][k] * pivots[k] for k in range(j))
+        if not pivot > 0.0:
+            raise SubproblemError(f"Newton system is not positive definite: pivot {j} is {pivot:.3e}")
+        pivots.append(pivot)
+        for i in range(j + 1, m):
+            lower[i][j] = (a[i][j] - sum(lower[i][k] * lower[j][k] * pivots[k] for k in range(j))) / pivot
+    w = []
+    for i in range(m):
+        w.append(rhs[i] - sum(lower[i][k] * w[k] for k in range(i)))
+    x = [0.0] * m
+    for i in reversed(range(m)):
+        x[i] = w[i] / pivots[i] - sum(lower[k][i] * x[k] for k in range(i + 1, m))
     return x
 
 
@@ -356,14 +414,19 @@ def _norm(x: np.ndarray) -> float:
 
 
 def clip_by_global_norm(grad: np.ndarray, threshold: float) -> np.ndarray:
+    """``grad`` scaled to norm ``threshold`` if it is longer; raises
+    ValueError on a NaN or infinite entry."""
     norm = _norm(grad)
+    if not math.isfinite(norm):  # a non-finite entry, or squares past the float range
+        _require_finite("gradient", grad)
     if np.isfinite(threshold) and norm > threshold:
         return grad * (threshold / norm)
     return grad
 
 
 def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray, cfg: AdamConfig) -> np.ndarray:
-    """One bias-corrected Adam update after global-norm clipping."""
+    """One bias-corrected Adam update after global-norm clipping; raises
+    ValueError on a non-finite gradient."""
     theta = np.asarray(theta, dtype=float)
     grad = clip_by_global_norm(np.asarray(grad, dtype=float), cfg.grad_clip)
     state.t += 1

@@ -1,7 +1,12 @@
 """Landscape slices, trajectory metrics, PSNR, profiles, convergence."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from topokit import analysis, reparam
 from topokit.analysis import CONVERGENCE_TOL_FRACTION, convergence_iteration, performance_profile, psnr
@@ -80,6 +85,31 @@ def test_count_interior_maxima_with_noise_floor():
     # sub-floor jitter is ignored
     jitter = np.array([0.0, 1e-5, 0.0, 10.0, 0.0, 10.0])
     assert analysis.count_interior_maxima(jitter) == 1
+
+
+#: Slices with plateaus and ties (small integers) and without (floats).
+_SLICES = st.integers(3, 59).flatmap(
+    lambda n: st.one_of(
+        hnp.arrays(float, n, elements=st.integers(0, 4).map(float)),
+        hnp.arrays(float, n, elements=st.floats(-3.0, 3.0)),
+    )
+)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.01, 0.2])
+@settings(max_examples=150, deadline=None)
+@given(objectives=_SLICES)
+def test_count_interior_maxima_matches_find_peaks(fraction, objectives):
+    # The count follows scipy.signal.find_peaks, which the package no longer
+    # imports: plateau midpoints and prominences as find_peaks defines them.
+    from scipy.signal import find_peaks
+
+    value_range = objectives.max() - objectives.min()
+    expected = 0
+    if value_range > 0.0:
+        expected = find_peaks(objectives, prominence=fraction * value_range)[0].size
+    with mock.patch.object(analysis, "NOISE_FLOOR_FRACTION", fraction):
+        assert analysis.count_interior_maxima(objectives) == expected
 
 
 def test_trajectory_metrics_reference_angles():

@@ -897,35 +897,46 @@ def test_cli_main_freezes_the_import_heap_once(tmp_path):
 def test_optimize_runs_leave_numpy_deferred_submodules_unexecuted(tmp_path):
     # np.unique reaches numpy.ma (np.ma.is_masked), which costs a run 1.8 MB
     # and 11 ms; every numpy submodule that topokit's import defers must
-    # still be unexecuted when a run of each pipeline has finished.
+    # still be unexecuted when a run of each pipeline has finished. A
+    # landscape run must also leave scipy.signal unimported (0.7-0.8 s, and
+    # it executes numpy.ma and numpy.polynomial through scipy.stats).
     configs = [
         ("michell", "direct", {"kind": "mma", "move_limit": 0.1, "asyinit": 0.2}),
         ("michell", "mlp", {"kind": "mma", "move_limit": 0.003, "asyinit": 0.2}),
         ("michell", "siren", {"kind": "adam", "learning_rate": 0.01}),
         ("mechanism", "cnn", {"kind": "mma", "move_limit": 0.003, "asyinit": 0.1}),
     ]
-    paths = [tmp_path / f"cfg{i}.json" for i in range(len(configs))]
-    for path, (name, kind, optimizer) in zip(paths, configs):
-        cfg = {"problem": {"name": name, "nx": 16, "ny": 8}, "reparam": {"kind": kind}, "optimizer": optimizer}
-        path.write_text(json.dumps({**cfg, "budget": 1, "seed": 0}))
+    runs = [
+        ("optimize", {"problem": {"name": name, "nx": 16, "ny": 8}, "reparam": {"kind": kind},
+                      "optimizer": optimizer, "budget": 1, "seed": 0})
+        for name, kind, optimizer in configs
+    ]
+    runs.append(("landscape", {**_SMALL_LANDSCAPE, "reparams": [{"kind": "direct"}], "n_alpha": 5}))
+    args = []
+    for i, (command, cfg) in enumerate(runs):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        args += [command, str(path)]
     code = (
         "import json, sys, types, topokit.cli; "
         "lazy = sorted(n for n, m in sys.modules.items() "
         "if n.startswith('numpy.') and type(m) is not types.ModuleType); "
-        "codes = [topokit.cli.main(['optimize', '--config', path, '--out', path + '.out']) "
-        "for path in sys.argv[1:]]; "
-        "print(json.dumps([codes, lazy, [n for n in lazy if type(sys.modules[n]) is types.ModuleType]]))"
+        "codes = [topokit.cli.main([command, '--config', path, '--out', path + '.out']) "
+        "for command, path in zip(sys.argv[1::2], sys.argv[2::2])]; "
+        "print(json.dumps([codes, lazy, [n for n in lazy if type(sys.modules[n]) is types.ModuleType], "
+        "'scipy.signal' in sys.modules]))"
     )
     src = str(Path(topokit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", code, *map(str, paths)], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    codes, lazy, executed = json.loads(done.stdout.strip().splitlines()[-1])
-    assert codes == [0] * len(configs)
+    codes, lazy, executed, signal_imported = json.loads(done.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(runs)
     assert {"numpy.ma", "numpy.testing", "numpy.f2py"} <= set(lazy)
     assert executed == []
+    assert not signal_imported
 
 
 _SMALL_OPTIMIZE = {

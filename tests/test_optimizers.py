@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from topokit import optimizers, presets, runner
 from topokit.optimizers import (
@@ -9,6 +12,7 @@ from topokit.optimizers import (
     AdamState,
     MmaConfig,
     MmaState,
+    SubproblemError,
     Trajectory,
     adam_step,
     clip_by_global_norm,
@@ -61,6 +65,34 @@ def test_mma_descends_on_linear_objective_with_inactive_constraints():
     dgdx = np.array([[-0.1, 0.05], [0.02, -0.1]])
     x_next = mma_step(state, x, np.array([0.6, 0.8]), g, dgdx, cfg)
     assert np.all(x_next < x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name, index", [("x", (3,)), ("dfdx", (2,)), ("g", (0,)), ("dgdx", (0, 4))])
+def test_mma_step_rejects_non_finite_input(name, index, bad):
+    # A NaN in dfdx used to end the subsolve at its start point (the middle
+    # of every move box), and a NaN in g returned an all-NaN x.
+    args = {
+        "x": np.full(5, 0.5),
+        "dfdx": np.linspace(-1.0, 1.0, 5),
+        "g": np.array([0.1]),
+        "dgdx": np.ones((1, 5)),
+    }
+    args[name][index] = bad
+    state = MmaState(lower=np.zeros(5), upper=np.ones(5))
+    where = ", ".join(map(str, index))
+    with pytest.raises(ValueError, match=rf"^{name}\[{where}\] is {bad}, not a finite value"):
+        mma_step(state, cfg=MmaConfig(move_limit=0.1, asyinit=0.2), **args)
+    assert state.xold1 is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_step_rejects_non_finite_gradient(bad):
+    # The NaN used to reach theta, and the next forward blamed a parameter.
+    state = AdamState.zeros(3)
+    with pytest.raises(ValueError, match=rf"^gradient\[1\] is {bad}, not a finite value"):
+        adam_step(state, np.zeros(3), np.array([0.5, bad, 0.0]), AdamConfig(learning_rate=0.1))
+    assert state.t == 0
 
 
 def test_adam_zero_gradient_is_identity():
@@ -315,3 +347,50 @@ def test_twobar_presets_match_reference_subsolve(monkeypatch, name):
     for x_new, x_ref in calls:
         assert x_ref.size == (2 if name == "twobar-baseline" else 3)
         assert np.abs(x_new - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+def _spd(factor, shift):
+    return factor @ factor.T + shift * np.eye(len(factor))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    system=st.integers(1, 3).flatmap(
+        lambda m: st.tuples(
+            hnp.arrays(float, (m, m), elements=st.floats(-10.0, 10.0)),
+            st.floats(1e-3, 10.0),
+            hnp.arrays(float, m, elements=st.floats(-1e3, 1e3)),
+        )
+    )
+)
+def test_solve_spd_solves_spd_systems(system):
+    factor, shift, rhs = system
+    a = _spd(factor, shift)
+    x = np.array(optimizers._solve_spd(a.tolist(), rhs.tolist()))
+    # LDL^T of an SPD matrix is backward stable, so the residual is bounded
+    # by a small multiple of eps * |a| |x| <= eps * cond(a) * |rhs|.
+    residual = np.abs(a @ x - rhs).max()
+    assert residual <= 1e-12 * np.linalg.cond(a) * np.abs(rhs).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(1e-300, 1e300), b=st.floats(-1e300, 1e300))
+def test_solve_spd_of_one_constraint_is_the_quotient(a, b):
+    assert optimizers._solve_spd([[a]], [b]) == [b / a]
+
+
+@pytest.mark.parametrize(
+    "a, pivot",
+    [
+        ([[0.0]], 0),
+        ([[-1.0]], 0),
+        ([[np.nan]], 0),
+        ([[1.0, 2.0], [2.0, 1.0]], 1),
+        ([[1.0, 1.0], [1.0, 1.0]], 1),
+        ([[4.0, 2.0, 0.0], [2.0, 2.0, 1.0], [0.0, 1.0, 0.25]], 2),
+    ],
+    ids=["zero", "negative", "nan", "indefinite", "singular", "indefinite-third-pivot"],
+)
+def test_solve_spd_names_the_failing_pivot(a, pivot):
+    with pytest.raises(SubproblemError, match=f"pivot {pivot} is"):
+        optimizers._solve_spd(a, [1.0] * len(a))
