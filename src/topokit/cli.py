@@ -76,10 +76,9 @@ def _load_config(args) -> dict:
         cfg = presets._section(json.loads(text), args.config)
     else:
         raise ValueError("provide --config PATH or --preset NAME")
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "budget", None) is not None:
-        cfg["budget"] = args.budget
+    for key in ("seed", "budget", "snapshot_every"):  # flags that override the config
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 
@@ -119,6 +118,18 @@ def _theta0(cfg: dict, layout) -> list | None:
         if not (pipeline.is_number(value) and math.isfinite(value)):
             raise ValueError(f"'theta0' entry {index} must be a finite number, got {value!r}")
     return theta0
+
+
+def _run_config(cfg: dict):
+    """The problem, reparameterization, optimizer kind, θ layout, ``theta0``
+    and pretraining flag of an ``optimize`` config or a search's base run,
+    each checked, the problem × optimizer rules included."""
+    problem = presets.problem_from_config(cfg["problem"])
+    spec = presets.spec_from_config(cfg.get("reparam", {}))
+    kind = presets.optimizer_kind(cfg["optimizer"])
+    check_optimizer(problem, kind)
+    layout = theta_layout(problem, spec)
+    return problem, spec, kind, layout, _theta0(cfg, layout), _pretrain(cfg)
 
 
 def _check_random_range(name: str, bounds) -> None:
@@ -161,14 +172,10 @@ def _write_thresholded(out: Path, problem: ProblemSpec, design) -> dict:
 def cmd_optimize(args):
     cfg = _load_config(args)
     presets._reject_unknown_keys(cfg, _OPTIMIZE_KEYS, "optimize")
-    problem = presets.problem_from_config(cfg["problem"])
-    spec = presets.spec_from_config(cfg.get("reparam", {}))
+    problem, spec, _, layout, theta0, pretrain = _run_config(cfg)
     optimizer = presets.optimizer_from_config(cfg["optimizer"])
-    check_optimizer(problem, presets.optimizer_kind(cfg["optimizer"]))
-    layout = theta_layout(problem, spec)
-    theta0 = _theta0(cfg, layout)
-    budget, seed, pretrain = _count(cfg, "budget", 100, 0), _count(cfg, "seed", 0, 0), _pretrain(cfg)
-    snapshot_every = _count(vars(args), "snapshot_every", 0, 0) or _count(cfg, "snapshot_every", 0, 0)
+    budget, seed = _count(cfg, "budget", 100, 0), _count(cfg, "seed", 0, 0)
+    snapshot_every = _count(cfg, "snapshot_every", 0, 0)
 
     def run(out: Path) -> int:
         try:
@@ -439,24 +446,19 @@ def cmd_search(args):
     base, search = cfg["base"], cfg["search"]
     presets._reject_unknown_keys(base, _SEARCH_BASE_KEYS, "search base")
     presets._reject_unknown_keys(search, _SEARCH_SECTION_KEYS, "search section")
-    problem = presets.problem_from_config(base["problem"])
-    spec = presets.spec_from_config(base.get("reparam", {}))
-    kind = presets.optimizer_kind(base["optimizer"])
-    check_optimizer(problem, kind)
-    theta0 = _theta0(base, theta_layout(problem, spec))
-    budget, pretrain = _count(search, "budget", 60, 0), _pretrain(base)
+    problem, spec, kind, _, theta0, pretrain = _run_config(base)
+    budget = _count(search, "budget", 60, 0)
     seed = _count(cfg, "seed", _count(base, "seed", 0, 0), 0)
     combos = _search_combos(search, seed)
     names = sorted(search["parameters"])
 
     def run(out: Path) -> int:
         # Every trial starts from one point: pretrain once, not per trial.
-        start, pretrain_mse, start_error = theta0, None, None
-        if isinstance(problem, ProblemSpec):
-            try:
-                start, pretrain_mse = start_point(problem, spec, kind == "mma", seed, pretrain, theta0)
-            except Exception as exc:  # every trial fails with it below
-                start_error = exc
+        start, pretrain_mse, start_error = None, None, None
+        try:
+            start, pretrain_mse = start_point(problem, spec, kind == "mma", seed, pretrain, theta0)
+        except Exception as exc:  # every trial fails with it below
+            start_error = exc
         rows = []
         best_value, best_combo = np.inf, None
         for trial, combo in enumerate(combos):
@@ -532,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run one optimization")
     add_common(p_opt)
     p_opt.add_argument("--budget", type=int, help="override the evaluation budget")
-    p_opt.add_argument("--snapshot-every", type=int, default=0, dest="snapshot_every")
+    p_opt.add_argument("--snapshot-every", type=int, dest="snapshot_every")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_land = sub.add_parser("landscape", help="1-D objective landscape slices")

@@ -44,6 +44,7 @@ belongs to its decision vector and lives in ``MmaState``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -415,18 +416,34 @@ def _norm(x: np.ndarray) -> float:
 
 def clip_by_global_norm(grad: np.ndarray, threshold: float) -> np.ndarray:
     """``grad`` scaled to norm ``threshold`` if it is longer; raises
-    ValueError on a NaN or infinite entry."""
+    ValueError on a NaN or infinite entry, or on an entry of the result whose
+    square overflows (above about 1.3e154, left when ``threshold`` is
+    infinite or above that)."""
     norm = _norm(grad)
-    if not math.isfinite(norm):  # a non-finite entry, or squares past the float range
-        _require_finite("gradient", grad)
-    if np.isfinite(threshold) and norm > threshold:
-        return grad * (threshold / norm)
+    if math.isfinite(norm):
+        if np.isfinite(threshold) and norm > threshold:
+            return grad * (threshold / norm)
+        return grad
+    _require_finite("gradient", grad)
+    # The squares passed the float range: the norm is scale times that of
+    # grad / scale, whose squares are at most 1.
+    scale = float(np.maximum.reduce(np.abs(grad)))
+    unit = grad / scale
+    norm = _norm(unit)
+    if np.isfinite(threshold) and norm > threshold / scale:
+        grad = unit * (threshold / norm)
+    with np.errstate(over="ignore"):
+        overflows = ~np.isfinite(grad**2)
+    if overflows.any():
+        index = int(np.argmax(overflows))
+        raise ValueError(f"gradient[{index}] is {float(grad[index])}, whose square overflows")
     return grad
 
 
 def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray, cfg: AdamConfig) -> np.ndarray:
     """One bias-corrected Adam update after global-norm clipping; raises
-    ValueError on a non-finite gradient."""
+    ValueError on a non-finite gradient, or on an entry whose square
+    overflows after clipping (``grad_clip`` infinite or above about 1.3e154)."""
     theta = np.asarray(theta, dtype=float)
     grad = clip_by_global_norm(np.asarray(grad, dtype=float), cfg.grad_clip)
     state.t += 1
@@ -454,9 +471,27 @@ def gradient_angle(current: np.ndarray, previous: np.ndarray) -> float:
     return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """One evaluation of a run's θ: the objective, the volume (NaN on the
+    two-bar), the violation (0 when feasible), the objective's gradient in θ
+    and the design. Under MMA it also holds the constraint values (g_i <= 0
+    feasible) and ``jacobian``, a zero-argument callable giving their
+    gradients, one row per constraint; Adam leaves both None."""
+
+    objective: float
+    volume: float
+    violation: float
+    gradient: np.ndarray
+    design: np.ndarray
+    constraints: np.ndarray | None = None
+    jacobian: Callable[[], np.ndarray] | None = None
+
+
 @dataclass
 class Trajectory:
-    """Per-iteration record of one optimization run.
+    """Per-iteration record of one optimization run: :meth:`record` takes
+    each :class:`Evaluation` and keeps copies of its gradient and design.
 
     ``theta`` is the run's final point and ``pretrain_mse`` the error its
     pretraining reached, None for a run that did not pretrain.
@@ -475,26 +510,20 @@ class Trajectory:
     theta: np.ndarray | None = None
     pretrain_mse: float | None = None
 
-    def record(
-        self,
-        objective: float,
-        volume: float,
-        violation: float,
-        gradient: np.ndarray,
-        design: np.ndarray,
-    ) -> None:
-        gradient = np.asarray(gradient, dtype=float).copy()
+    def record(self, evaluation: Evaluation) -> None:
+        objective, violation = evaluation.objective, evaluation.violation
+        gradient = np.asarray(evaluation.gradient, dtype=float).copy()
         if self.gradients:
             angle = gradient_angle(gradient, self.gradients[-1])
         else:
             angle = float("nan")
         self.objective.append(float(objective))
-        self.volume.append(float(volume))
+        self.volume.append(float(evaluation.volume))
         self.constraint_violation.append(float(violation))
         self.grad_norm.append(_norm(gradient))
         self.grad_angle.append(angle)
         self.gradients.append(gradient)
-        design = np.asarray(design, dtype=float).copy()
+        design = np.asarray(evaluation.design, dtype=float).copy()
         self.designs.append(design)
         if violation <= FEASIBLE_TOL and objective < self.best_feasible_objective:
             self.best_feasible_objective = float(objective)

@@ -1,13 +1,13 @@
 """The optimization loop composing reparameterizations with the physics.
 
-Each problem kind has a setup that returns the start point, the bounds of
-the MMA box and an evaluator ``evaluate(x)``. The evaluator returns the
-objective, volume, violation and objective gradient, the constraint values,
-a zero-argument callable giving the constraint Jacobian, and the design.
-One loop in ``run_optimization`` drives MMA or Adam over any evaluator. It
-calls the Jacobian only right before an MMA step, so no constraint gradient
-is taken after the final evaluation. A run returns its
-:class:`optimizers.Trajectory`, which is the one run record: every
+:func:`start_point` decides every run's start θ, grid or two-bar. Each
+problem kind has an evaluator ``evaluate(x)`` returning an
+:class:`optimizers.Evaluation`: objective, volume, violation, gradient and
+design, and under MMA the constraint values and a zero-argument callable
+giving their Jacobian. One loop in ``run_optimization`` drives MMA or Adam
+over any evaluator. It calls the Jacobian only right before an MMA step, so
+no constraint gradient is taken after the final evaluation. A run returns
+its :class:`optimizers.Trajectory`, which is the one run record: every
 evaluation, the final point θ and the pretraining error.
 
 Grid problems run one of two pipelines, both composed by
@@ -35,7 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import fem, pipeline, reparam
-from .optimizers import AdamConfig, AdamState, MmaConfig, MmaState, Trajectory, adam_step, mma_step
+from .optimizers import (
+    AdamConfig, AdamState, Evaluation, MmaConfig, MmaState, Trajectory, adam_step, mma_step
+)
 from .problems import (
     TWOBAR_AREA_BOX,
     TWOBAR_THETA0,
@@ -91,20 +93,28 @@ def check_optimizer(problem, kind: str) -> None:
         pipeline.check_projection_target(problem.volume_target)
 
 
-def start_point(problem: ProblemSpec, spec: ArchitectureSpec, use_mma: bool, seed, pretrain, theta0):
-    """The start θ of a grid run and its pretraining error (None without pretraining).
+def start_point(problem, spec: ArchitectureSpec, use_mma: bool, seed, pretrain, theta0):
+    """The start θ of a run and its pretraining error (None without pretraining).
 
-    θ is ``theta0`` if given, else the network's seeded initialization. With
-    ``pretrain`` it is then fitted to the uniform field at the volume target
+    θ is ``theta0`` if given, checked against :func:`theta_layout` first.
+    Otherwise it is the two-bar's unit areas (direct) or ``TWOBAR_THETA0``
+    (siren), or a grid network's seeded initialization. On a grid,
+    ``pretrain`` then fits θ to the uniform field at the volume target
     through the run's pipeline without the filter: sigmoid-bounded under MMA
     (``use_mma``), the exact-volume projection under Adam. The start depends
     on nothing else, so a sweep computes it once and passes it to every run
     as ``theta0`` with ``pretrain=False``.
     """
-    if theta0 is None:
-        theta0 = reparam.init_params(spec, problem.nx, problem.ny, seed)
-    theta = np.asarray(theta0, dtype=float)
-    if not pretrain:
+    size = reparam.layout_size(theta_layout(problem, spec))
+    if theta0 is not None:
+        theta = np.array(theta0, dtype=float)
+        if theta.shape != (size,):
+            raise ValueError(f"theta0 has shape {theta.shape}, layout needs {size}")
+    elif isinstance(problem, TwoBarProblem):
+        theta = np.array((1.0, 1.0) if spec.kind == "direct" else TWOBAR_THETA0, dtype=float)
+    else:
+        theta = reparam.init_params(spec, problem.nx, problem.ny, seed)
+    if not pretrain or isinstance(problem, TwoBarProblem):
         return theta, None
     v0 = problem.volume_target
     grid = reparam.coordinate_grid(problem.nx, problem.ny)
@@ -112,62 +122,42 @@ def start_point(problem: ProblemSpec, spec: ArchitectureSpec, use_mma: bool, see
     return result.theta, result.mse
 
 
-def _grid_setup(problem: ProblemSpec, spec, optimizer, seed, pretrain, theta0):
-    use_mma = isinstance(optimizer, MmaConfig)
-    theta, pretrain_mse = start_point(problem, spec, use_mma, seed, pretrain, theta0)
-    grid = reparam.coordinate_grid(problem.nx, problem.ny)
+def _grid_evaluator(problem: ProblemSpec, spec: ArchitectureSpec, use_mma: bool):
     v0 = problem.volume_target
-    volume_target = None if use_mma else v0  # Adam projects onto it
-
+    grid = reparam.coordinate_grid(problem.nx, problem.ny)
     filter_op = pipeline.build_filter(problem.nx, problem.ny, problem.filter_radius)
-    design_map = DesignMap(spec, grid, filter_op, volume_target)
-    n = problem.n_elements
-    if use_mma:
-        b = optimizer.theta_bound
-        box = (0.0, 1.0) if spec.kind == "direct" else (-b, b)
-        cotangent = np.full(n, 1.0 / (n * v0))  # of the volume constraint
-    else:
-        box = cotangent = None
+    design_map = DesignMap(spec, grid, filter_op, None if use_mma else v0)  # Adam projects onto v0
+    cotangent = np.full(problem.n_elements, 1.0 / (problem.n_elements * v0))  # of the volume constraint
 
-    def evaluate(values):
+    def evaluate(values) -> Evaluation:
         rho, vjp_fun = design_map.forward_with_vjp(values)
         ev = evaluate_design(problem, rho)
         grad = vjp_fun(ev.grad_wrt_density)
         vol = pipeline.volume_fraction(rho)
         violation = max(0.0, vol / v0 - 1.0)
-        if cotangent is None:  # Adam: the projection pins the volume
-            return ev.value, vol, violation, grad, None, None, rho
+        if not use_mma:  # the projection pins the volume
+            return Evaluation(ev.value, vol, violation, grad, rho)
         g = np.array([vol / v0 - 1.0])
-        return ev.value, vol, violation, grad, g, lambda: vjp_fun(cotangent).reshape(1, -1), rho
-
-    return theta, box, evaluate, pretrain_mse
-
-
-def _twobar_setup(reparam_spec: ArchitectureSpec, optimizer, theta0):
-    if reparam_spec.kind == "direct":  # theta_layout admits direct and siren only
-        start, box = (1.0, 1.0), TWOBAR_AREA_BOX
-
-        def areas_and_jacobian(values):
-            return np.clip(values, *TWOBAR_AREA_BOX), np.eye(2)
-
-    else:
-        b = optimizer.theta_bound
-        start, box = TWOBAR_THETA0, (-b, b)
-
-        def areas_and_jacobian(values):
-            return twobar_siren_forward(values, reparam_spec.omega0)
-
-    theta = np.array(start, dtype=float) if theta0 is None else theta0
-
-    def evaluate(values):
-        areas, jac = areas_and_jacobian(values)
-        ev = twobar_eval(areas[0], areas[1])
-        violation = max(0.0, float(ev.gbar.max()))
-        return (
-            ev.mass, float("nan"), violation, ev.dmass @ jac, ev.gbar, lambda: ev.dgbar @ jac, areas
+        return Evaluation(
+            ev.value, vol, violation, grad, rho, g, lambda: vjp_fun(cotangent).reshape(1, -1)
         )
 
-    return theta, box, evaluate, None
+    return evaluate
+
+
+def _twobar_evaluator(spec: ArchitectureSpec):
+    def evaluate(values) -> Evaluation:
+        if spec.kind == "direct":  # theta_layout admits direct and siren only
+            areas, jac = np.clip(values, *TWOBAR_AREA_BOX), np.eye(2)
+        else:
+            areas, jac = twobar_siren_forward(values, spec.omega0)
+        ev = twobar_eval(areas[0], areas[1])
+        violation = max(0.0, float(ev.gbar.max()))
+        return Evaluation(
+            ev.mass, float("nan"), violation, ev.dmass @ jac, areas, ev.gbar, lambda: ev.dgbar @ jac
+        )
+
+    return evaluate
 
 
 def run_optimization(
@@ -191,33 +181,28 @@ def run_optimization(
         raise TypeError(f"unsupported problem type {type(problem)!r}")
     use_mma = isinstance(optimizer, MmaConfig)
     check_optimizer(problem, "mma" if use_mma else "adam")
-    size = reparam.layout_size(theta_layout(problem, reparam_spec))
-    if theta0 is not None:
-        theta0 = np.array(theta0, dtype=float)
-        if theta0.shape != (size,):
-            raise ValueError(f"theta0 has shape {theta0.shape}, layout needs {size}")
+    x, pretrain_mse = start_point(problem, reparam_spec, use_mma, seed, pretrain, theta0)
     if isinstance(problem, TwoBarProblem):
-        theta, box, evaluate, pretrain_mse = _twobar_setup(reparam_spec, optimizer, theta0)
+        evaluate = _twobar_evaluator(reparam_spec)
     else:
-        theta, box, evaluate, pretrain_mse = _grid_setup(
-            problem, reparam_spec, optimizer, seed, pretrain, theta0
-        )
+        evaluate = _grid_evaluator(problem, reparam_spec, use_mma)
 
-    if use_mma:
-        lo, hi = box
-        state = MmaState(lower=np.full(size, lo), upper=np.full(size, hi))
-        x = np.clip(theta, lo, hi)
+    if use_mma:  # direct variables keep their physical box, network weights get ±theta_bound
+        b = optimizer.theta_bound
+        physical = TWOBAR_AREA_BOX if isinstance(problem, TwoBarProblem) else (0.0, 1.0)
+        lo, hi = physical if reparam_spec.kind == "direct" else (-b, b)
+        state = MmaState(lower=np.full(x.size, lo), upper=np.full(x.size, hi))
+        x = np.clip(x, lo, hi)
     else:
-        state = AdamState.zeros(size)
-        x = theta
+        state = AdamState.zeros(x.size)
     trajectory = Trajectory(pretrain_mse=pretrain_mse)
     for it in range(budget + 1):
         if it:
             if use_mma:
-                x = mma_step(state, x, grad, g, jacobian(), optimizer)
+                x = mma_step(state, x, last.gradient, last.constraints, last.jacobian(), optimizer)
             else:
-                x = adam_step(state, x, grad, optimizer)
-        objective, volume, violation, grad, g, jacobian, design = evaluate(x)
-        trajectory.record(objective, volume, violation, grad, design)
+                x = adam_step(state, x, last.gradient, optimizer)
+        last = evaluate(x)
+        trajectory.record(last)
     trajectory.theta = x
     return trajectory

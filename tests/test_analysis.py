@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from topokit import analysis, reparam
 from topokit.analysis import CONVERGENCE_TOL_FRACTION, convergence_iteration, performance_profile, psnr
-from topokit.optimizers import Trajectory
+from topokit.optimizers import Evaluation, Trajectory
 from topokit.problems import make_problem
 from topokit.reparam import ArchitectureSpec
 
@@ -122,7 +122,7 @@ def test_trajectory_metrics_reference_angles():
         np.zeros(2),
     ]
     for g in gradients:
-        traj.record(1.0, 0.5, 0.0, g, np.zeros(2))
+        traj.record(Evaluation(1.0, 0.5, 0.0, g, np.zeros(2)))
     norms, angles = traj.grad_norm, traj.grad_angle
     assert np.allclose(norms, [1, 2, 1, 3, 0])
     assert np.isnan(angles[0])

@@ -13,7 +13,7 @@ import pytest
 
 import topokit
 from topokit import cli, io, presets, reparam
-from topokit.optimizers import Trajectory
+from topokit.optimizers import Evaluation, Trajectory
 from topokit.runner import run_optimization
 
 
@@ -77,7 +77,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
     traj = Trajectory()
     rng = np.random.default_rng(2)
     for i in range(5):
-        traj.record(10.0 - i, 0.4, 0.0, rng.standard_normal(3), np.zeros(2))
+        traj.record(Evaluation(10.0 - i, 0.4, 0.0, rng.standard_normal(3), np.zeros(2)))
     path = tmp_path / "trajectory.csv"
     io.write_trajectory_csv(path, traj)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -441,6 +441,29 @@ def test_cli_search_pretrains_once_and_matches_single_runs(tmp_path, monkeypatch
         traj = run_optimization(problem, spec, optimizer, budget=3, seed=1)
         assert row["objective"] == repr(traj.best_feasible_objective)
         assert outcome["pretrain_mse"] == traj.pretrain_mse
+
+
+def test_cli_search_on_the_twobar_from_theta0_matches_single_runs(tmp_path):
+    base = {
+        "problem": {"name": "twobar"},
+        "reparam": {"kind": "siren", "omega0": 88.0},
+        "optimizer": {"kind": "mma", "move_limit": 0.31, "asyinit": 0.1, "theta_bound": 3.0, "c_const": 3.0},
+        "theta0": [0.1, -0.2, 0.3],
+    }
+    cfg = {"base": base, "search": {"mode": "grid", "parameters": {"move_limit": [0.1, 0.31]}, "budget": 20}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "search"
+    assert run_cli("search", "--config", str(cfg_path), "--out", str(out)) == 0
+    assert "pretrain_mse" not in json.loads((out / "manifest.json").read_text())["outcome"]
+    problem = presets.problem_from_config(base["problem"])
+    spec = presets.spec_from_config(base["reparam"])
+    rows = _search_rows(out)
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    for row in rows:
+        optimizer = presets.optimizer_from_config({**base["optimizer"], "move_limit": float(row["move_limit"])})
+        traj = run_optimization(problem, spec, optimizer, budget=20, theta0=base["theta0"])
+        assert row["objective"] == repr(traj.best_feasible_objective)
 
 
 def test_cli_search_fails_every_trial_when_pretraining_fails(tmp_path, monkeypatch, capsys):
@@ -1159,6 +1182,20 @@ def test_cli_optimize_writes_snapshots_every_nth_evaluation(tmp_path, in_config,
     out = tmp_path / "run"
     assert run_cli("optimize", "--config", str(cfg_path), *flags, "--out", str(out)) == 0
     assert sorted(path.name for path in out.glob("design_*.pgm")) == [f"design_{i:05d}.pgm" for i in written]
+
+
+def test_cli_optimize_manifest_records_the_snapshot_flag(tmp_path):
+    # A re-run from the manifest's config writes the same snapshots.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_SMALL_OPTIMIZE, "budget": 4, "snapshot_every": 2}))
+    out = tmp_path / "run"
+    assert run_cli("optimize", "--config", str(cfg_path), "--snapshot-every", "3", "--out", str(out)) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["snapshot_every"] == 3
+    cfg_path.write_text(json.dumps(config))
+    again = tmp_path / "again"
+    assert run_cli("optimize", "--config", str(cfg_path), "--out", str(again)) == 0
+    assert sorted(path.name for path in again.glob("design_*.pgm")) == ["design_00000.pgm", "design_00003.pgm"]
 
 
 def test_cli_landscape_rejects_two_reparams_of_one_kind(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from topokit import optimizers, presets, runner
 from topokit.optimizers import (
     AdamConfig,
     AdamState,
+    Evaluation,
     MmaConfig,
     MmaState,
     SubproblemError,
@@ -124,6 +125,36 @@ def test_adam_clip_rescales_to_threshold():
     assert np.allclose(clip_by_global_norm(g10, 1.0), np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "grad, threshold, clipped",
+    [
+        ([1e200, 1.0, 0.0], 1.0, [1.0, 1e-200, 0.0]),
+        ([1e308, -1e308, 0.0], 1.0, [0.5**0.5, -(0.5**0.5), 0.0]),
+        ([1e300, 1.0, 0.0], 1e-30, [1e-30, 0.0, 0.0]),
+        ([1e308, 0.0, 0.0], 1e-3, [1e-3, 0.0, 0.0]),
+    ],
+    ids=["squares-overflow", "norm-past-float-max", "small-clip", "subnormal-factor"],
+)
+def test_adam_clips_a_gradient_whose_squares_overflow(grad, threshold, clipped):
+    # The norm overflowed to inf and scaled the gradient by 1/inf: a silent zero step.
+    # A factor threshold / max|g| would underflow (small-clip) or lose digits (subnormal-factor).
+    assert np.allclose(clip_by_global_norm(np.array(grad), threshold), clipped, rtol=1e-15, atol=0.0)
+    cfg = AdamConfig(learning_rate=0.1, grad_clip=threshold)
+    step = adam_step(AdamState.zeros(3), np.zeros(3), np.array(grad), cfg)
+    assert step[0] == pytest.approx(-0.1 * threshold / (threshold + optimizers.ADAM_EPS)) and step[2] == 0.0
+
+
+@pytest.mark.parametrize("grad_clip", [np.inf, 1e300])
+def test_adam_step_names_the_entry_whose_square_overflows(grad_clip):
+    # Without a clip that reaches it, grad**2 overflowed to inf (a RuntimeWarning)
+    # and that coordinate never moved again.
+    state = AdamState.zeros(3)
+    cfg = AdamConfig(learning_rate=0.1, grad_clip=grad_clip)
+    with pytest.raises(ValueError, match=r"^gradient\[1\] is 1e\+200, whose square overflows$"):
+        adam_step(state, np.zeros(3), np.array([1.0, 1e200, 0.0]), cfg)
+    assert state.t == 0
+
+
 def test_adam_step_linear_in_learning_rate():
     theta = np.array([0.3, -0.7])
     grad = np.array([1.0, 2.0])
@@ -147,11 +178,13 @@ def test_trajectory_angles_lie_in_range_and_best_feasible_tracked():
     traj = Trajectory()
     for i in range(10):
         traj.record(
-            objective=10.0 - i,
-            volume=0.5,
-            violation=0.0 if i % 2 == 0 else 1e-3,
-            gradient=rng.standard_normal(6),
-            design=rng.uniform(0, 1, 4),
+            Evaluation(
+                objective=10.0 - i,
+                volume=0.5,
+                violation=0.0 if i % 2 == 0 else 1e-3,
+                gradient=rng.standard_normal(6),
+                design=rng.uniform(0, 1, 4),
+            )
         )
     angles = np.array(traj.grad_angle[1:])
     assert np.all((angles >= 0.0) & (angles <= np.pi))

@@ -5,7 +5,7 @@ import pytest
 
 from topokit import pipeline, reparam, runner
 from topokit.optimizers import AdamConfig, MmaConfig
-from topokit.problems import make_problem
+from topokit.problems import TWOBAR_THETA0, make_problem
 from topokit.reparam import ArchitectureSpec, DesignMap
 from topokit.runner import run_optimization, threshold_and_rescale
 
@@ -162,6 +162,25 @@ def test_twobar_rejects_theta0_of_wrong_length_before_any_step(monkeypatch, kind
     monkeypatch.setattr(runner, "mma_step", no_step)
     with pytest.raises(ValueError, match=f"layout needs {size}"):
         _twobar_run(kind, budget=3, theta0=theta0)
+
+
+@pytest.mark.parametrize("kind, start", [("direct", (1.0, 1.0)), ("siren", TWOBAR_THETA0)])
+def test_twobar_start_point_is_its_default_and_never_pretrains(kind, start):
+    spec = ArchitectureSpec(kind=kind, omega0=88.0)
+    theta, mse = runner.start_point(make_problem("twobar"), spec, True, 0, True, None)
+    assert np.array_equal(theta, start) and mse is None
+
+
+@pytest.mark.parametrize("problem", [("twobar",), ("mbb", 8, 4, 0.5)], ids=["twobar", "grid"])
+def test_start_point_rejects_theta0_of_wrong_length_before_any_work(monkeypatch, problem):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the start was initialized or pretrained")
+
+    monkeypatch.setattr(reparam, "init_params", no_work)
+    monkeypatch.setattr(reparam, "pretrain_uniform", no_work)
+    spec = ArchitectureSpec(kind="siren", width=4, hidden_layers=1)
+    with pytest.raises(ValueError, match="theta0 has shape \\(5,\\), layout needs"):
+        runner.start_point(make_problem(*problem), spec, True, 0, True, np.zeros(5))
 
 
 def test_twobar_clips_theta0_into_the_box():
