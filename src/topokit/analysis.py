@@ -26,27 +26,23 @@ NOISE_FLOOR_FRACTION = 1e-3
 CONVERGENCE_TOL_FRACTION = 0.01
 
 
-@dataclass(frozen=True)
-class LandscapeSample:
-    alpha: float
-    objective: float
-    constraint: float
-    violation: bool
-
-
 @dataclass
 class LandscapeResult:
-    samples: list[LandscapeSample]
+    """One landscape slice, one array per column of ``landscape_<kind>.csv``.
+
+    ``alpha`` is the uniform grid from 0 to 1, ``objective`` and
+    ``constraint`` (mean density minus the volume target) the values at each
+    alpha, and ``violation`` whether that constraint exceeds VIOLATION_TOL.
+    ``fit_mse`` is the fit error of the two reference points, and
+    ``warnings`` names each fit above FIT_WARN_THRESHOLD.
+    """
+
+    alpha: np.ndarray
+    objective: np.ndarray
+    constraint: np.ndarray
+    violation: np.ndarray
     fit_mse: tuple[float, float]
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def objectives(self) -> np.ndarray:
-        return np.array([s.objective for s in self.samples])
-
-    @property
-    def n_violations(self) -> int:
-        return sum(s.violation for s in self.samples)
 
 
 def _field_values(field, n_expected: int, name: str) -> np.ndarray:
@@ -81,7 +77,7 @@ def landscape_1d(
         raise ValueError("need at least the two endpoint samples")
     rho1 = _field_values(rho_ref_1, problem.n_elements, "rho_ref_1")
     rho2 = _field_values(rho_ref_2, problem.n_elements, "rho_ref_2")
-    design_map = reparam.DesignMap(reparam_spec, reparam.coordinate_grid(problem.nx, problem.ny))
+    design_map = reparam.DesignMap(reparam_spec, problem.nx, problem.ny)
 
     theta0 = reparam.init_params(reparam_spec, problem.nx, problem.ny, seed)
     fit1 = reparam.fit_to_density(design_map, theta0, rho1, iteration_cap=iteration_cap)
@@ -91,21 +87,20 @@ def landscape_1d(
         if fit.mse > FIT_WARN_THRESHOLD:
             warnings_list.append(f"fit of {label} reached MSE {fit.mse:.3e} above threshold")
 
-    samples = []
-    for alpha in np.linspace(0.0, 1.0, n_alpha):
-        theta_alpha = fit1.theta + alpha * (fit2.theta - fit1.theta)
-        rho = design_map.forward(theta_alpha)
-        objective = evaluate_design(problem, rho).value
-        constraint = float(rho.mean()) - problem.volume_target
-        samples.append(
-            LandscapeSample(
-                alpha=float(alpha),
-                objective=objective,
-                constraint=constraint,
-                violation=constraint > VIOLATION_TOL,
-            )
-        )
-    return LandscapeResult(samples=samples, fit_mse=(fit1.mse, fit2.mse), warnings=warnings_list)
+    alphas = np.linspace(0.0, 1.0, n_alpha)
+    objective, constraint = np.empty(n_alpha), np.empty(n_alpha)
+    for i, alpha in enumerate(alphas):
+        rho = design_map.forward(fit1.theta + alpha * (fit2.theta - fit1.theta))
+        objective[i] = evaluate_design(problem, rho).value
+        constraint[i] = float(rho.mean()) - problem.volume_target
+    return LandscapeResult(
+        alpha=alphas,
+        objective=objective,
+        constraint=constraint,
+        violation=constraint > VIOLATION_TOL,
+        fit_mse=(fit1.mse, fit2.mse),
+        warnings=warnings_list,
+    )
 
 
 def count_interior_maxima(objectives: np.ndarray) -> int:
@@ -205,10 +200,9 @@ def expressivity_study(
                 f"{_grid_name(shape)}: every target must share one grid"
             )
         _field_values(target, nx * ny, f"target {index}")
-    grid = reparam.coordinate_grid(nx, ny)
     rows = []
     for spec in specs:
-        design_map = reparam.DesignMap(spec, grid)
+        design_map = reparam.DesignMap(spec, nx, ny)
         worst_scores = []
         for repeat in range(repeats):
             theta0 = reparam.init_params(spec, nx, ny, seed + 1000 * repeat)

@@ -10,8 +10,9 @@ Each ``cmd_*`` function validates all of its input first: config keys and
 sections, counts, flags, the start point ``theta0`` against the layout of θ,
 and the reference and target files it reads. It then returns a
 ``run(out) -> int`` closure that does the work. :func:`main` owns the exit
-status: a ``KeyError``, ``ValueError`` or ``FileNotFoundError`` from a
-command's validation prints ``error: ...`` and returns 2 before any
+status: a ``KeyError``, a ``ValueError`` or an ``OSError`` from a
+command's validation (a missing file, a directory or an unreadable path
+where a file is read) prints ``error: ...`` and returns 2 before any
 output exists. Only then does ``main`` create the output directory and call
 ``run``. A run that fails (a solver error, every search trial failing)
 records the error in its manifest and returns 1.
@@ -72,8 +73,7 @@ def _load_config(args) -> dict:
     if getattr(args, "preset", None):
         cfg = presets.preset_config(args.preset)
     elif getattr(args, "config", None):
-        text = Path(args.config).read_text(encoding="utf-8")
-        cfg = presets._section(json.loads(text), args.config)
+        cfg = _json_object(Path(args.config), f"config {args.config}")
     else:
         raise ValueError("provide --config PATH or --preset NAME")
     for key in ("seed", "budget", "snapshot_every"):  # flags that override the config
@@ -228,12 +228,15 @@ def cmd_optimize(args):
     return run
 
 
-def _reference_field(ref, problem: ProblemSpec) -> np.ndarray:
-    if isinstance(ref, str) and ref == "uniform":
+def _reference_field(cfg: dict, key: str, problem: ProblemSpec) -> np.ndarray:
+    ref = cfg[key]
+    if ref == "uniform":
         return np.full(problem.n_elements, problem.volume_target)
     if isinstance(ref, dict) and "random_seed" in ref:
         rng = np.random.default_rng(_count(ref, "random_seed", 0, 0))
         return rng.uniform(0.0, 1.0, problem.n_elements)
+    if not isinstance(ref, str):
+        raise ValueError(f'{key!r} must be "uniform", {{"random_seed": N}} or a CSV path, got {ref!r:.60}')
     path = Path(ref)
     if not path.exists():
         raise FileNotFoundError(f"reference design not found: {path}")
@@ -262,8 +265,8 @@ def cmd_landscape(args):
             raise ValueError(
                 f"landscape config: two reparams of kind {kind!r} would share landscape_{kind}.csv"
             )
-    ref1 = _reference_field(cfg["rho_ref_1"], problem)
-    ref2 = _reference_field(cfg["rho_ref_2"], problem)
+    ref1 = _reference_field(cfg, "rho_ref_1", problem)
+    ref2 = _reference_field(cfg, "rho_ref_2", problem)
     n_alpha, seed = _count(cfg, "n_alpha", 101, 2), _count(cfg, "seed", 0, 0)
     iteration_cap = _iteration_cap(cfg)
 
@@ -274,14 +277,15 @@ def cmd_landscape(args):
                 spec, ref1, ref2, n_alpha=n_alpha, problem=problem, seed=seed,
                 iteration_cap=iteration_cap,
             )
-            rows = [[s.alpha, s.objective, s.constraint, int(s.violation)] for s in res.samples]
+            columns = (res.alpha, res.objective, res.constraint, res.violation.astype(int))
+            rows = zip(*(column.tolist() for column in columns))
             header = ["alpha", "objective", "constraint", "violation"]
             io.write_csv_table(out / f"landscape_{spec.kind}.csv", header, rows)
             results[spec.kind] = {
                 "fit_mse": list(res.fit_mse),
                 "warnings": res.warnings,
-                "interior_maxima": analysis.count_interior_maxima(res.objectives),
-                "violations": res.n_violations,
+                "interior_maxima": analysis.count_interior_maxima(res.objective),
+                "violations": int(res.violation.sum()),
             }
         _write_manifest(out, "landscape", cfg, {"status": "ok", "reparams": results})
         print(f"landscape: wrote {len(results)} slice(s) -> {out}")
@@ -349,14 +353,16 @@ def _run_label(cfg: dict) -> tuple[str, str]:
     return solver, "{0.name}-{0.nx}x{0.ny}-v{0.volume_target!r}-p{0.penalty!r}".format(problem)
 
 
-def _json_object(run_dir: Path, name: str) -> dict:
-    """The JSON object in the run's file ``name``; a ValueError naming the run otherwise."""
+def _json_object(path: Path, label: str) -> dict:
+    """The JSON object in the file at ``path``; a ValueError naming ``label`` otherwise."""
     try:
-        value = json.loads((run_dir / name).read_text(encoding="utf-8"))
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{label} is not a UTF-8 text file ({exc.reason})") from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{run_dir}: {name} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{label} is not valid JSON: {exc}") from exc
     if not isinstance(value, dict):
-        raise ValueError(f"{run_dir}: {name} must be a JSON object, got {value!r:.60}")
+        raise ValueError(f"{label} must be a JSON object, got {value!r:.60}")
     return value
 
 
@@ -375,7 +381,7 @@ def cmd_profile(args):
         manifest_path = run_dir / "manifest.json"
         if not manifest_path.exists():
             raise FileNotFoundError(f"missing artifact {manifest_path}")
-        cfg = _json_object(run_dir, "manifest.json").get("config")
+        cfg = _json_object(manifest_path, f"{run_dir}: manifest.json").get("config")
         if not isinstance(cfg, dict):
             raise ValueError(f"{run_dir}: manifest.json has no 'config' object")
         for key in ("problem", "optimizer"):
@@ -386,7 +392,7 @@ def cmd_profile(args):
             raise ValueError(f"{runs[label][0]} and {run_dir} are both {label[0]} on {label[1]}")
         value = np.inf  # a failed run writes no metrics.json
         if (run_dir / "metrics.json").exists():
-            metrics = _json_object(run_dir, "metrics.json")
+            metrics = _json_object(run_dir / "metrics.json", f"{run_dir}: metrics.json")
             # None leaves the run out: two-bar runs record no thresholded metric
             value = metrics.get(metric_key)
             if metric_key in metrics and not pipeline.is_number(value):
@@ -574,7 +580,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = args.func(args)
-    except (KeyError, ValueError, FileNotFoundError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out or "runs/out")

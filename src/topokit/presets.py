@@ -162,7 +162,7 @@ PRESETS = _build_presets()
 
 def preset_config(name: str) -> dict:
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     return copy.deepcopy(PRESETS[name])
 
 

@@ -20,7 +20,9 @@ with the pretraining constants and a uniform target. Both sigmoids are
 :func:`pipeline.logistic`, so no run imports ``scipy.special`` (33-91 ms
 and about 3.6 MB of peak RSS per process, see :mod:`pipeline`).
 
-Coordinate networks are evaluated on all element centers at once; batch and
+Every mapping takes its grid as ``(nx, ny)``, like :func:`param_layout`, and
+its fields are row-major, ny rows of nx. Coordinate networks are evaluated on
+all element centres at once, a read-only array cached per grid; batch and
 image normalizations therefore use the statistics of the full grid. Their
 activations are carried feature-major, as (width, n_elements) arrays: every
 layer is one ``w @ z`` GEMM and every per-neuron batch statistic reduces
@@ -149,26 +151,15 @@ class ArchitectureSpec:
                 raise ValueError("CNN filter and upsample entries must be >= 1")
 
 
-@dataclass(frozen=True)
-class CoordinateGrid:
-    """Element-center coordinates normalized to (-1, 1)^2, row-major."""
-
-    nx: int
-    ny: int
-    coords: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.nx * self.ny
-
-
-def coordinate_grid(nx: int, ny: int) -> CoordinateGrid:
+@lru_cache(maxsize=None)
+def _element_centres(nx: int, ny: int) -> np.ndarray:
+    """Element centres normalized to (-1, 1)^2, an (nx * ny, 2) row-major array, read-only."""
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny))
     x = -1.0 + 2.0 * (ix.ravel() + 0.5) / nx
     y = -1.0 + 2.0 * (iy.ravel() + 0.5) / ny
     coords = np.column_stack([x, y])
     coords.setflags(write=False)
-    return CoordinateGrid(nx=nx, ny=ny, coords=coords)
+    return coords
 
 
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
@@ -312,9 +303,9 @@ def _shared_workspace(hidden_layers: int, width: int, n: int) -> _Workspace:
     return _Workspace(hidden_layers, width, n)
 
 
-def _workspace(spec: ArchitectureSpec, grid: CoordinateGrid) -> _Workspace:
-    """The cached workspace of the spec's shape and grid, for one more forward."""
-    ws = _shared_workspace(spec.hidden_layers, spec.width, grid.size)
+def _workspace(spec: ArchitectureSpec, n: int) -> _Workspace:
+    """The cached workspace of the spec's shape on ``n`` elements, for one more forward."""
+    ws = _shared_workspace(spec.hidden_layers, spec.width, n)
     ws.generation += 1
     return ws
 
@@ -327,13 +318,14 @@ def _check_current(ws: _Workspace, generation: int) -> None:
         )
 
 
-def _coordinate_forward_vjp(spec, values, grid):
+def _coordinate_forward_vjp(spec, values, nx, ny):
     """The MLP or SIREN field and its VJP, taped in the workspace."""
-    layout = param_layout(spec, grid.nx, grid.ny)
+    layout = param_layout(spec, nx, ny)
     params = unpack(values, layout)
-    ws = _workspace(spec, grid)
+    n = nx * ny
+    ws = _workspace(spec, n)
     mlp = spec.kind == "mlp"
-    z = grid.coords.T
+    z = _element_centres(nx, ny).T
     square = ws.work[0]
     # Per layer: its (fan_in, n) input, its dense tape, the MLP's per-neuron
     # inverse batch standard deviation or SIREN's frequency, and its output.
@@ -387,8 +379,8 @@ def _coordinate_forward_vjp(spec, values, grid):
                 grads[f"bn_scale{i}"][...] = g_scale
                 grads[f"bn_shift{i}"][...] = g_shift
                 # backprop through batch statistics of the full grid
-                gz -= (g_shift / grid.size)[:, None]
-                gz -= np.multiply(dense, (g_scale / grid.size)[:, None], out=scratch)
+                gz -= (g_shift / n)[:, None]
+                gz -= np.multiply(dense, (g_scale / n)[:, None], out=scratch)
                 gz *= (params[f"bn_scale{i}"] * factor)[:, None]
             else:
                 gz *= factor
@@ -462,10 +454,10 @@ def _conv3x3_backward(
     return d_vpad[:, 1 : 1 + h, 1 : 1 + w], d_weights, d_bias
 
 
-def _cnn_forward_vjp(spec, values, grid):
-    layout = param_layout(spec, grid.nx, grid.ny)
+def _cnn_forward_vjp(spec, values, nx, ny):
+    layout = param_layout(spec, nx, ny)
     params = unpack(values, layout)
-    h0, w0 = _cnn_spatial(spec, grid.nx, grid.ny)
+    h0, w0 = _cnn_spatial(spec, nx, ny)
     dense = params["dense_w"] @ params["z"] + params["dense_b"]
     x = dense.reshape(spec.channels, h0, w0)
     tape = []
@@ -481,15 +473,15 @@ def _cnn_forward_vjp(spec, values, grid):
         _check_finite(x, f"cnn hidden layer {l}")
         tape.append((t, v, inv_std, conv_w))
     # The field is the centred (ny, nx) window, all of x on a tiled grid.
-    top, left = (x.shape[1] - grid.ny) // 2, (x.shape[2] - grid.nx) // 2
-    crop = (0, slice(top, top + grid.ny), slice(left, left + grid.nx))
+    top, left = (x.shape[1] - ny) // 2, (x.shape[2] - nx) // 2
+    crop = (0, slice(top, top + ny), slice(left, left + nx))
     raw = x[crop].ravel()
 
     def vjp_fun(d_raw):
         grad = np.empty(values.size)
         grads = unpack(grad, layout)  # views that each segment's gradient fills
         gx = np.zeros_like(x)  # the crop's adjoint pads with zeros
-        gx[crop] = d_raw.reshape(grid.ny, grid.nx)
+        gx[crop] = d_raw.reshape(ny, nx)
         for l in reversed(range(len(spec.upsample))):
             t, v, inv_std, conv_w = tape[l]
             grads[f"offset{l}"][...] = gx
@@ -526,11 +518,13 @@ def _segment_owner(kind: str, name: str) -> str:
 def forward_with_vjp(
     spec: ArchitectureSpec,
     theta: np.ndarray,
-    grid: CoordinateGrid,
+    nx: int,
+    ny: int,
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Evaluate the mapping's raw field and return (field, vjp) sharing one tape.
 
-    ``theta`` is the flat parameter vector in :func:`param_layout` order.
+    ``theta`` is the flat parameter vector in :func:`param_layout` order for
+    the nx-by-ny grid, and the field is its nx * ny elements, row-major.
     The field is unbounded; :class:`DesignMap` bounds it. The vjp closure
     maps a flat float cotangent on the field to the flat gradient w.r.t. the
     parameters. A coordinate network's tape lives in the workspace of its
@@ -538,7 +532,7 @@ def forward_with_vjp(
     overwritten it.
     """
     values = np.asarray(theta, dtype=float)
-    layout = param_layout(spec, grid.nx, grid.ny)
+    layout = param_layout(spec, nx, ny)
     expected = layout_size(layout)
     if values.shape != (expected,):
         raise ValueError(f"theta has shape {values.shape}, spec needs ({expected},)")
@@ -552,12 +546,13 @@ def forward_with_vjp(
     if spec.kind == "direct":
         return values.copy(), lambda d_raw: d_raw.copy()
     if spec.kind == "cnn":
-        return _cnn_forward_vjp(spec, values, grid)
-    return _coordinate_forward_vjp(spec, values, grid)
+        return _cnn_forward_vjp(spec, values, nx, ny)
+    return _coordinate_forward_vjp(spec, values, nx, ny)
 
 
 class DesignMap:
-    """Composite map from decision variables to physical densities.
+    """Composite map from decision variables to physical densities on the
+    nx-by-ny grid, which it keeps as its ``nx`` and ``ny``.
 
     Without a volume target (the MMA pipeline) a network's raw field passes
     a sigmoid and then the filter; with one (the Adam pipeline) it is
@@ -569,12 +564,13 @@ class DesignMap:
     def __init__(
         self,
         spec: ArchitectureSpec,
-        grid: CoordinateGrid,
+        nx: int,
+        ny: int,
         filter_op: pipeline.FilterOperator | None = None,
         volume_target: float | None = None,
     ):
         self.spec = spec
-        self.grid = grid
+        self.nx, self.ny = nx, ny
         self.filter_op = filter_op
         self.volume_target = volume_target
         self.sigmoid = volume_target is None and spec.kind != "direct"
@@ -582,7 +578,7 @@ class DesignMap:
     def forward_with_vjp(self, theta: np.ndarray):
         """The densities and their VJP closure, valid until the next forward
         of the same network shape and grid."""
-        field, net_vjp = forward_with_vjp(self.spec, theta, self.grid)
+        field, net_vjp = forward_with_vjp(self.spec, theta, self.nx, self.ny)
         if self.sigmoid:
             field = bounded = pipeline.logistic(field)
         if self.filter_op is not None:
@@ -657,7 +653,7 @@ def pretrain_uniform(design_map: DesignMap, theta0: np.ndarray, v0: float) -> Fi
     result = fit_to_density(
         design_map,
         theta0,
-        np.full(design_map.grid.size, float(v0)),
+        np.full(design_map.nx * design_map.ny, float(v0)),
         learning_rate=PRETRAIN_LEARNING_RATE,
         iteration_cap=cap,
         plateau_iters=cap,  # reset at iteration 1, the plateau count stays below the cap
@@ -691,7 +687,7 @@ def fit_to_density(
     the best mean squared pixel error seen.
     """
     target = np.asarray(target, dtype=float).ravel()
-    if target.size != design_map.grid.size:
+    if target.size != design_map.nx * design_map.ny:
         raise ValueError("target field does not match the grid")
     if design_map.spec.kind == "direct":
         theta = np.clip(target, 0.0, 1.0)

@@ -117,16 +117,16 @@ def start_point(problem, spec: ArchitectureSpec, use_mma: bool, seed, pretrain, 
     if not pretrain or isinstance(problem, TwoBarProblem):
         return theta, None
     v0 = problem.volume_target
-    grid = reparam.coordinate_grid(problem.nx, problem.ny)
-    result = reparam.pretrain_uniform(DesignMap(spec, grid, None, None if use_mma else v0), theta, v0)
+    design_map = DesignMap(spec, problem.nx, problem.ny, volume_target=None if use_mma else v0)
+    result = reparam.pretrain_uniform(design_map, theta, v0)
     return result.theta, result.mse
 
 
 def _grid_evaluator(problem: ProblemSpec, spec: ArchitectureSpec, use_mma: bool):
     v0 = problem.volume_target
-    grid = reparam.coordinate_grid(problem.nx, problem.ny)
     filter_op = pipeline.build_filter(problem.nx, problem.ny, problem.filter_radius)
-    design_map = DesignMap(spec, grid, filter_op, None if use_mma else v0)  # Adam projects onto v0
+    # Adam projects onto v0
+    design_map = DesignMap(spec, problem.nx, problem.ny, filter_op, None if use_mma else v0)
     cotangent = np.full(problem.n_elements, 1.0 / (problem.n_elements * v0))  # of the volume constraint
 
     def evaluate(values) -> Evaluation:

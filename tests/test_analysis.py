@@ -25,13 +25,13 @@ def test_landscape_two_alphas_are_the_endpoints(small_problem):
     rho1 = np.full(n, 0.5)
     rho2 = np.clip(np.full(n, 0.5) + 0.1 * np.sin(np.arange(n)), 0, 1) * 0.8
     result = analysis.landscape_1d(ArchitectureSpec(kind="direct"), rho1, rho2, 2, small_problem)
-    assert [s.alpha for s in result.samples] == [0.0, 1.0]
+    assert result.alpha.tolist() == [0.0, 1.0]
     from topokit.runner import evaluate_design
 
-    assert result.samples[0].objective == pytest.approx(
+    assert result.objective[0] == pytest.approx(
         evaluate_design(small_problem, rho1).value, abs=1e-10
     )
-    assert result.samples[1].objective == pytest.approx(
+    assert result.objective[1] == pytest.approx(
         evaluate_design(small_problem, rho2).value, abs=1e-10
     )
 
@@ -39,7 +39,7 @@ def test_landscape_two_alphas_are_the_endpoints(small_problem):
 def test_landscape_identical_references_is_flat(small_problem):
     rho = np.full(small_problem.n_elements, 0.5)
     result = analysis.landscape_1d(ArchitectureSpec(kind="direct"), rho, rho, 11, small_problem)
-    objectives = result.objectives
+    objectives = result.objective
     assert np.allclose(objectives, objectives[0], rtol=1e-12)
     assert analysis.count_interior_maxima(objectives) == 0
 
@@ -54,7 +54,7 @@ def test_landscape_direct_slice_feasible_when_endpoints_feasible(small_problem):
     result = analysis.landscape_1d(
         ArchitectureSpec(kind="direct"), rho1, rho2, 21, small_problem
     )
-    assert result.n_violations == 0
+    assert result.violation.sum() == 0
     assert result.fit_mse == (0.0, 0.0)
 
 
@@ -173,7 +173,7 @@ def test_expressivity_reports_worst_case_across_targets():
     rows = analysis.expressivity_study([spec], [easy, hard], repeats=2, seed=0, iteration_cap=150)
     row = rows[0]
     assert len(row.worst_psnr) == 2
-    design_map = reparam.DesignMap(row.spec, reparam.coordinate_grid(8, 4))
+    design_map = reparam.DesignMap(row.spec, 8, 4)
     for repeat, worst in enumerate(row.worst_psnr):
         theta0 = reparam.init_params(row.spec, 8, 4, seed=0 + 1000 * repeat)
         fits = [

@@ -66,7 +66,7 @@ def _assert_gradient_matches_finite_differences(physics, kind, path, nx, ny):
     spec = SPECS[kind]
     filter_op = pipeline.build_filter(nx, ny, problem.filter_radius)
     volume_target = problem.volume_target if path == "adam" else None
-    design_map = DesignMap(spec, reparam.coordinate_grid(nx, ny), filter_op, volume_target)
+    design_map = DesignMap(spec, nx, ny, filter_op, volume_target)
     rng = np.random.default_rng(sorted(PROBLEMS).index(physics) * 8 + sorted(SPECS).index(kind))
     theta = reparam.init_params(spec, nx, ny, seed=1)
     if kind == "direct":

@@ -986,6 +986,8 @@ _TWOBAR_SIREN = {
     "optimizer": {"kind": "mma", "move_limit": 0.31, "asyinit": 0.1, "theta_bound": 3.0},
 }
 
+#: A directory that always exists.
+_TESTS = str(Path(__file__).parent)
 #: (command, config or None for a missing file, extra flags, text the error
 #: must hold or None for the config path). Each of them used to run, create
 #: the output directory or die in a traceback.
@@ -1138,6 +1140,26 @@ _BAD_INPUTS = {
     "expressivity-targets-string": (
         "expressivity", {**_SMALL_EXPRESSIVITY, "targets": "d.csv"}, [], "'targets'"
     ),
+    # A directory where a file is read died in an IsADirectoryError.
+    "landscape-rho-ref-2-directory": ("landscape", {**_SMALL_LANDSCAPE, "rho_ref_2": _TESTS}, [], _TESTS),
+    "expressivity-target-directory": (
+        "expressivity", {**_SMALL_EXPRESSIVITY, "targets": [_TESTS]}, [], _TESTS
+    ),
+    # main printed a KeyError's message as its repr, in double quotes.
+    "optimize-preset-unknown": ("optimize", None, ["--preset", "nope"], "error: unknown preset 'nope'"),
+    # A reference that is neither "uniform", a random seed nor a path died
+    # in a TypeError and exited 1.
+    **{
+        f"landscape-{key.replace('_', '-')}-{name}": (
+            "landscape", {**_SMALL_LANDSCAPE, key: ref}, [], f"'{key}'"
+        )
+        for key, name, ref in (
+            ("rho_ref_1", "number", 0.5),
+            ("rho_ref_2", "list", [0.5] * 32),
+            ("rho_ref_1", "null", None),
+            ("rho_ref_2", "object-without-seed", {"seed": 0}),
+        )
+    },
 }
 
 
@@ -1162,6 +1184,38 @@ def test_cli_rejects_bad_input_before_any_output(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (str(cfg_path) if named is None else named) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [(b'{"problem": ', "not valid JSON"), (b"\xff\xfe{}", "not a UTF-8 text file")],
+    ids=["truncated", "not-utf8"],
+)
+def test_cli_config_that_is_not_json_names_the_file(tmp_path, capsys, text, named):
+    # Both printed only the decoder's message, which names no file.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(text)
+    out = tmp_path / "o"
+    assert run_cli("optimize", "--config", str(cfg_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg_path} is {named}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("optimize", ["--config"]), ("threshold", ["--problem", "mbb", "--design"])],
+    ids=["optimize-config", "threshold-design"],
+)
+def test_cli_directory_given_as_a_file_exits_2(tmp_path, capsys, command, flags):
+    # Each died in an IsADirectoryError traceback and exited 1; the
+    # _BAD_INPUTS rows *-directory cover the files a config names.
+    out = tmp_path / "o"
+    assert run_cli(command, *flags, str(tmp_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
     assert not out.exists()
 
 

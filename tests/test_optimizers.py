@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -396,14 +396,18 @@ def _spd(factor, shift):
         )
     )
 )
+# a = [[2]] and rhs = 5e-324: x = rhs / 2 underflows to 0, a residual of one subnormal unit
+@example(system=(np.array([[1.0]]), 1.0, np.array([5e-324])))
 def test_solve_spd_solves_spd_systems(system):
     factor, shift, rhs = system
     a = _spd(factor, shift)
     x = np.array(optimizers._solve_spd(a.tolist(), rhs.tolist()))
     # LDL^T of an SPD matrix is backward stable, so the residual is bounded
-    # by a small multiple of eps * |a| |x| <= eps * cond(a) * |rhs|.
+    # by a small multiple of eps * |a| |x| <= eps * cond(a) * |rhs|, plus a
+    # few subnormal units where x or a @ x underflows.
     residual = np.abs(a @ x - rhs).max()
-    assert residual <= 1e-12 * np.linalg.cond(a) * np.abs(rhs).max()
+    underflow = 4 * np.finfo(float).smallest_subnormal
+    assert residual <= 1e-12 * np.linalg.cond(a) * np.abs(rhs).max() + underflow
 
 
 @settings(max_examples=200, deadline=None)

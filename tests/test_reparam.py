@@ -44,7 +44,6 @@ def directional_fd(func, x, delta, eps=1e-6, rtol=1e-6):
 
 
 def check_vjp(spec, nx=64, ny=32, trials=20, seed=0, tol=1e-4):
-    grid = reparam.coordinate_grid(nx, ny)
     rng = np.random.default_rng(seed)
     base = reparam.init_params(spec, nx, ny, seed=seed)
     checked = 0
@@ -56,8 +55,8 @@ def check_vjp(spec, nx=64, ny=32, trials=20, seed=0, tol=1e-4):
         w = rng.standard_normal(nx * ny)
         delta = rng.standard_normal(base.size)
         delta /= np.linalg.norm(delta)
-        analytic = reparam.forward_with_vjp(spec, theta, grid)[1](w) @ delta
-        fd = directional_fd(lambda t: reparam.forward_with_vjp(spec, t, grid)[0] @ w, theta, delta)
+        analytic = reparam.forward_with_vjp(spec, theta, nx, ny)[1](w) @ delta
+        fd = directional_fd(lambda t: reparam.forward_with_vjp(spec, t, nx, ny)[0] @ w, theta, delta)
         if fd is None:
             continue
         assert analytic == pytest.approx(fd, rel=tol, abs=1e-10), spec.kind
@@ -83,8 +82,8 @@ def test_cnn_runs_on_an_untiled_grid():
     spec = ArchitectureSpec(kind="cnn")
     assert reparam.param_count(spec, 60, 32) == reparam.param_count(spec, 64, 32)
     theta = reparam.init_params(spec, 60, 32, seed=0)
-    raw, vjp_fun = reparam.forward_with_vjp(spec, theta, reparam.coordinate_grid(60, 32))
-    full, _ = reparam.forward_with_vjp(spec, theta, reparam.coordinate_grid(64, 32))
+    raw, vjp_fun = reparam.forward_with_vjp(spec, theta, 60, 32)
+    full, _ = reparam.forward_with_vjp(spec, theta, 64, 32)
     assert np.array_equal(raw.reshape(32, 60), full.reshape(32, 64)[:, 2:62])
     grad = vjp_fun(np.ones(raw.size))
     offsets = reparam.unpack(grad, reparam.param_layout(spec, 60, 32))["offset1"]
@@ -124,37 +123,33 @@ def test_numpy_integers_accepted_by_spec_as_ints():
 
 
 def test_direct_forward_is_the_identity():
-    grid = reparam.coordinate_grid(4, 2)
     theta = np.array([0.0, 0.1, 0.3, 0.7, 1.0, 0.5, 0.2, 0.9])
-    out, _ = reparam.forward_with_vjp(ArchitectureSpec(kind="direct"), theta, grid)
+    out, _ = reparam.forward_with_vjp(ArchitectureSpec(kind="direct"), theta, 4, 2)
     assert np.array_equal(out, theta) and out is not theta
 
 
 def test_direct_vjp_is_the_identity():
-    grid = reparam.coordinate_grid(4, 2)
     theta = np.array([0.0, 0.1, 0.3, 0.7, 1.0, 0.5, 0.2, 0.9])
     w = np.arange(8.0)
-    _, vjp_fun = reparam.forward_with_vjp(ArchitectureSpec(kind="direct"), theta, grid)
+    _, vjp_fun = reparam.forward_with_vjp(ArchitectureSpec(kind="direct"), theta, 4, 2)
     assert np.array_equal(vjp_fun(w), w)
 
 
 def test_sigmoid_bounded_output_strictly_inside_unit_interval():
-    grid = reparam.coordinate_grid(16, 8)
     for spec in all_specs(small_grid=True):
         if spec.kind == "direct":
             continue
         theta = reparam.init_params(spec, 16, 8, seed=2)
-        out = DesignMap(spec, grid).forward(theta)
+        out = DesignMap(spec, 16, 8).forward(theta)
         assert out.min() > 0.0 and out.max() < 1.0
 
 
 def test_forward_deterministic_and_pure():
-    grid = reparam.coordinate_grid(16, 8)
     for spec in all_specs(small_grid=True):
         theta = reparam.init_params(spec, 16, 8, seed=3)
         values_before = theta.copy()
-        out1, _ = reparam.forward_with_vjp(spec, theta, grid)
-        out2, _ = reparam.forward_with_vjp(spec, theta, grid)
+        out1, _ = reparam.forward_with_vjp(spec, theta, 16, 8)
+        out2, _ = reparam.forward_with_vjp(spec, theta, 16, 8)
         assert np.array_equal(out1, out2)
         assert np.array_equal(theta, values_before)
 
@@ -181,10 +176,9 @@ def test_vjp_raw_output_mode():
 
 
 def test_vjp_of_zero_cotangent_is_zero():
-    grid = reparam.coordinate_grid(16, 8)
     for spec in all_specs(small_grid=True):
         theta = reparam.init_params(spec, 16, 8, seed=4)
-        _, vjp_fun = reparam.forward_with_vjp(spec, theta, grid)
+        _, vjp_fun = reparam.forward_with_vjp(spec, theta, 16, 8)
         assert np.all(vjp_fun(np.zeros(128)) == 0.0)
 
 
@@ -283,15 +277,16 @@ def sample_major_siren(spec, params, coords, d_raw):
 def test_feature_major_networks_match_sample_major_reference(kind, nx, ny):
     spec = ArchitectureSpec(kind=kind, width=20)
     reference = {"mlp": sample_major_mlp, "siren": sample_major_siren}[kind]
-    grid = reparam.coordinate_grid(nx, ny)
     layout = reparam.param_layout(spec, nx, ny)
     rng = np.random.default_rng(18)
     for seed in range(3):
         theta = reparam.init_params(spec, nx, ny, seed=seed)
         theta = theta + 0.3 * rng.standard_normal(theta.size)
-        d_raw = rng.standard_normal(grid.size)
-        raw, vjp_fun = reparam.forward_with_vjp(spec, theta, grid)
-        ref_raw, ref_grads = reference(spec, reparam.unpack(theta, layout), grid.coords, d_raw)
+        d_raw = rng.standard_normal(nx * ny)
+        raw, vjp_fun = reparam.forward_with_vjp(spec, theta, nx, ny)
+        ref_raw, ref_grads = reference(
+            spec, reparam.unpack(theta, layout), reparam._element_centres(nx, ny), d_raw
+        )
         assert np.abs(raw - ref_raw).max() <= 1e-12 * np.abs(ref_raw).max()
         # normwise over the whole gradient: the MLP's hidden biases feed batch
         # normalization, so their exact gradient is 0 and both sides are round-off
@@ -299,14 +294,14 @@ def test_feature_major_networks_match_sample_major_reference(kind, nx, ny):
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
 
-def allocating_mlp(spec, params, grid, d_raw):
+def allocating_mlp(spec, params, coords, d_raw):
     """Reference feature-major MLP with fresh arrays per layer: raw output and grads.
 
     Leaky-ReLU is ``np.maximum`` forward and ``np.where`` backward, and the
     first layer's input gradient is computed; shares nothing with ``reparam``
     but the constants.
     """
-    z, tape = grid.coords.T, []
+    z, tape = coords.T, []
     for i in range(spec.hidden_layers):
         scale, shift = params[f"bn_scale{i}"], params[f"bn_shift{i}"]
         act = params[f"w{i}"] @ z + params[f"b{i}"][:, None]
@@ -326,7 +321,7 @@ def allocating_mlp(spec, params, grid, d_raw):
         g_scale = (ga * xhat).sum(axis=1)
         g_shift = ga.sum(axis=1)
         grads[f"bn_scale{i}"], grads[f"bn_shift{i}"] = g_scale, g_shift
-        da = ga - (g_shift / grid.size)[:, None] - xhat * (g_scale / grid.size)[:, None]
+        da = ga - (g_shift / len(coords))[:, None] - xhat * (g_scale / len(coords))[:, None]
         da *= (params[f"bn_scale{i}"] * inv_std)[:, None]
         grads[f"w{i}"] = da @ z_in.T
         grads[f"b{i}"] = da.sum(axis=1)
@@ -334,9 +329,9 @@ def allocating_mlp(spec, params, grid, d_raw):
     return raw, grads
 
 
-def allocating_siren(spec, params, grid, d_raw):
+def allocating_siren(spec, params, coords, d_raw):
     """Reference feature-major SIREN with fresh arrays per layer: raw output and grads."""
-    z, tape = grid.coords.T, []
+    z, tape = coords.T, []
     for i in range(spec.hidden_layers):
         freq = spec.omega0 if i == 0 else 1.0
         phase = freq * (params[f"w{i}"] @ z + params[f"b{i}"][:, None])
@@ -372,7 +367,6 @@ def with_zero_preactivations(spec, theta, layout):
 def test_workspace_networks_are_bit_equal_to_allocating_reference(kind, nx, ny):
     spec = ArchitectureSpec(kind=kind, width=20)
     reference = {"mlp": allocating_mlp, "siren": allocating_siren}[kind]
-    grid = reparam.coordinate_grid(nx, ny)
     layout = reparam.param_layout(spec, nx, ny)
     rng = np.random.default_rng(19)
     for seed in range(4):
@@ -380,28 +374,28 @@ def test_workspace_networks_are_bit_equal_to_allocating_reference(kind, nx, ny):
         theta = theta + 0.3 * rng.standard_normal(theta.size)
         if seed % 2:
             theta = with_zero_preactivations(spec, theta, layout)
-        raw, vjp_fun = reparam.forward_with_vjp(spec, theta, grid)
-        for d_raw in (rng.standard_normal(grid.size), np.full(grid.size, -0.5)):
-            ref_raw, ref_grads = reference(spec, reparam.unpack(theta, layout), grid, d_raw)
+        raw, vjp_fun = reparam.forward_with_vjp(spec, theta, nx, ny)
+        for d_raw in (rng.standard_normal(nx * ny), np.full(nx * ny, -0.5)):
+            coords = reparam._element_centres(nx, ny)
+            ref_raw, ref_grads = reference(spec, reparam.unpack(theta, layout), coords, d_raw)
             assert raw.tobytes() == ref_raw.tobytes()
             assert vjp_fun(d_raw).tobytes() == reparam.pack(ref_grads, layout).tobytes()
-        assert np.array_equal(reparam.forward_with_vjp(spec, theta, grid)[0], raw)
+        assert np.array_equal(reparam.forward_with_vjp(spec, theta, nx, ny)[0], raw)
 
 
 @pytest.mark.parametrize("kind", ["mlp", "siren"])
 def test_stale_vjp_closure_raises(kind):
     spec = ArchitectureSpec(kind=kind, width=6, hidden_layers=2)
-    grid = reparam.coordinate_grid(8, 4)
     theta = reparam.init_params(spec, 8, 4, seed=20)
-    w = np.ones(grid.size)
-    _, first = reparam.forward_with_vjp(spec, theta, grid)
+    w = np.ones(32)
+    _, first = reparam.forward_with_vjp(spec, theta, 8, 4)
     expected = first(w)
-    _, second = reparam.forward_with_vjp(spec, 2.0 * theta, grid)
+    _, second = reparam.forward_with_vjp(spec, 2.0 * theta, 8, 4)
     with pytest.raises(RuntimeError, match="stale"):
         first(w)
     assert not np.array_equal(second(w), expected)
     # a design map's forward writes the same workspace
-    DesignMap(spec, grid).forward(theta)
+    DesignMap(spec, 8, 4).forward(theta)
     with pytest.raises(RuntimeError, match="stale"):
         second(w)
 
@@ -410,27 +404,25 @@ def test_stale_vjp_closure_raises(kind):
 def test_repeated_vjp_calls_match_a_fresh_forward(kind):
     # MMA takes two VJPs per forward; SIREN's first one turns its phase tape into cosines.
     spec = ArchitectureSpec(kind=kind, width=6, hidden_layers=2)
-    grid = reparam.coordinate_grid(8, 4)
     theta = reparam.init_params(spec, 8, 4, seed=21)
-    w1, w2 = np.random.default_rng(21).standard_normal((2, grid.size))
-    _, vjp_fun = reparam.forward_with_vjp(spec, theta, grid)
+    w1, w2 = np.random.default_rng(21).standard_normal((2, 32))
+    _, vjp_fun = reparam.forward_with_vjp(spec, theta, 8, 4)
     first, second, again = vjp_fun(w1), vjp_fun(w2), vjp_fun(w1)
     assert first.tobytes() == again.tobytes()
     for w, grad in ((w1, first), (w2, second)):
-        assert reparam.forward_with_vjp(spec, theta, grid)[1](w).tobytes() == grad.tobytes()
+        assert reparam.forward_with_vjp(spec, theta, 8, 4)[1](w).tobytes() == grad.tobytes()
     with pytest.raises(RuntimeError, match="stale"):
         vjp_fun(w1)
 
 
 def test_maps_sharing_a_workspace_match_fresh_maps():
     spec = ArchitectureSpec(kind="mlp", width=8, hidden_layers=3)
-    grid = reparam.coordinate_grid(16, 8)
     filter_op = tk.pipeline.build_filter(16, 8, 1.5)
     maps = {"pretrain": (None, None), "filtered": (filter_op, None)}
     rng = np.random.default_rng(21)
     theta0 = reparam.init_params(spec, 16, 8, seed=21)
     steps = [
-        (name, theta0 + 0.2 * rng.standard_normal(theta0.size), rng.standard_normal((2, grid.size)))
+        (name, theta0 + 0.2 * rng.standard_normal(theta0.size), rng.standard_normal((2, 128)))
         for _ in range(3)
         for name in maps
     ]
@@ -439,11 +431,11 @@ def test_maps_sharing_a_workspace_match_fresh_maps():
         rho, vjp_fun = design_map.forward_with_vjp(theta)
         return [rho] + [vjp_fun(w) for w in cotangents]
 
-    shared = {name: DesignMap(spec, grid, *maps[name]) for name in maps}
+    shared = {name: DesignMap(spec, 16, 8, *maps[name]) for name in maps}
     alternating = [evaluate(shared[name], theta, w) for name, theta, w in steps]
     for (name, theta, w), got in zip(steps, alternating):
         reparam._shared_workspace.cache_clear()
-        expected = evaluate(DesignMap(spec, grid, *maps[name]), theta, w)
+        expected = evaluate(DesignMap(spec, 16, 8, *maps[name]), theta, w)
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
 
@@ -451,7 +443,6 @@ def test_maps_sharing_a_workspace_match_fresh_maps():
 @pytest.mark.parametrize("kind", ["mlp", "siren", "cnn"])
 def test_nonfinite_parameter_names_its_layer(kind):
     spec = ArchitectureSpec(kind=kind, width=6, hidden_layers=3, upsample=(2, 2))
-    grid = reparam.coordinate_grid(8, 4)
     theta = reparam.init_params(spec, 8, 4, seed=22)
     layout = reparam.param_layout(spec, 8, 4)
     for name, _ in layout:
@@ -463,18 +454,17 @@ def test_nonfinite_parameter_names_its_layer(kind):
             segment = reparam.unpack(values, layout)[name]
             segment.flat[-1] = bad
             with pytest.raises(NumericError, match=rf"{name!r} of the {kind} hidden layer {digits}$"):
-                reparam.forward_with_vjp(spec, values, grid)
+                reparam.forward_with_vjp(spec, values, 8, 4)
     values = theta.copy()
     values[-1] = np.inf
     last = "offset1" if kind == "cnn" else "b_out"
     owner = "cnn hidden layer 1" if kind == "cnn" else f"{kind} output layer"
     with pytest.raises(NumericError, match=rf"{last!r} of the {owner}$"):
-        reparam.forward_with_vjp(spec, values, grid)
+        reparam.forward_with_vjp(spec, values, 8, 4)
 
 
 def test_finite_activations_with_overflowing_sum_do_not_raise():
     spec = ArchitectureSpec(kind="mlp", width=20, hidden_layers=2)
-    grid = reparam.coordinate_grid(16, 8)
     layout = reparam.param_layout(spec, 16, 8)
     segments = reparam.unpack(reparam.init_params(spec, 16, 8, seed=23), layout)
     # the last hidden layer emits about 1e307 for all 20 x 128 activations,
@@ -482,17 +472,17 @@ def test_finite_activations_with_overflowing_sum_do_not_raise():
     segments["bn_shift1"][:] = 1e307
     segments["w_out"] *= 1e-10
     values = reparam.pack(segments, layout)
-    raw, _ = reparam.forward_with_vjp(spec, values, grid)
+    raw, _ = reparam.forward_with_vjp(spec, values, 16, 8)
     assert np.all(np.isfinite(raw)) and np.abs(raw).max() > 1e290
 
 
-def batchnorm_standardized_stats(spec, values, grid):
+def batchnorm_standardized_stats(spec, values, nx, ny):
     """Per-layer (mean, variance) of the standardized MLP pre-activations.
 
     The activations are the ones the MLP forward tapes in its workspace.
     """
-    reparam.forward_with_vjp(spec, values, grid)
-    layers = reparam._shared_workspace(spec.hidden_layers, spec.width, grid.size).layers
+    reparam.forward_with_vjp(spec, values, nx, ny)
+    layers = reparam._shared_workspace(spec.hidden_layers, spec.width, nx * ny).layers
     return [(xhat.mean(axis=1), xhat.var(axis=1)) for xhat, _ in layers]
 
 
@@ -500,29 +490,27 @@ def test_batchnorm_standardizes_every_hidden_layer():
     # Batch normalization standardizes each hidden neuron over the coordinate
     # grid: zero mean and unit variance, up to its epsilon, for any parameters.
     spec = ArchitectureSpec(kind="mlp", width=20)
-    grid = reparam.coordinate_grid(64, 32)
     rng = np.random.default_rng(8)
     for trial in range(3):
         theta = reparam.init_params(spec, 64, 32, seed=trial)
         theta += 0.5 * rng.standard_normal(theta.size)
-        for mean, var in batchnorm_standardized_stats(spec, theta, grid):
+        for mean, var in batchnorm_standardized_stats(spec, theta, 64, 32):
             assert np.abs(mean).max() < 1e-6
             assert np.abs(var - 1.0).max() < 1e-6
 
 
 def test_nonfinite_parameters_raise_numeric_error():
     spec = ArchitectureSpec(kind="mlp", width=8, hidden_layers=2)
-    grid = reparam.coordinate_grid(8, 4)
     theta = reparam.init_params(spec, 8, 4, seed=9)
     theta[0] = np.inf
     with pytest.raises(NumericError, match="layer"):
-        reparam.forward_with_vjp(spec, theta, grid)
+        reparam.forward_with_vjp(spec, theta, 8, 4)
 
 
 def test_pretrain_direct_is_exact_and_immediate():
     spec = ArchitectureSpec(kind="direct")
     theta0 = reparam.init_params(spec, 8, 4, seed=10)
-    result = reparam.pretrain_uniform(DesignMap(spec, reparam.coordinate_grid(8, 4)), theta0, 0.3)
+    result = reparam.pretrain_uniform(DesignMap(spec, 8, 4), theta0, 0.3)
     assert result.iterations == 0
     assert result.mse == 0.0
     assert np.all(result.theta == 0.3)
@@ -530,7 +518,7 @@ def test_pretrain_direct_is_exact_and_immediate():
 
 def test_pretrain_projected_mode_reaches_target():
     spec = ArchitectureSpec(kind="mlp", width=8, hidden_layers=2)
-    design_map = DesignMap(spec, reparam.coordinate_grid(16, 8), volume_target=0.3)
+    design_map = DesignMap(spec, 16, 8, volume_target=0.3)
     theta0 = reparam.init_params(spec, 16, 8, seed=11)
     result = reparam.pretrain_uniform(design_map, theta0, 0.3)
     assert result.mse < reparam.PRETRAIN_TARGET_MSE
@@ -538,7 +526,7 @@ def test_pretrain_projected_mode_reaches_target():
 
 def test_pretrain_sigmoid_mode_reaches_target():
     spec = ArchitectureSpec(kind="mlp", width=8, hidden_layers=2)
-    design_map = DesignMap(spec, reparam.coordinate_grid(16, 8))
+    design_map = DesignMap(spec, 16, 8)
     theta0 = reparam.init_params(spec, 16, 8, seed=11)
     result = reparam.pretrain_uniform(design_map, theta0, 0.6)
     assert result.mse < reparam.PRETRAIN_TARGET_MSE
@@ -550,7 +538,7 @@ def test_pretrain_warns_when_cap_insufficient(monkeypatch):
     spec = ArchitectureSpec(kind="siren", width=8, hidden_layers=2)
     theta0 = reparam.init_params(spec, 16, 8, seed=12)
     with pytest.warns(reparam.PretrainWarning):
-        result = reparam.pretrain_uniform(DesignMap(spec, reparam.coordinate_grid(16, 8)), theta0, 0.3)
+        result = reparam.pretrain_uniform(DesignMap(spec, 16, 8), theta0, 0.3)
     assert result.iterations == 2
     assert result.mse >= reparam.PRETRAIN_TARGET_MSE
 
@@ -558,7 +546,7 @@ def test_pretrain_warns_when_cap_insufficient(monkeypatch):
 def _pretrain_reference(design_map, theta0, v0):
     """Pretraining as its own Adam loop, with its loss inlined: the reference
     the shared trainer must reproduce bit for bit."""
-    target = np.full(design_map.grid.size, float(v0))
+    target = np.full(design_map.nx * design_map.ny, float(v0))
     values = theta0.copy()
     state = optimizers.AdamState.zeros(values.size)
     cfg = optimizers.AdamConfig(learning_rate=reparam.PRETRAIN_LEARNING_RATE)
@@ -588,8 +576,7 @@ def _pretrain_reference(design_map, theta0, v0):
     ids=["mlp", "siren", "cnn"],
 )
 def test_pretrain_matches_the_dedicated_loop_bit_for_bit(spec, projected):
-    grid = reparam.coordinate_grid(16, 8)
-    design_map = DesignMap(spec, grid, volume_target=0.6 if projected else None)
+    design_map = DesignMap(spec, 16, 8, volume_target=0.6 if projected else None)
     theta0 = reparam.init_params(spec, 16, 8, seed=3)
     values, mse, iterations = _pretrain_reference(design_map, theta0, 0.6)
     result = reparam.pretrain_uniform(design_map, theta0, 0.6)
@@ -600,7 +587,7 @@ def test_pretrain_matches_the_dedicated_loop_bit_for_bit(spec, projected):
 
 def test_fit_direct_is_exact():
     spec = ArchitectureSpec(kind="direct")
-    design_map = DesignMap(spec, reparam.coordinate_grid(8, 4))
+    design_map = DesignMap(spec, 8, 4)
     target = np.random.default_rng(13).uniform(0, 1, 32)
     fit = reparam.fit_to_density(design_map, reparam.init_params(spec, 8, 4, seed=0), target)
     assert fit.mse == 0.0
@@ -609,9 +596,8 @@ def test_fit_direct_is_exact():
 
 def test_fit_reduces_error_below_initial():
     spec = ArchitectureSpec(kind="siren", width=8, hidden_layers=2)
-    grid = reparam.coordinate_grid(16, 8)
-    design_map = DesignMap(spec, grid)
-    target = np.clip(0.5 + 0.3 * np.sin(4 * grid.coords[:, 0]), 0, 1)
+    design_map = DesignMap(spec, 16, 8)
+    target = np.clip(0.5 + 0.3 * np.sin(4 * reparam._element_centres(16, 8)[:, 0]), 0, 1)
     theta0 = reparam.init_params(spec, 16, 8, seed=15)
     initial = float(np.mean((design_map.forward(theta0) - target) ** 2))
     fit = reparam.fit_to_density(design_map, theta0, target, iteration_cap=500)

@@ -80,9 +80,8 @@ def test_mma_network_iterates_stay_in_theta_box(small_problem):
 
 def test_design_map_chains_filter_and_projection_vjps(small_problem):
     spec = ArchitectureSpec(kind="siren", width=6, hidden_layers=2)
-    grid = reparam.coordinate_grid(16, 8)
     filt = pipeline.build_filter(16, 8, 1.6)
-    dm = DesignMap(spec, grid, filt, 0.4)
+    dm = DesignMap(spec, 16, 8, filt, 0.4)
     rng = np.random.default_rng(5)
     theta = reparam.init_params(spec, 16, 8, seed=5)
     rho, vjp_fun = dm.forward_with_vjp(theta)
