@@ -10,10 +10,11 @@ Each ``cmd_*`` function validates all of its input first: config keys and
 sections, counts, flags, the start point ``theta0`` against the layout of θ,
 and the reference and target files it reads. It then returns a
 ``run(out) -> int`` closure that does the work. :func:`main` owns the exit
-status: a ``KeyError``, a ``ValueError`` or an ``OSError`` from a
-command's validation (a missing file, a directory or an unreadable path
-where a file is read) prints ``error: ...`` and returns 2 before any
-output exists. Only then does ``main`` create the output directory and call
+status: a ``ValueError`` from a command's validation (a config section
+that is not an object or has an unknown or a missing key, a bad value) or
+an ``OSError`` (a missing file, a directory or an unreadable path where a
+file is read) prints ``error: ...`` and returns 2 before any output
+exists. Only then does ``main`` create the output directory and call
 ``run``. A run that fails (a solver error, every search trial failing)
 records the error in its manifest and returns 1.
 
@@ -52,21 +53,26 @@ from .runner import check_optimizer, run_optimization, start_point, theta_layout
 
 FEASIBLE_FALLBACK_NOTE = "no feasible iterate; reporting the least-violating design"
 
-#: Top-level keys of an ``optimize`` config.
+#: Top-level keys of an ``optimize`` config and, below each key set, the keys it requires.
 _OPTIMIZE_KEYS = {
     "problem", "reparam", "optimizer", "budget", "seed", "pretrain", "theta0", "snapshot_every"
 }
+_OPTIMIZE_REQUIRED = ("problem", "optimizer")
 #: Top-level keys of a ``landscape`` and of an ``expressivity`` config. Their
 #: ``fit`` section holds one key, ``iteration_cap``: the budget of each fit,
 #: a count like ``n_alpha`` and ``repeats``. The rest of the fit is fixed by
 #: ``reparam.fit_to_density`` and the ``FIT_*`` constants beside it.
 _LANDSCAPE_KEYS = {"problem", "reparams", "rho_ref_1", "rho_ref_2", "n_alpha", "seed", "fit"}
+_LANDSCAPE_REQUIRED = ("problem", "rho_ref_1", "rho_ref_2")
 _EXPRESSIVITY_KEYS = {"targets", "architectures", "repeats", "seed", "fit"}
+_EXPRESSIVITY_REQUIRED = ("targets",)
 #: Keys of a ``search`` config, of its ``base`` run and of its ``search`` section.
 #: A trial's budget comes from the search section, and trials write no snapshots.
 _SEARCH_KEYS = {"base", "search", "seed"}
+_SEARCH_REQUIRED = ("base", "search")
 _SEARCH_BASE_KEYS = _OPTIMIZE_KEYS - {"budget", "snapshot_every"}
 _SEARCH_SECTION_KEYS = {"mode", "parameters", "budget", "trials"}
+_SEARCH_SECTION_REQUIRED = ("parameters",)
 
 
 def _load_config(args) -> dict:
@@ -99,8 +105,7 @@ def _pretrain(cfg: dict) -> bool:
 
 def _iteration_cap(cfg: dict) -> int:
     """The ``iteration_cap`` of the config's ``fit`` section, its only key."""
-    fit = cfg.get("fit", {})
-    presets._reject_unknown_keys(fit, {"iteration_cap"}, "fit")
+    fit = presets.check_section(cfg.get("fit", {}), "fit", {"iteration_cap"})
     return _count(fit, "iteration_cap", reparam.FIT_ITERATION_CAP, 1)
 
 
@@ -123,8 +128,11 @@ def _theta0(cfg: dict, layout) -> list | None:
 def _run_config(cfg: dict):
     """The problem, reparameterization, optimizer kind, θ layout, ``theta0``
     and pretraining flag of an ``optimize`` config or a search's base run,
-    each checked, the problem × optimizer rules included."""
+    each checked, the problem × optimizer rules included. A two-bar reparam
+    section takes ``kind`` and ``omega0`` only: its micro-net has no width."""
     problem = presets.problem_from_config(cfg["problem"])
+    if isinstance(problem, TwoBarProblem):
+        presets.check_section(cfg.get("reparam", {}), "two-bar reparam", {"kind", "omega0"})
     spec = presets.spec_from_config(cfg.get("reparam", {}))
     kind = presets.optimizer_kind(cfg["optimizer"])
     check_optimizer(problem, kind)
@@ -134,11 +142,9 @@ def _run_config(cfg: dict):
 
 def _check_random_range(name: str, bounds) -> None:
     """A random-mode range: finite numbers ``low`` < ``high``, ``low`` > 0 if ``log``."""
-    if not isinstance(bounds, dict):
-        raise ValueError(f"search range {name!r} must be an object with 'low' and 'high'")
-    presets._reject_unknown_keys(bounds, {"low", "high", "log"}, f"search range {name!r}")
+    presets.check_section(bounds, f"search range {name!r}", {"low", "high", "log"}, ("low", "high"))
     for key in ("low", "high"):
-        value = bounds.get(key)
+        value = bounds[key]
         if not (pipeline.is_number(value) and math.isfinite(value)):
             raise ValueError(f"search range {name!r} needs a finite number {key!r}, got {value!r}")
     if not bounds["low"] < bounds["high"]:
@@ -170,12 +176,13 @@ def _write_thresholded(out: Path, problem: ProblemSpec, design) -> dict:
 
 
 def cmd_optimize(args):
-    cfg = _load_config(args)
-    presets._reject_unknown_keys(cfg, _OPTIMIZE_KEYS, "optimize")
+    cfg = presets.check_section(_load_config(args), "optimize", _OPTIMIZE_KEYS, _OPTIMIZE_REQUIRED)
     problem, spec, _, layout, theta0, pretrain = _run_config(cfg)
     optimizer = presets.optimizer_from_config(cfg["optimizer"])
     budget, seed = _count(cfg, "budget", 100, 0), _count(cfg, "seed", 0, 0)
     snapshot_every = _count(cfg, "snapshot_every", 0, 0)
+    if snapshot_every and isinstance(problem, TwoBarProblem):
+        raise ValueError("optimize config: 'snapshot_every' must be 0 on the two-bar, which writes no design")
 
     def run(out: Path) -> int:
         try:
@@ -232,7 +239,8 @@ def _reference_field(cfg: dict, key: str, problem: ProblemSpec) -> np.ndarray:
     ref = cfg[key]
     if ref == "uniform":
         return np.full(problem.n_elements, problem.volume_target)
-    if isinstance(ref, dict) and "random_seed" in ref:
+    if isinstance(ref, dict):
+        presets.check_section(ref, f"{key!r} random reference", {"random_seed"}, ("random_seed",))
         rng = np.random.default_rng(_count(ref, "random_seed", 0, 0))
         return rng.uniform(0.0, 1.0, problem.n_elements)
     if not isinstance(ref, str):
@@ -250,8 +258,7 @@ def _reference_field(cfg: dict, key: str, problem: ProblemSpec) -> np.ndarray:
 
 
 def cmd_landscape(args):
-    cfg = _load_config(args)
-    presets._reject_unknown_keys(cfg, _LANDSCAPE_KEYS, "landscape")
+    cfg = presets.check_section(_load_config(args), "landscape", _LANDSCAPE_KEYS, _LANDSCAPE_REQUIRED)
     problem = presets.problem_from_config(cfg["problem"])
     if not isinstance(problem, ProblemSpec):
         raise ValueError("landscape needs a grid problem, not the two-bar truss")
@@ -295,8 +302,7 @@ def cmd_landscape(args):
 
 
 def cmd_expressivity(args):
-    cfg = _load_config(args)
-    presets._reject_unknown_keys(cfg, _EXPRESSIVITY_KEYS, "expressivity")
+    cfg = presets.check_section(_load_config(args), "expressivity", _EXPRESSIVITY_KEYS, _EXPRESSIVITY_REQUIRED)
     target_paths = cfg["targets"]
     if not (isinstance(target_paths, list) and all(isinstance(path, str) for path in target_paths)):
         raise ValueError(f"'targets' must be a list of paths, got {target_paths!r:.60}")
@@ -382,11 +388,7 @@ def cmd_profile(args):
         if not manifest_path.exists():
             raise FileNotFoundError(f"missing artifact {manifest_path}")
         cfg = _json_object(manifest_path, f"{run_dir}: manifest.json").get("config")
-        if not isinstance(cfg, dict):
-            raise ValueError(f"{run_dir}: manifest.json has no 'config' object")
-        for key in ("problem", "optimizer"):
-            if key not in cfg:
-                raise ValueError(f"{run_dir}: manifest.json config has no {key!r}")
+        presets.check_section(cfg, f"{run_dir}: manifest.json", required=_OPTIMIZE_REQUIRED)
         label = _run_label(cfg)
         if label in runs:
             raise ValueError(f"{runs[label][0]} and {run_dir} are both {label[0]} on {label[1]}")
@@ -420,8 +422,6 @@ def cmd_profile(args):
 
 def _search_combos(search: dict, seed: int) -> list[dict]:
     """Every grid combination, or ``trials`` random draws from ``seed``."""
-    if not isinstance(search.get("parameters"), dict):
-        raise ValueError("the search section needs a 'parameters' object")
     parameters = search["parameters"]
     names = sorted(parameters)
     mode = search.get("mode", "grid")
@@ -447,12 +447,15 @@ def _search_combos(search: dict, seed: int) -> list[dict]:
 
 
 def cmd_search(args):
-    cfg = _load_config(args)
-    presets._reject_unknown_keys(cfg, _SEARCH_KEYS, "search")
-    base, search = cfg["base"], cfg["search"]
-    presets._reject_unknown_keys(base, _SEARCH_BASE_KEYS, "search base")
-    presets._reject_unknown_keys(search, _SEARCH_SECTION_KEYS, "search section")
+    cfg = presets.check_section(_load_config(args), "search", _SEARCH_KEYS, _SEARCH_REQUIRED)
+    base = presets.check_section(cfg["base"], "search base", _SEARCH_BASE_KEYS, _OPTIMIZE_REQUIRED)
+    search = presets.check_section(
+        cfg["search"], "search section", _SEARCH_SECTION_KEYS, _SEARCH_SECTION_REQUIRED
+    )
     problem, spec, kind, _, theta0, pretrain = _run_config(base)
+    fields, required = presets.optimizer_fields(kind)  # a trial sets one field per parameter
+    trial = {**base["optimizer"], **presets.check_section(search["parameters"], "search parameters", fields)}
+    presets.check_section(trial, f"search {kind} optimizer", fields | {"kind"}, required)
     budget = _count(search, "budget", 60, 0)
     seed = _count(cfg, "seed", _count(base, "seed", 0, 0), 0)
     combos = _search_combos(search, seed)
@@ -580,7 +583,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = args.func(args)
-    except (KeyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out or "runs/out")

@@ -6,15 +6,19 @@ search. Preset names follow ``<problem>-p<penalty>-<reparam>-<optimizer>``
 plus the two two-bar setups.
 
 Each config section is the keyword arguments of the type it builds: a
-``problem`` section those of :func:`problems.make_problem`, a ``reparam``
-section the fields of :class:`reparam.ArchitectureSpec`, an ``optimizer``
-section those of its config type. That type owns every default and every
-value check; a reader here only rejects keys the type does not take.
+``problem`` section the parameters of :func:`problems.make_problem`'s
+signature, a ``reparam`` section the fields of :class:`reparam.ArchitectureSpec`,
+an ``optimizer`` section the fields of its config type, required where they
+have no default. That type owns every default and value check. One function,
+:func:`check_section`, checks the structure of every section, here and in
+``cli``: a JSON object with no unknown key and every required one.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import inspect
 
 from .optimizers import AdamConfig, MmaConfig
 from .problems import TWOBAR_THETA0, make_problem
@@ -166,32 +170,29 @@ def preset_config(name: str) -> dict:
     return copy.deepcopy(PRESETS[name])
 
 
-def _section(cfg, what: str) -> dict:
-    """``cfg`` if it is a JSON object; otherwise a ValueError naming ``what``."""
+def check_section(cfg, what: str, known=None, required=()) -> dict:
+    """``cfg`` if it is a JSON object with no key outside ``known`` (any key
+    if None) and every key of ``required``; otherwise a ValueError naming
+    ``what`` and the keys."""
     if not isinstance(cfg, dict):
         raise ValueError(f"{what} config must be a JSON object, got {cfg!r:.60}")
-    return cfg
-
-
-def _reject_unknown_keys(cfg: dict, known: set[str], what: str) -> None:
-    unknown = sorted(set(_section(cfg, what)) - known)
+    unknown = [] if known is None else sorted(set(cfg) - set(known))
     if unknown:
         raise ValueError(
             f"{what} config: unknown key(s) {', '.join(map(repr, unknown))}; "
             f"known: {', '.join(sorted(known))}"
         )
-
-
-#: Keys of a grid problem section: the keyword arguments of make_problem.
-#: A two-bar section holds its name only.
-_GRID_PROBLEM_KEYS = {"name", "nx", "ny", "v0", "penalty", "filter_radius"}
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ValueError(f"{what} config: missing key(s) {', '.join(map(repr, missing))}")
+    return cfg
 
 
 def problem_from_config(cfg: dict):
-    """Problem from a config dict; unknown keys raise ValueError."""
-    name = _section(cfg, "problem")["name"]
-    known = {"name"} if name == "twobar" else _GRID_PROBLEM_KEYS
-    _reject_unknown_keys(cfg, known, f"{name} problem")
+    """Problem from a config dict: make_problem's parameters, a two-bar's name only."""
+    name = check_section(cfg, "problem", required=("name",))["name"]
+    known = {"name"} if name == "twobar" else inspect.signature(make_problem).parameters
+    check_section(cfg, f"{name} problem", known)
     return make_problem(**cfg)
 
 
@@ -208,10 +209,10 @@ _REPARAM_KEYS = {
 def spec_from_config(cfg: dict) -> ArchitectureSpec:
     """Architecture from a config dict, ``direct`` if it names no kind;
     unknown keys raise ValueError."""
-    kind = _section(cfg, "reparam").get("kind", "direct")
+    kind = check_section(cfg, "reparam").get("kind", "direct")
     if not isinstance(kind, str) or kind not in _REPARAM_KEYS:
         raise ValueError(f"unknown reparameterization kind {kind!r}")
-    _reject_unknown_keys(cfg, _REPARAM_KEYS[kind] | {"kind"}, f"{kind} reparam")
+    check_section(cfg, f"{kind} reparam", _REPARAM_KEYS[kind] | {"kind"})
     kwargs = dict(cfg, kind=kind)
     for key in ("filters", "upsample"):  # JSON has lists, the spec tuples
         if key in cfg:
@@ -226,20 +227,25 @@ _OPTIMIZERS = {"mma": MmaConfig, "adam": AdamConfig}
 
 def optimizer_kind(cfg: dict) -> str:
     """The kind an optimizer config section names, ``mma`` if none; an unknown kind raises ValueError."""
-    kind = _section(cfg, "optimizer").get("kind", "mma")
+    kind = check_section(cfg, "optimizer").get("kind", "mma")
     if not isinstance(kind, str) or kind not in _OPTIMIZERS:
         raise ValueError(f"unknown optimizer kind {kind!r}")
     return kind
 
 
+def optimizer_fields(kind: str) -> tuple[set[str], tuple[str, ...]]:
+    """The keys of an optimizer section of ``kind`` besides ``kind``, and those it
+    requires: the fields of its config type, and those without a default."""
+    fields = dataclasses.fields(_OPTIMIZERS[kind])
+    return {f.name for f in fields}, tuple(f.name for f in fields if f.default is dataclasses.MISSING)
+
+
 def optimizer_from_config(cfg: dict) -> MmaConfig | AdamConfig:
     """Validated optimizer config; unknown or missing keys raise ValueError."""
     kind = optimizer_kind(cfg)
-    params = {key: value for key, value in cfg.items() if key != "kind"}
-    try:
-        return _OPTIMIZERS[kind](**params)
-    except TypeError as exc:
-        raise ValueError(f"{kind} optimizer config: {exc}") from exc
+    known, required = optimizer_fields(kind)
+    check_section(cfg, f"{kind} optimizer", known | {"kind"}, required)
+    return _OPTIMIZERS[kind](**{key: value for key, value in cfg.items() if key != "kind"})
 
 
 def sweep_specs(nx: int, ny: int) -> list[ArchitectureSpec]:

@@ -247,7 +247,7 @@ def test_cli_optimize_rejects_unknown_top_level_key_before_pretraining(
 
 def test_every_shipped_preset_has_only_known_top_level_keys():
     for name in presets.PRESETS:
-        presets._reject_unknown_keys(presets.preset_config(name), cli._OPTIMIZE_KEYS, name)
+        presets.check_section(presets.preset_config(name), name, cli._OPTIMIZE_KEYS, cli._OPTIMIZE_REQUIRED)
 
 
 def test_shipped_presets_have_distinct_run_labels():
@@ -988,6 +988,8 @@ _TWOBAR_SIREN = {
 
 #: A directory that always exists.
 _TESTS = str(Path(__file__).parent)
+#: A value that leaves its key out of a _BAD_INPUTS config.
+_MISSING = object()
 #: (command, config or None for a missing file, extra flags, text the error
 #: must hold or None for the config path). Each of them used to run, create
 #: the output directory or die in a traceback.
@@ -1160,6 +1162,97 @@ _BAD_INPUTS = {
             ("rho_ref_2", "object-without-seed", {"seed": 0}),
         )
     },
+    # A missing key printed only its repr, as "error: 'problem'"; an MMA
+    # section without asyinit printed MmaConfig's __init__ message.
+    **{
+        f"{command}-without-{name}": (command, {**small, **entry}, [], named)
+        for command, small, name, entry, named in (
+            (
+                "optimize", _SMALL_OPTIMIZE, "problem", {"problem": _MISSING},
+                "optimize config: missing key(s) 'problem'",
+            ),
+            (
+                "optimize", _SMALL_OPTIMIZE, "optimizer", {"optimizer": _MISSING},
+                "optimize config: missing key(s) 'optimizer'",
+            ),
+            (
+                "optimize", _SMALL_OPTIMIZE, "problem-name", {"problem": {"nx": 8, "ny": 4, "v0": 0.5}},
+                "problem config: missing key(s) 'name'",
+            ),
+            (
+                "optimize", _SMALL_OPTIMIZE, "asyinit", {"optimizer": {"kind": "mma", "move_limit": 0.1}},
+                "mma optimizer config: missing key(s) 'asyinit'",
+            ),
+            (
+                "landscape", _SMALL_LANDSCAPE, "rho-ref-2", {"rho_ref_2": _MISSING},
+                "landscape config: missing key(s) 'rho_ref_2'",
+            ),
+            (
+                "expressivity", _SMALL_EXPRESSIVITY, "targets", {"targets": _MISSING},
+                "expressivity config: missing key(s) 'targets'",
+            ),
+            ("search", _SMALL_SEARCH, "base", {"base": _MISSING}, "search config: missing key(s) 'base'"),
+            (
+                "search", _SMALL_SEARCH, "search", {"search": _MISSING},
+                "search config: missing key(s) 'search'",
+            ),
+            (
+                "search", _SMALL_SEARCH, "parameters", {"search": {"mode": "grid", "budget": 2}},
+                "search section config: missing key(s) 'parameters'",
+            ),
+        )
+    },
+    # It ran and ignored "sed".
+    "landscape-random-reference-unknown-key": (
+        "landscape", {**_SMALL_LANDSCAPE, "rho_ref_2": {"random_seed": 1, "sed": 2}}, [],
+        "'rho_ref_2' random reference config: unknown key(s) 'sed'",
+    ),
+    # Each pretrained, wrote trials.csv with every trial failed on the key
+    # and exited 1.
+    **{
+        f"search-{name}": (
+            "search", {**_SMALL_SEARCH, "base": {**_TWOBAR_SEARCH_BASE, "optimizer": base}, "search": search},
+            [], named,
+        )
+        for name, base, search, named in (
+            (
+                "parameter-unknown", _TWOBAR_SEARCH_BASE["optimizer"],
+                {"mode": "grid", "parameters": {"move_limitt": [0.1, 0.2]}},
+                "search parameters config: unknown key(s) 'move_limitt'",
+            ),
+            (
+                "parameter-kind", _TWOBAR_SEARCH_BASE["optimizer"],
+                {"mode": "grid", "parameters": {"kind": [1.0]}},
+                "search parameters config: unknown key(s) 'kind'",
+            ),
+            (
+                "parameters-without-asyinit", {"kind": "mma"},
+                {"mode": "grid", "parameters": {"move_limit": [0.5]}},
+                "search mma optimizer config: missing key(s) 'asyinit'",
+            ),
+            (
+                "base-optimizer-unknown", {**_TWOBAR_SEARCH_BASE["optimizer"], "move_limt": 1.0},
+                {"mode": "grid", "parameters": {"move_limit": [0.5]}},
+                "search mma optimizer config: unknown key(s) 'move_limt'",
+            ),
+        )
+    },
+    # The two-bar ignored each: a micro-net of width 50 and 9 hidden layers
+    # ran the trajectory of the twobar-siren tuning, and snapshot_every
+    # wrote no snapshot.
+    **{
+        f"optimize-twobar-siren-{key.replace('_', '-')}": (
+            "optimize", {**_TWOBAR_SIREN, "reparam": {**_TWOBAR_SIREN["reparam"], key: value}}, [],
+            f"two-bar reparam config: unknown key(s) '{key}'",
+        )
+        for key, value in (("width", 50), ("hidden_layers", 9))
+    },
+    "optimize-twobar-snapshot-every": (
+        "optimize", {**_TWOBAR_DIRECT, "snapshot_every": 1}, [], "optimize config: 'snapshot_every'"
+    ),
+    "optimize-twobar-snapshot-every-flag": (
+        "optimize", _TWOBAR_DIRECT, ["--snapshot-every", "1"], "optimize config: 'snapshot_every'"
+    ),
 }
 
 
@@ -1178,7 +1271,7 @@ def test_cli_rejects_bad_input_before_any_output(
             target = tmp_path / "target.csv"
             io.write_density_csv(target, np.full(32, 0.5), 8, 4)
             cfg = {"targets": [str(target)], **cfg}
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps({key: value for key, value in cfg.items() if value is not _MISSING}))
     out = tmp_path / "o"
     assert run_cli(command, "--config", str(cfg_path), *flags, "--out", str(out)) == 2
     err = capsys.readouterr().err

@@ -74,3 +74,29 @@ def test_every_assigned_field_has_a_reader():
         if name not in read
     )
     assert unread == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_underscore_name():
+    # A leading underscore keeps a name inside its module: no other module
+    # imports it or reads it as an attribute of the module.
+    modules = {path.stem for path in SRC.glob("*.py")}
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}  # local name -> topokit module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif node.module is not None and _private(alias.name):
+                        reads.append(f"{path.name}: {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in aliases and _private(node.attr):
+                    reads.append(f"{path.name}: {aliases[node.value.id]}.{node.attr}")
+    assert reads == []
