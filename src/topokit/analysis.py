@@ -10,9 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import pipeline, reparam
+from . import fem, pipeline, reparam
 from .problems import ProblemSpec
-from .runner import evaluate_design
 
 #: Volume overshoot flagged as a constraint violation on landscape slices.
 VIOLATION_TOL = 1e-9
@@ -91,7 +90,7 @@ def landscape_1d(
     objective, constraint = np.empty(n_alpha), np.empty(n_alpha)
     for i, alpha in enumerate(alphas):
         rho = design_map.forward(fit1.theta + alpha * (fit2.theta - fit1.theta))
-        objective[i] = evaluate_design(problem, rho).value
+        objective[i] = fem.objective_value(problem.domain, rho, problem.penalty)
         constraint[i] = float(rho.mean()) - problem.volume_target
     return LandscapeResult(
         alpha=alphas,

@@ -176,6 +176,13 @@ def _write_thresholded(out: Path, problem: ProblemSpec, design) -> dict:
 
 
 def cmd_optimize(args):
+    """Validate an ``optimize`` config; the run writes ``trajectory.csv``,
+    θ, ``metrics.json`` and the manifest. On a grid it also writes the final
+    design, the best design (the best feasible one, or else the first
+    least-violating one with ``FEASIBLE_FALLBACK_NOTE``) and its thresholded
+    copy, and with ``snapshot_every`` = k > 0 ``design_<i>.pgm`` for
+    evaluations 0, k, 2k, ...; the run's trajectory holds only these designs.
+    On the two-bar it records the final point instead."""
     cfg = presets.check_section(_load_config(args), "optimize", _OPTIMIZE_KEYS, _OPTIMIZE_REQUIRED)
     problem, spec, _, layout, theta0, pretrain = _run_config(cfg)
     optimizer = presets.optimizer_from_config(cfg["optimizer"])
@@ -187,7 +194,8 @@ def cmd_optimize(args):
     def run(out: Path) -> int:
         try:
             traj = run_optimization(
-                problem, spec, optimizer, budget=budget, seed=seed, pretrain=pretrain, theta0=theta0
+                problem, spec, optimizer, budget=budget, seed=seed, pretrain=pretrain,
+                theta0=theta0, snapshot_every=snapshot_every,
             )
         except Exception as exc:  # solver failures land in the manifest
             outcome = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
@@ -213,18 +221,17 @@ def cmd_optimize(args):
             "converged_iteration": analysis.convergence_iteration(traj.objective),
         }
         if isinstance(problem, TwoBarProblem):
-            outcome["final_point"] = metrics["final_point"] = [float(v) for v in traj.designs[-1]]
+            outcome["final_point"] = metrics["final_point"] = [float(v) for v in traj.final_design]
         else:
             best = traj.best_feasible_design
             if best is None:
-                best = traj.designs[int(np.argmin(traj.constraint_violation))]
+                best = traj.least_violating_design
             nx, ny = problem.nx, problem.ny
-            _write_field(out, "final_design", traj.designs[-1], nx, ny)
+            _write_field(out, "final_design", traj.final_design, nx, ny)
             _write_field(out, "best_design", best, nx, ny)
             metrics.update(_write_thresholded(out, problem, best))
-            if snapshot_every:
-                for i in range(0, traj.iterations, snapshot_every):
-                    io.write_pgm(out / f"design_{i:05d}.pgm", traj.designs[i], nx, ny)
+            for i, design in enumerate(traj.designs):  # evaluations 0, k, 2k, ...
+                io.write_pgm(out / f"design_{i * snapshot_every:05d}.pgm", design, nx, ny)
             if traj.best_feasible_design is None:
                 metrics["note"] = FEASIBLE_FALLBACK_NOTE
         (out / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n", encoding="utf-8")
@@ -381,6 +388,8 @@ _PROFILE_METRICS = {
 
 
 def cmd_profile(args):
+    if args.tau_points < 1:
+        raise ValueError(f"tau grid must be non-empty: --tau-points must be at least 1, got {args.tau_points}")
     metric_key = _PROFILE_METRICS[args.metric]
     runs = {}  # (solver, case) -> (run directory, metric value, or None without the metric)
     for run_dir in map(Path, args.runs):
@@ -455,6 +464,8 @@ def cmd_search(args):
     problem, spec, kind, _, theta0, pretrain = _run_config(base)
     fields, required = presets.optimizer_fields(kind)  # a trial sets one field per parameter
     trial = {**base["optimizer"], **presets.check_section(search["parameters"], "search parameters", fields)}
+    if not search["parameters"]:
+        raise ValueError("search section config: 'parameters' must name at least one optimizer field")
     presets.check_section(trial, f"search {kind} optimizer", fields | {"kind"}, required)
     budget = _count(search, "budget", 60, 0)
     seed = _count(cfg, "seed", _count(base, "seed", 0, 0), 0)

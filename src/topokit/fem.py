@@ -538,14 +538,9 @@ def simp_modulus(domain: GridDomain, rho: np.ndarray, penalty: float) -> np.ndar
     return void + rho**penalty * (solid - void)
 
 
-def evaluate_objective(domain: GridDomain, rho_phys: np.ndarray, penalty: float) -> ObjectiveEval:
-    """Objective value and adjoint gradient w.r.t. the physical densities.
-
-    Compliance and thermal compliance are self-adjoint (grad entries are
-    non-positive for positive-definite systems); the mechanism objective
-    P^T U uses an explicit adjoint solve K lambda = -P. Passive solid
-    elements are forced to rho = 1 and their gradient entries zeroed.
-    """
+def _primal_solve(domain: GridDomain, rho_phys: np.ndarray, penalty: float):
+    """The checked densities with passive solid elements forced to 1, the
+    factored system and its solution for the domain's load."""
     rho = np.asarray(rho_phys, dtype=float).ravel()
     if rho.size != domain.n_elements:
         raise ValueError("density field length must equal the element count")
@@ -559,7 +554,32 @@ def evaluate_objective(domain: GridDomain, rho_phys: np.ndarray, penalty: float)
         rho[domain.passive_solid] = 1.0
 
     solver = _ReducedSolver(domain, simp_modulus(domain, rho, penalty))
-    u = solver.solve(domain.load)
+    return rho, solver, solver.solve(domain.load)
+
+
+def _value(domain: GridDomain, u: np.ndarray) -> float:
+    """The objective at displacement ``u``: P^T U for the mechanism, F^T U otherwise."""
+    weights = domain.output_vector if domain.physics == "mechanism" else domain.load
+    return float(np.einsum("i,i->", weights, u))
+
+
+def objective_value(domain: GridDomain, rho_phys: np.ndarray, penalty: float) -> float:
+    """The value of :func:`evaluate_objective` alone: one solve, no adjoint
+    solve and no sensitivities."""
+    _, _, u = _primal_solve(domain, rho_phys, penalty)
+    return _value(domain, u)
+
+
+def evaluate_objective(domain: GridDomain, rho_phys: np.ndarray, penalty: float) -> ObjectiveEval:
+    """Objective value and adjoint gradient w.r.t. the physical densities.
+
+    Compliance and thermal compliance are self-adjoint (grad entries are
+    non-positive for positive-definite systems); the mechanism objective
+    P^T U uses an explicit adjoint solve K lambda = -P. Passive solid
+    elements are forced to rho = 1 and their gradient entries zeroed.
+    """
+    rho, solver, u = _primal_solve(domain, rho_phys, penalty)
+    value = _value(domain, u)
 
     ke = element_matrix(domain)
     edof = domain.element_dofs()
@@ -569,12 +589,10 @@ def evaluate_objective(domain: GridDomain, rho_phys: np.ndarray, penalty: float)
     dmod = penalty * rho ** (penalty - 1.0) * delta
 
     if domain.physics == "mechanism":
-        value = float(np.einsum("i,i->", domain.output_vector, u))
         lam = solver.solve(-domain.output_vector)
         lam_e = lam[edof]
         grad = dmod * np.einsum("ei,ij,ej->e", lam_e, ke, u_e)
     else:
-        value = float(np.einsum("i,i->", domain.load, u))
         grad = -dmod * np.einsum("ei,ij,ej->e", u_e, ke, u_e)
 
     if domain.passive_solid.size:

@@ -490,8 +490,17 @@ class Evaluation:
 
 @dataclass
 class Trajectory:
-    """Per-iteration record of one optimization run: :meth:`record` takes
-    each :class:`Evaluation` and keeps copies of its gradient and design.
+    """Record of one optimization run. :meth:`record` takes each
+    :class:`Evaluation`, appends its scalars to the histories and copies its
+    gradient and design once. The arrays it keeps are bounded whatever the
+    budget:
+
+    - ``gradients`` holds the last gradient only, which the next angle needs;
+    - ``final_design``, ``best_feasible_design`` (None while no iterate is
+      feasible) and ``least_violating_design``, the first evaluation with the
+      smallest violation, refer to the recorded designs;
+    - ``designs`` holds, when ``snapshot_every`` = k > 0, the designs of
+      evaluations 0, k, 2k, ...; it stays empty otherwise.
 
     ``theta`` is the run's final point and ``pretrain_mse`` the error its
     pretraining reached, None for a run that did not pretrain.
@@ -503,7 +512,11 @@ class Trajectory:
     grad_norm: list[float] = field(default_factory=list)
     grad_angle: list[float] = field(default_factory=list)
     gradients: list[np.ndarray] = field(default_factory=list)
+    snapshot_every: int = 0
     designs: list[np.ndarray] = field(default_factory=list)
+    final_design: np.ndarray | None = None
+    least_violating_design: np.ndarray | None = None
+    least_violation: float = np.inf
     best_feasible_objective: float = np.inf
     best_feasible_design: np.ndarray | None = None
     best_feasible_iteration: int = -1
@@ -512,6 +525,7 @@ class Trajectory:
 
     def record(self, evaluation: Evaluation) -> None:
         objective, violation = evaluation.objective, evaluation.violation
+        iteration = len(self.objective)
         gradient = np.asarray(evaluation.gradient, dtype=float).copy()
         if self.gradients:
             angle = gradient_angle(gradient, self.gradients[-1])
@@ -522,13 +536,18 @@ class Trajectory:
         self.constraint_violation.append(float(violation))
         self.grad_norm.append(_norm(gradient))
         self.grad_angle.append(angle)
-        self.gradients.append(gradient)
+        self.gradients = [gradient]
         design = np.asarray(evaluation.design, dtype=float).copy()
-        self.designs.append(design)
+        self.final_design = design
+        if self.snapshot_every and iteration % self.snapshot_every == 0:
+            self.designs.append(design)
+        if self.least_violating_design is None or violation < self.least_violation:
+            self.least_violation = float(violation)
+            self.least_violating_design = design
         if violation <= FEASIBLE_TOL and objective < self.best_feasible_objective:
             self.best_feasible_objective = float(objective)
             self.best_feasible_design = design
-            self.best_feasible_iteration = len(self.objective) - 1
+            self.best_feasible_iteration = iteration
 
     @property
     def iterations(self) -> int:

@@ -8,7 +8,9 @@ giving their Jacobian. One loop in ``run_optimization`` drives MMA or Adam
 over any evaluator. It calls the Jacobian only right before an MMA step, so
 no constraint gradient is taken after the final evaluation. A run returns
 its :class:`optimizers.Trajectory`, which is the one run record: every
-evaluation, the final point θ and the pretraining error.
+evaluation's scalars, the last gradient, the final, best-feasible and
+least-violating designs, the requested snapshots, the final point θ and the
+pretraining error.
 
 Grid problems run one of two pipelines, both composed by
 :class:`reparam.DesignMap`. With MMA the volume constraint is handed to the
@@ -61,7 +63,7 @@ def threshold_and_rescale(problem: ProblemSpec, rho_phys: np.ndarray):
     volume fraction).
     """
     rho_bw = pipeline.threshold(rho_phys, problem.volume_target)
-    value = evaluate_design(problem, rho_bw).value
+    value = fem.objective_value(problem.domain, rho_bw, problem.penalty)
     v_th = pipeline.volume_fraction(rho_bw)
     rescaled = pipeline.rescale_thresholded_compliance(value, v_th, problem.volume_target)
     return rho_bw, value, rescaled, v_th
@@ -168,15 +170,20 @@ def run_optimization(
     seed: int = 0,
     pretrain: bool = True,
     theta0=None,
+    snapshot_every: int = 0,
 ) -> Trajectory:
     """Run one optimization for ``budget`` function evaluations past the
     initial one and return its trajectory, the final point and the
     pretraining error included. Deterministic for fixed seed. ``theta0``, if
     given, is the flat start point in :func:`theta_layout` order; one
-    outside the MMA box is clipped into it.
+    outside the MMA box is clipped into it. With ``snapshot_every`` = k > 0
+    the trajectory keeps the designs of evaluations 0, k, 2k, ...; without
+    it no design beyond the final, best-feasible and least-violating ones.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    if snapshot_every < 0:
+        raise ValueError("snapshot_every must be non-negative")
     if not isinstance(problem, (TwoBarProblem, ProblemSpec)):
         raise TypeError(f"unsupported problem type {type(problem)!r}")
     use_mma = isinstance(optimizer, MmaConfig)
@@ -195,7 +202,7 @@ def run_optimization(
         x = np.clip(x, lo, hi)
     else:
         state = AdamState.zeros(x.size)
-    trajectory = Trajectory(pretrain_mse=pretrain_mse)
+    trajectory = Trajectory(snapshot_every=snapshot_every, pretrain_mse=pretrain_mse)
     for it in range(budget + 1):
         if it:
             if use_mma:

@@ -226,6 +226,16 @@ def test_modified_simp_modulus_value():
     assert modulus[0] == pytest.approx(1e-9 + 0.125 * (10.0 - 1e-9), rel=1e-12)
 
 
+@pytest.mark.parametrize("name", CATALOG)
+def test_objective_value_is_the_value_of_evaluate_objective(name):
+    problem = make_problem(name, 16, 8, None)
+    rho = np.random.default_rng(3).uniform(0.0, 1.0, problem.n_elements)
+    value = fem.objective_value(problem.domain, rho, problem.penalty)
+    assert value == fem.evaluate_objective(problem.domain, rho, problem.penalty).value
+    with pytest.raises(ValueError, match="density"):
+        fem.objective_value(problem.domain, np.full(problem.n_elements, 1.5), problem.penalty)
+
+
 def test_compliance_all_solid_positive_with_nonpositive_gradient():
     problem = make_problem("mbb", 8, 4, 1.0)
     ev = fem.evaluate_objective(problem.domain, np.ones(32), 3.0)

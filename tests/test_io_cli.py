@@ -1026,6 +1026,17 @@ _BAD_INPUTS = {
         [],
         "'pretrain'",
     ),
+    # An empty parameters object ran one trial of the base run (grid) or
+    # wrote `trials` identical rows (random), and exited 0.
+    "search-grid-parameters-empty": (
+        "search", {**_SMALL_SEARCH, "search": {"mode": "grid", "parameters": {}, "budget": 2}}, [], "'parameters'"
+    ),
+    "search-random-parameters-empty": (
+        "search",
+        {**_SMALL_SEARCH, "search": {"mode": "random", "parameters": {}, "trials": 3, "budget": 2}},
+        [],
+        "'parameters'",
+    ),
     "search-grid-string-value": (
         "search",
         {**_SMALL_SEARCH, "search": {"mode": "grid", "parameters": {"move_limit": [2.0, "x"]}}},
@@ -1345,6 +1356,49 @@ def test_cli_optimize_manifest_records_the_snapshot_flag(tmp_path):
     assert sorted(path.name for path in again.glob("design_*.pgm")) == ["design_00000.pgm", "design_00003.pgm"]
 
 
+def test_cli_optimize_snapshots_hold_the_designs_of_their_evaluations(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_SMALL_OPTIMIZE, "budget": 4}))
+    out = tmp_path / "run"
+    assert run_cli("optimize", "--config", str(cfg_path), "--snapshot-every", "2", "--out", str(out)) == 0
+    problem = presets.problem_from_config(_SMALL_OPTIMIZE["problem"])
+    spec = presets.spec_from_config(_SMALL_OPTIMIZE["reparam"])
+    optimizer = presets.optimizer_from_config(_SMALL_OPTIMIZE["optimizer"])
+    traj = run_optimization(problem, spec, optimizer, budget=4, snapshot_every=1)
+    for i in (0, 2, 4):
+        io.write_pgm(tmp_path / "expected.pgm", traj.designs[i], 8, 4)
+        assert (out / f"design_{i:05d}.pgm").read_bytes() == (tmp_path / "expected.pgm").read_bytes()
+
+
+def test_cli_optimize_without_a_feasible_iterate_reports_the_least_violating_design(tmp_path):
+    # From full density under a move limit of 0.01, no iterate reaches v0 = 0.5.
+    cfg = {
+        **_SMALL_OPTIMIZE,
+        "optimizer": {**_SMALL_OPTIMIZE["optimizer"], "move_limit": 0.01},
+        "budget": 3,
+        "pretrain": False,
+        "theta0": [1.0] * 32,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run_cli("optimize", "--config", str(cfg_path), "--out", str(out)) == 0
+    assert json.loads((out / "metrics.json").read_text())["note"] == cli.FEASIBLE_FALLBACK_NOTE
+    traj = run_optimization(
+        presets.problem_from_config(cfg["problem"]),
+        presets.spec_from_config(cfg["reparam"]),
+        presets.optimizer_from_config(cfg["optimizer"]),
+        budget=3,
+        pretrain=False,
+        theta0=cfg["theta0"],
+        snapshot_every=1,
+    )
+    assert min(traj.constraint_violation) > 0.0
+    expected = traj.designs[int(np.argmin(traj.constraint_violation))]
+    assert np.array_equal(io.read_field_csv(out / "best_design.csv").ravel(), expected)
+    assert traj.least_violating_design is expected
+
+
 def test_cli_landscape_rejects_two_reparams_of_one_kind(tmp_path, capsys, monkeypatch):
     # They share landscape_mlp.csv and the manifest key: both were fitted,
     # one was written, and the run reported "wrote 1 slice(s)".
@@ -1520,6 +1574,17 @@ def test_cli_profile_rejects_a_bad_tau_grid(tmp_path, capsys, flags):
     prof = tmp_path / "prof"
     assert run_cli("profile", "--runs", run, *flags, "--out", str(prof)) == 2
     assert capsys.readouterr().err.startswith("error: tau grid must be")
+    assert not prof.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_cli_profile_tau_points_below_one_names_the_flag(tmp_path, capsys, points):
+    # -3 printed numpy's "Number of samples, -3, must be non-negative".
+    run = _profiled_run(tmp_path / "a", {"name": "mbb", "nx": 8, "ny": 4}, "direct", 1.0)
+    prof = tmp_path / "prof"
+    assert run_cli("profile", "--runs", run, "--tau-points", points, "--out", str(prof)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: tau grid must be non-empty: --tau-points must be at least 1, got {points}\n"
     assert not prof.exists()
 
 

@@ -194,6 +194,19 @@ def test_trajectory_angles_lie_in_range_and_best_feasible_tracked():
     assert traj.best_feasible_objective == 2.0
 
 
+def test_trajectory_keeps_the_last_gradient_and_the_reported_designs():
+    traj = Trajectory(snapshot_every=2)
+    for i, violation in enumerate((0.3, 0.1, 0.2, 0.1, 0.4)):
+        traj.record(Evaluation(1.0, 0.5, violation, np.full(3, i + 1.0), np.full(2, float(i))))
+    assert traj.best_feasible_design is None
+    assert traj.least_violating_design.tolist() == [1.0, 1.0]  # the first of the two at 0.1
+    assert traj.final_design.tolist() == [4.0, 4.0]
+    assert [design[0] for design in traj.designs] == [0.0, 2.0, 4.0]
+    assert traj.designs[-1] is traj.final_design
+    assert [gradient.tolist() for gradient in traj.gradients] == [[5.0] * 3]
+    assert traj.iterations == 5
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MmaConfig(move_limit=0.0, asyinit=0.1)

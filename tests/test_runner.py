@@ -32,7 +32,7 @@ def test_runs_are_deterministic_per_seed(small_problem):
     a = run_optimization(small_problem, spec, settings, budget=5, seed=3)
     b = run_optimization(small_problem, spec, settings, budget=5, seed=3)
     assert a.objective == b.objective
-    assert np.array_equal(a.designs[-1], b.designs[-1])
+    assert np.array_equal(a.final_design, b.final_design)
     c = run_optimization(small_problem, spec, settings, budget=5, seed=4)
     assert a.objective != c.objective
 
@@ -44,6 +44,26 @@ def test_adam_run_holds_volume_exactly(small_problem):
     )
     assert np.abs(np.asarray(traj.volume) - 0.5).max() <= 1e-9
     assert max(traj.constraint_violation) <= 1e-9
+
+
+def _held_arrays(traj) -> list[np.ndarray]:
+    """Every array a trajectory's fields refer to, directly or in a list."""
+    arrays = []
+    for value in vars(traj).values():
+        arrays += [v for v in (value if isinstance(value, list) else [value]) if isinstance(v, np.ndarray)]
+    return arrays
+
+
+def test_run_record_holds_the_same_arrays_whatever_the_budget(small_problem):
+    # It used to keep every gradient and design: 41 of each at budget 40.
+    held = []
+    for budget in (4, 40):
+        traj = run_optimization(
+            small_problem, ArchitectureSpec(kind="direct"), MmaConfig(move_limit=0.2, asyinit=0.5), budget=budget
+        )
+        arrays = _held_arrays(traj)
+        held.append((len(arrays), sum(a.nbytes for a in arrays)))
+    assert held[0] == held[1]
 
 
 def test_mma_baseline_respects_volume_and_improves(small_problem):
@@ -73,8 +93,10 @@ def test_mma_network_iterates_stay_in_theta_box(small_problem):
             budget=15,
             seed=1,
             theta0=np.linspace(-0.5, 1.5, 128) if spec.kind == "direct" else None,
+            snapshot_every=1,
         )
         assert traj.theta.min() >= lo and traj.theta.max() <= hi
+        assert len(traj.designs) == traj.iterations
         assert all(design.min() >= 0.0 and design.max() <= 1.0 for design in traj.designs)
 
 
@@ -133,7 +155,7 @@ def test_pretrained_network_starts_near_uniform(small_problem):
     traj = run_optimization(
         small_problem, spec, AdamConfig(learning_rate=0.01), budget=0, seed=0, pretrain=True
     )
-    design = traj.designs[0]
+    design = traj.final_design
     assert np.sqrt(np.mean((design - 0.5) ** 2)) < 1e-2
 
 
@@ -149,6 +171,8 @@ def _twobar_run(kind="siren", **kwargs):
 def test_twobar_rejects_negative_budget():
     with pytest.raises(ValueError, match="budget"):
         _twobar_run(budget=-1)
+    with pytest.raises(ValueError, match="snapshot_every"):
+        _twobar_run(budget=1, snapshot_every=-1)
 
 
 @pytest.mark.parametrize(
